@@ -54,26 +54,33 @@ def proj(theta, y, spec: ProjectionSpec) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if theta.shape != y.shape:
         raise DimensionError(f"theta {theta.shape} and y {y.shape} must match")
-    f = phi(theta, spec)
-    if f < 0.0:
-        return y.copy()
-    g = phi_grad(theta, spec)
-    gy = float(g @ y)
-    if gy <= 0.0:
-        return y.copy()
-    # Branch 3 is unreachable with g = 0: that requires theta = 0, where phi < 0.
-    return y - g * (gy / float(g @ g)) * f
+    return proj_matrix(theta[:, np.newaxis], y[:, np.newaxis], spec)[:, 0]
 
 
 def proj_matrix(Theta, Y, spec: ProjectionSpec) -> np.ndarray:
-    """Column-wise projection for matrix estimates."""
+    """Column-wise `proj` for matrix estimates.
+
+    phi and its gradient are inlined (same arithmetic as `phi` and
+    `phi_grad`), and columns strictly inside the ball skip the rest.
+    """
     Theta = np.asarray(Theta, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    if Theta.shape != Y.shape:
-        raise DimensionError(f"Theta {Theta.shape} and Y {Y.shape} must match")
-    out = np.empty_like(Y)
-    for j in range(Y.shape[1]):
-        out[:, j] = proj(Theta[:, j], Y[:, j], spec)
+    out = np.array(Y, dtype=float)
+    if Theta.shape != out.shape:
+        raise DimensionError(f"Theta {Theta.shape} and Y {out.shape} must match")
+    eps1 = spec.eps_theta + 1.0
+    tmax2 = spec.theta_max**2
+    grad_scale = 2.0 * eps1 / (spec.eps_theta * tmax2)
+    for j in range(out.shape[1]):
+        theta = Theta[:, j]
+        f = float(((eps1 * theta).dot(theta) - tmax2) / (spec.eps_theta * tmax2))
+        if f < 0.0:
+            continue
+        y = out[:, j]
+        g = grad_scale * theta
+        gy = float(g.dot(y))
+        # g = 0 cannot reach the division: it needs theta = 0, where phi < 0.
+        if gy > 0.0:
+            out[:, j] = y - g * (gy / float(g.dot(g))) * f
     return out
 
 

@@ -79,9 +79,13 @@ class BasisSpec:
     def dim(self) -> int:
         return len(self.names)
 
+    def features(self, t: float, x_p) -> list:
+        """sigma_p(x_p) as a list, unvalidated; a list x_p is fastest."""
+        return [f(t, x_p) for f in self._funcs]
+
     def eval_plant(self, t: float, x_p) -> np.ndarray:
         """sigma_p(x_p), the plant-basis part only."""
-        return np.array([f(t, x_p) for f in self._funcs], dtype=float)
+        return np.array(self.features(t, x_p), dtype=float)
 
 
 @dataclass(frozen=True)

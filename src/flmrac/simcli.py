@@ -343,14 +343,14 @@ def write_trajectory_csv(traj: Trajectory, path: Path) -> None:
     sn = traj.W_hat.shape[1]
     n_c = traj.c.shape[1]
     header = trajectory_header(n, m, sn - n, n_c)
+    N = len(traj)
+    table = np.column_stack([traj.t, traj.x, traj.x_r, traj.x_ri, traj.e, traj.e_L,
+                             traj.e_H, traj.u, traj.W_hat.reshape(N, -1), traj.c])
+    # One format per row; "%.17g" % v writes the same bytes as format(v, ".17g").
+    row_format = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for i in range(len(traj)):
-            row = [traj.t[i]]
-            row += list(traj.x[i]) + list(traj.x_r[i]) + list(traj.x_ri[i])
-            row += list(traj.e[i]) + list(traj.e_L[i]) + list(traj.e_H[i])
-            row += list(traj.u[i]) + list(traj.W_hat[i].ravel()) + list(traj.c[i])
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.writelines(row_format % tuple(row.tolist()) for row in table)
 
 
 def read_csv_columns(path: Path) -> dict[str, np.ndarray]:
@@ -366,14 +366,29 @@ def read_csv_columns(path: Path) -> dict[str, np.ndarray]:
 # Bound reports
 # ---------------------------------------------------------------------------
 
+def _truth_norms(truth: UncertaintyTruth, lam, K, ts: np.ndarray) -> np.ndarray:
+    """||W(t)||_F at each time in ts, equal to the per-sample
+    norm(aggregate_true_weights(truth, lam, K, t)).
+
+    W(t) is built for all times at once in aggregate_true_weights' order
+    (modulate W_p, then scale by Lambda^-1), and each norm is the dot product
+    np.linalg.norm takes.
+    """
+    s = truth.W_p_base.shape[0]
+    W_p = np.repeat(truth.W_p_base[np.newaxis], ts.size, axis=0)
+    for mod in truth.modulations:
+        W_p[:, mod.row, mod.col] *= [mod.factor(t) for t in ts.tolist()]
+    W = np.repeat(aggregate_true_weights(truth.W_p_base, lam, K)[np.newaxis], ts.size, axis=0)
+    W[:, :s] = W_p * (1.0 / lam)
+    return np.array([math.sqrt(row.dot(row)) for row in W.reshape(ts.size, -1)])
+
+
 def _truth_norm_budget(scn: ScenarioConfig) -> tuple[float, float]:
     """(sup ||W(t)||_F sampled, aggregated rate bound) for the configured truth."""
     truth = scn.plant.truth
     lam = scn.plant.Lambda
-    K = scn.controller.K
     ts = np.linspace(0.0, max(scn.t_final, 1.0), 2001)
-    w_max = max(float(np.linalg.norm(aggregate_true_weights(truth, lam, K, t=float(t))))
-                for t in ts)
+    w_max = float(np.max(_truth_norms(truth, lam, scn.controller.K, ts)))
     w_dot = float(np.max(1.0 / lam)) * truth.w_p_dot_max
     return w_max, w_dot
 

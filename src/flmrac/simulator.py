@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import controllers, plantmodel, refsys
+from . import controllers, refsys
 from .controllers import ControllerConfig
 from .matrixcore import DimensionError, is_hurwitz
 from .plantmodel import PlantModel, augment
@@ -26,7 +26,14 @@ DIVERGENCE_LIMIT = 1e9
 
 
 class DivergenceError(RuntimeError):
-    """The integration produced a non-finite or unbounded state."""
+    """The integration produced a non-finite or unbounded state.
+
+    `state` holds the offending stacked state when the raiser had one.
+    """
+
+    def __init__(self, message: str, state: np.ndarray | None = None):
+        super().__init__(message)
+        self.state = state
 
 
 @dataclass(frozen=True)
@@ -62,7 +69,8 @@ class CommandSpec:
         if self.kind == "step":
             return self.offset + (self.amplitude if t >= 0.0 else 0.0)
         if self.kind == "square_wave":
-            return self.offset + self.amplitude * float(np.sign(math.sin(2.0 * math.pi * t / self.period)))
+            wave = math.sin(2.0 * math.pi * t / self.period)
+            return self.offset + self.amplitude * ((wave > 0.0) - (wave < 0.0))
         idx = int(np.searchsorted(self.times, t, side="right")) - 1
         return self.values[max(idx, 0)]
 
@@ -150,6 +158,22 @@ class ClosedLoopSystem:
 
     Layout of the stacked state y: [x (n); x_r (n); x_ri (n); e_L (n);
     vec(W_hat) ((s+n)*m, row-major)].
+
+    The laws of the first four blocks are linear apart from the uncertainty
+    and the adaptive control, so they are fused at assembly into constant
+    block operators over z = y[:4n]:
+
+        z' = M z + G nu + E (delta - Lambda W_hat' sigma_m) + b_c c(t)
+
+    with nu the measurement noise, sigma_m the basis of the measured state
+    x + nu, delta = W_p(t)' sigma_p(x) the uncertainty at the true state and
+    c(t) the scalar command.  M holds the nominal control -B Lambda K x, the
+    modified reference's kappa (e - e_L) mismatch, the ideal reference and the
+    eta (e - e_L) filter; G = [-B Lambda K; kappa I; 0; eta I] injects the
+    noise those laws see; E = [B; 0; 0; 0]; b_c stacks B_r 1 for the plant
+    and both references.  The module-level laws (refsys, controllers,
+    plantmodel.eval_uncertainty) are the reference this field is tested
+    against.
     """
 
     def __init__(self, scenario: ScenarioConfig):
@@ -199,6 +223,23 @@ class ClosedLoopSystem:
             raise DimensionError(f"noise std must have length {n}, got {std.shape}")
         self.noise_std = std if scenario.noise.enabled else np.zeros(n)
 
+        # Fused linear part of [x; x_r; x_ri; e_L]' (see the class docstring).
+        I, Z = np.eye(n), np.zeros((n, n))
+        BLK = aug.B @ (self.Lam[:, np.newaxis] * cfg.K)
+        k, eta = cfg.kappa, cfg.eta
+        self.M = np.block([
+            [aug.A - BLK, Z, Z, Z],
+            [k * I, A_r - k * I, Z, -k * I],
+            [Z, Z, A_r, Z],
+            [eta * I, -eta * I, Z, A_r - eta * I],
+        ])
+        self.G = np.vstack([-BLK, k * I, Z, eta * I])
+        self.E = np.vstack([aug.B, np.zeros((3 * n, m))])
+        Br1 = aug.B_r.sum(axis=1)
+        self.b_c = np.concatenate([Br1, Br1, Br1, np.zeros(n)])
+        self._has_command = self.n_c > 0 and scenario.command.kind != "zero"
+        self._sigma = np.empty(self.s + n)
+
     def initial_state(self) -> np.ndarray:
         n = self.n
         x0 = np.zeros(n) if self.scenario.x0 is None else np.asarray(self.scenario.x0, dtype=float)
@@ -217,55 +258,61 @@ class ClosedLoopSystem:
         y[self.sl_W] = W0.ravel()
         return y
 
-    def deriv(self, t: float, y: np.ndarray, noise: np.ndarray) -> np.ndarray:
-        n, m = self.n, self.m
-        x = y[self.sl_x]
-        x_r = y[self.sl_xr]
-        x_ri = y[self.sl_xri]
-        e_L = y[self.sl_eL]
-        W_hat = y[self.sl_W].reshape(self.s + n, m)
+    def measured_basis(self, t: float, x_m: np.ndarray) -> np.ndarray:
+        """sigma(x_m) = [sigma_p(x_m[:n_p]); x_m], written into a buffer that
+        the next call overwrites."""
+        sigma = self._sigma
+        s = self.s
+        sigma[:s] = self.basis.features(t, x_m.tolist()[: self.n_p])
+        sigma[s:] = x_m
+        return sigma
 
-        x_m = x + noise
-        sigma_m = plantmodel.eval_basis(self.basis, t, x_m[: self.n_p], x_m)
-        u = -(self.K @ x_m) - W_hat.T @ sigma_m
-        c = command(self.command_spec, t, self.n_c)
-
-        # Plant integrates truth: uncertainty evaluated at the true state.
-        delta = self.truth.W_p(t).T @ self.basis.eval_plant(t, x[: self.n_p])
-        x_dot = self.aug.A @ x + self.aug.B @ (self.Lam * u + delta) + self.aug.B_r @ c
-
-        e_m = x_m - x_r
-        eH_m = e_m - e_L
-        xr_dot = self.A_r @ x_r + self.aug.B_r @ c + self.kappa * eH_m
-        xri_dot = self.A_r @ x_ri + self.aug.B_r @ c
-        eL_dot = self.A_r @ e_L + self.eta * eH_m
-
-        Y = np.outer(sigma_m, e_m @ self.PB)
-        if self.projection is not None:
-            W_dot = self.gamma * controllers.proj_matrix(W_hat, Y, self.projection)
+    def deriv(self, t: float, y: np.ndarray, noise: np.ndarray | None = None) -> np.ndarray:
+        """y' at time t; noise (length n, or None for none) perturbs only what
+        the controller measures."""
+        n4 = 4 * self.n
+        z = y[:n4]
+        x = y[: self.n]
+        W_hat = y[n4:].reshape(-1, self.m)
+        if noise is None:
+            x_m = x
+            sigma = self.measured_basis(t, x)
+            sigma_p = sigma[: self.s]
         else:
-            W_dot = self.gamma * Y
+            x_m = x + noise
+            sigma = self.measured_basis(t, x_m)
+            # The plant integrates truth: its uncertainty needs the basis at x.
+            sigma_p = self.basis.eval_plant(t, x.tolist()[: self.n_p])
+        # ndarray.dot: same BLAS products as @, with less call overhead.
+        delta = sigma_p.dot(self.truth.W_p(t))
 
+        lin = self.M.dot(z) + self.E.dot(delta - self.Lam * sigma.dot(W_hat))
+        if noise is not None:
+            lin += self.G.dot(noise)
+        if self._has_command:
+            lin += self.b_c * self.command_spec.value(t)
+
+        Y = sigma[:, np.newaxis] * (x_m - y[self.sl_xr]).dot(self.PB)
+        if self.projection is not None:
+            Y = controllers.proj_matrix(W_hat, Y, self.projection)
         out = np.empty_like(y)
-        out[self.sl_x] = x_dot
-        out[self.sl_xr] = xr_dot
-        out[self.sl_xri] = xri_dot
-        out[self.sl_eL] = eL_dot
-        out[self.sl_W] = W_dot.ravel()
+        out[:n4] = lin
+        out[n4:] = (self.gamma * Y).ravel()
         return out
 
-    def control_at(self, t: float, y: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    def control_at(self, t: float, y: np.ndarray, noise: np.ndarray | None) -> np.ndarray:
         """Applied control at a sample instant, from the measured state."""
-        x_m = y[self.sl_x] + noise
-        sigma_m = plantmodel.eval_basis(self.basis, t, x_m[: self.n_p], x_m)
+        x_m = y[self.sl_x] if noise is None else y[self.sl_x] + noise
         W_hat = y[self.sl_W].reshape(self.s + self.n, self.m)
-        return -(self.K @ x_m) - W_hat.T @ sigma_m
+        return -(self.K @ x_m) - W_hat.T @ self.measured_basis(t, x_m)
 
-    def diagnose_nonfinite(self, y: np.ndarray) -> str:
-        for name, sl in zip(self.block_names, self.blocks):
-            if not np.all(np.isfinite(y[sl])):
-                return name
-        return "state"
+    def diverged_block(self, y: np.ndarray) -> str:
+        """Name of the block that diverged: the first with a non-finite entry,
+        else the one holding the largest |y|."""
+        bad = ~np.isfinite(y)
+        i = int(np.argmax(bad)) if bad.any() else int(np.argmax(np.abs(y)))
+        return next(name for name, sl in zip(self.block_names, self.blocks)
+                    if sl.start <= i < sl.stop)
 
 
 def assemble(scenario: ScenarioConfig) -> ClosedLoopSystem:
@@ -281,7 +328,7 @@ def rk4_step(f, state: np.ndarray, t: float, h: float) -> np.ndarray:
     k4 = f(t + h, state + h * k3)
     out = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     if not np.all(np.isfinite(out)):
-        raise DivergenceError(f"non-finite derivative while stepping at t={t:.6g}")
+        raise DivergenceError(f"non-finite derivative while stepping at t={t:.6g}", out)
     return out
 
 
@@ -299,55 +346,60 @@ def run(scenario: ScenarioConfig) -> Trajectory:
 
     rng = np.random.default_rng(scenario.noise.seed)
     noise_on = scenario.noise.enabled and np.any(sys.noise_std > 0)
-    zero_noise = np.zeros(sys.n)
 
-    def draw_noise(t: float) -> np.ndarray:
+    def draw_noise(t: float) -> np.ndarray | None:
         if noise_on and t >= scenario.noise.start_time:
             return rng.standard_normal(sys.n) * sys.noise_std
-        return zero_noise
+        return None
 
     y = sys.initial_state()
-    rec_t, rec_y, rec_u, rec_c = [], [], [], []
+    N = (n_steps - 1) // stride + 2 if n_steps else 1
+    rec_t = np.empty(N)
+    rec_y = np.empty((N, sys.state_dim))
+    rec_u = np.empty((N, sys.m))
+    rec_c = np.empty((N, sys.n_c))
 
-    def record(t: float, y: np.ndarray, noise: np.ndarray) -> None:
-        rec_t.append(t)
-        rec_y.append(y.copy())
-        rec_u.append(sys.control_at(t, y, noise))
-        rec_c.append(command(sys.command_spec, t, sys.n_c))
+    def record(i: int, t: float, y: np.ndarray, noise: np.ndarray | None) -> None:
+        rec_t[i] = t
+        rec_y[i] = y
+        rec_u[i] = sys.control_at(t, y, noise)
+        rec_c[i] = sys.command_spec.value(t)
+
+    def diverged(t: float, state: np.ndarray) -> DivergenceError:
+        return DivergenceError(
+            f"simulation diverged at t={t:.6g} (signal: {sys.diverged_block(state)}); "
+            "consider a smaller step size", state)
 
     for k in range(n_steps):
         t = k * h
         noise = draw_noise(t)
         if k % stride == 0:
-            record(t, y, noise)
+            record(k // stride, t, y, noise)
         f = lambda tt, yy: sys.deriv(tt, yy, noise)
-        y = rk4_step(f, y, t, h)
-        if not np.all(np.isfinite(y)) or float(np.max(np.abs(y))) > DIVERGENCE_LIMIT:
-            bad = sys.diagnose_nonfinite(y) if not np.all(np.isfinite(y)) else "state"
-            raise DivergenceError(
-                f"simulation diverged at t={(k + 1) * h:.6g} (signal: {bad}); "
-                "consider a smaller step size"
-            )
+        try:
+            y = rk4_step(f, y, t, h)
+        except DivergenceError as exc:
+            raise diverged((k + 1) * h, exc.state) from None
+        if float(np.max(np.abs(y))) > DIVERGENCE_LIMIT:
+            raise diverged((k + 1) * h, y)
     t_end = n_steps * h
-    record(t_end, y, draw_noise(t_end))
+    record(N - 1, t_end, y, draw_noise(t_end))
 
-    N = len(rec_t)
-    ys = np.asarray(rec_y)
-    x = ys[:, sys.sl_x]
-    x_r = ys[:, sys.sl_xr]
+    x = rec_y[:, sys.sl_x]
+    x_r = rec_y[:, sys.sl_xr]
     e = x - x_r
-    e_L = ys[:, sys.sl_eL]
+    e_L = rec_y[:, sys.sl_eL]
     traj = Trajectory(
-        t=np.asarray(rec_t),
+        t=rec_t,
         x=x,
         x_r=x_r,
-        x_ri=ys[:, sys.sl_xri],
+        x_ri=rec_y[:, sys.sl_xri],
         e=e,
         e_L=e_L,
         e_H=e - e_L,
-        u=np.asarray(rec_u),
-        W_hat=ys[:, sys.sl_W].reshape(N, sys.s + sys.n, sys.m),
-        c=np.asarray(rec_c).reshape(N, sys.n_c),
+        u=rec_u,
+        W_hat=rec_y[:, sys.sl_W].reshape(N, sys.s + sys.n, sys.m),
+        c=rec_c,
         meta={
             "name": scenario.name,
             "h": h,

@@ -1,15 +1,17 @@
 import dataclasses
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from flmrac import simcli
+from flmrac.plantmodel import Modulation, UncertaintyTruth, aggregate_true_weights
 from flmrac.simcli import (ConfigError, bundled_scenario_path, canonical_text,
                            dict_to_scenario, list_bundled, load_config,
                            read_csv_columns, serialize_scenario,
                            trajectory_header, write_trajectory_csv)
-from flmrac.simulator import run
+from flmrac.simulator import Trajectory, run
 
 
 def short_noisy_config(tmp_path, name="short", seed=20131007, t_final=3.0):
@@ -89,6 +91,73 @@ class TestTrajectoryCsv:
         assert np.array_equal(cols["x_1"], traj.x[:, 0])
         assert np.array_equal(cols["What_9_1"], traj.W_hat[:, 8, 0])
         assert np.array_equal(cols["c_1"], traj.c[:, 0])
+
+
+def _rowwise_csv(traj) -> bytes:
+    """The trajectory CSV written one value at a time, as the reference."""
+    n, m, n_c = traj.x.shape[1], traj.u.shape[1], traj.c.shape[1]
+    header = trajectory_header(n, m, traj.W_hat.shape[1] - n, n_c)
+    lines = [",".join(header)]
+    for i in range(len(traj)):
+        row = [traj.t[i], *traj.x[i], *traj.x_r[i], *traj.x_ri[i], *traj.e[i],
+               *traj.e_L[i], *traj.e_H[i], *traj.u[i], *traj.W_hat[i].ravel(), *traj.c[i]]
+        lines.append(",".join(format(float(v), ".17g") for v in row))
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _synthetic_trajectory(rng, N, n, m, s, n_c) -> Trajectory:
+    def block(*shape):
+        # Mixed magnitudes, exact zeros of both signs.
+        vals = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+        vals.flat[::7] = -0.0
+        vals.flat[3::11] = 0.0
+        return vals
+
+    x, x_r, e_L = block(N, n), block(N, n), block(N, n)
+    return Trajectory(t=np.linspace(0.0, 1.0, N), x=x, x_r=x_r, x_ri=block(N, n),
+                      e=x - x_r, e_L=e_L, e_H=x - x_r - e_L, u=block(N, m),
+                      W_hat=block(N, s + n, m), c=block(N, n_c))
+
+
+class TestBulkWriters:
+    @pytest.mark.parametrize("m, n_c", [(2, 0), (1, 1), (2, 2)])
+    def test_csv_bytes_match_rowwise_format(self, tmp_path, m, n_c):
+        traj = _synthetic_trajectory(np.random.default_rng(m + 10 * n_c), 37, 3, m, 2, n_c)
+        assert np.signbit(traj.x[0, 0]) and traj.x[0, 0] == 0.0
+        path = tmp_path / "traj.csv"
+        write_trajectory_csv(traj, path)
+        assert path.read_bytes() == _rowwise_csv(traj)
+
+    def test_csv_bytes_match_rowwise_format_on_a_run(self, tmp_path):
+        scn, _ = load_config("wingrock_proposed")
+        traj = run(dataclasses.replace(scn, t_final=0.2))
+        path = tmp_path / "traj.csv"
+        write_trajectory_csv(traj, path)
+        assert path.read_bytes() == _rowwise_csv(traj)
+
+    @pytest.mark.parametrize("mods", [
+        (),
+        (Modulation(row=1, col=0, kind="step", start=3.0),),
+        (Modulation(row=0, col=0, kind="sin", start=45.0),),
+        (Modulation(row=0, col=1, kind="sin", start=0.0),
+         Modulation(row=0, col=1, kind="step", start=2.5),
+         Modulation(row=2, col=0, kind="sin", start=7.0)),
+    ])
+    def test_truth_norms_match_per_sample_loop(self, mods):
+        rng = np.random.default_rng(len(mods))
+        m = 2 if any(mod.col == 1 for mod in mods) else 1
+        truth = UncertaintyTruth(W_p_base=rng.standard_normal((6, m)), modulations=mods,
+                                 w_p_max=10.0, w_p_dot_max=0.5)
+        lam = np.linspace(0.7, 1.3, m)
+        K = rng.standard_normal((m, 3))
+        ts = np.linspace(0.0, 12.5, 2001)
+        per_sample = [np.linalg.norm(aggregate_true_weights(truth, lam, K, t=float(t)))
+                      for t in ts]
+        assert np.array_equal(simcli._truth_norms(truth, lam, K, ts), per_sample)
+        # Only the fields the budget reads: truth, Lambda, K and the horizon.
+        scn = SimpleNamespace(t_final=12.5, plant=SimpleNamespace(truth=truth, Lambda=lam),
+                              controller=SimpleNamespace(K=K))
+        assert simcli._truth_norm_budget(scn) == (max(per_sample), float(np.max(1.0 / lam)) * 0.5)
 
 
 class TestCmdRun:

@@ -3,10 +3,11 @@ import dataclasses
 import numpy as np
 import pytest
 
+from flmrac import controllers, plantmodel, refsys
 from flmrac import simulator as sim
 from flmrac.matrixcore import LyapunovPair
 from flmrac.plantmodel import BasisSpec, PlantModel, UncertaintyTruth, augment
-from flmrac.controllers import ControllerConfig
+from flmrac.controllers import ControllerConfig, ProjectionSpec
 from flmrac.simcli import load_config
 
 from helpers import quiet_wingrock, scalar_scenario
@@ -70,6 +71,11 @@ class TestRk4Step:
     def test_nonfinite_derivative_raises(self):
         with pytest.raises(sim.DivergenceError):
             sim.rk4_step(lambda t, y: np.array([np.nan]), np.array([1.0]), 0.0, 0.1)
+
+    def test_nonfinite_error_carries_state(self):
+        with pytest.raises(sim.DivergenceError) as err:
+            sim.rk4_step(lambda t, y: np.array([0.0, np.inf]), np.array([1.0, 2.0]), 0.0, 0.1)
+        assert err.value.state[0] == 1.0 and np.isinf(err.value.state[1])
 
 
 def _no_uncertainty_scenario(**kw):
@@ -175,6 +181,124 @@ class TestRun:
         scn = scalar_scenario(kappa=100.0, h=0.05, t_final=10.0)
         with pytest.raises(sim.DivergenceError):
             sim.run(scn)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_stiff_blowup_names_block(self):
+        # The last step size the CLI retries for kappa = 5e4 still blows up.
+        scn, _ = load_config("wingrock_proposed")
+        scn = dataclasses.replace(
+            scn, h=1.25e-4, t_final=5.0,
+            controller=dataclasses.replace(scn.controller, kappa=5e4),
+            noise=dataclasses.replace(scn.noise, enabled=False))
+        with pytest.raises(sim.DivergenceError,
+                           match=r"\(signal: (x|x_r|x_ri|e_L|W_hat)\)"):
+            sim.run(scn)
+
+
+class TestDivergedBlock:
+    def test_nonfinite_block_named(self):
+        system = sim.assemble(_no_uncertainty_scenario())
+        y = np.zeros(system.state_dim)
+        y[system.sl_xr] = 1e12
+        y[system.sl_W] = np.nan
+        assert system.diverged_block(y) == "W_hat"
+
+    def test_largest_entry_names_block(self):
+        system = sim.assemble(_no_uncertainty_scenario())
+        y = np.ones(system.state_dim)
+        y[system.sl_eL] = -2e9
+        assert system.diverged_block(y) == "e_L"
+
+
+def _reference_deriv(system, t, y, noise):
+    """The closed loop composed from the module-level laws."""
+    cfg = system.scenario.controller
+    aug = system.aug
+    x, x_r, x_ri, e_L = (y[sl] for sl in system.blocks[:4])
+    W_hat = y[system.sl_W].reshape(system.s + system.n, system.m)
+    x_m = x + noise
+    e_m = x_m - x_r
+    sigma_m = plantmodel.eval_basis(system.basis, t, x_m[: system.n_p], x_m)
+    u = controllers.control(x_m, sigma_m, W_hat, cfg.K)
+    delta = plantmodel.eval_uncertainty(system.truth, system.basis, t, x[: system.n_p])
+    c = sim.command(system.command_spec, t, system.n_c)
+    return [
+        aug.A @ x + aug.B @ (system.Lam * u + delta) + aug.B_r @ c,
+        refsys.modified_ref_deriv(x_r, c, e_m, e_L, cfg.kappa, system.A_r, aug.B_r),
+        refsys.ideal_ref_deriv(x_ri, c, system.A_r, aug.B_r),
+        refsys.filter_deriv(e_L, e_m, cfg.eta, system.A_r),
+        controllers.update_deriv(W_hat, sigma_m, e_m, cfg.lyap, aug.B, cfg.gamma,
+                                 cfg.projection).ravel(),
+    ]
+
+
+def _random_state(system, rng, radius):
+    """State near the reference, with every weight column of norm `radius`."""
+    n = system.n
+    x = 0.5 * rng.standard_normal(n)
+    W = rng.standard_normal((system.s + n, system.m))
+    W *= radius / np.linalg.norm(W, axis=0)
+    return np.concatenate([x, x + 0.05 * rng.standard_normal(n),
+                           x + 0.05 * rng.standard_normal(n),
+                           0.02 * rng.standard_normal(n), W.ravel()])
+
+
+def _projected_scalar():
+    scn = scalar_scenario(kappa=100.0, eta=2.0)
+    ctrl = dataclasses.replace(scn.controller,
+                               projection=ProjectionSpec(theta_max=3.0, eps_theta=0.2))
+    return dataclasses.replace(scn, controller=ctrl)
+
+
+class TestFusedVectorField:
+    """deriv against the composition of the module-level laws, block by block."""
+
+    @staticmethod
+    def _check(scn, radius, noisy, seed=3, samples=40):
+        system = sim.assemble(scn)
+        rng = np.random.default_rng(seed)
+        projected = 0
+        for _ in range(samples):
+            t = float(rng.uniform(0.0, 90.0))
+            y = _random_state(system, rng, radius)
+            noise = 0.01 * rng.standard_normal(system.n) if noisy else np.zeros(system.n)
+            got = system.deriv(t, y, noise if noisy else None)
+            ref = _reference_deriv(system, t, y, noise)
+            for name, sl, want in zip(system.block_names, system.blocks, ref):
+                scale = max(1.0, float(np.max(np.abs(want))))
+                assert np.max(np.abs(got[sl] - want)) <= 1e-12 * scale, (name, t)
+            if system.projection is not None:
+                raw = got[system.sl_W] != system.gamma * np.outer(
+                    system.measured_basis(t, y[system.sl_x] + noise),
+                    (y[system.sl_x] + noise - y[system.sl_xr]) @ system.PB).ravel()
+                projected += bool(raw.any())
+        return projected
+
+    @pytest.mark.parametrize("noisy", [False, True])
+    def test_projected_inside_ball(self, wingrock_proposed, noisy):
+        spec = wingrock_proposed.controller.projection
+        inner = spec.theta_max / np.sqrt(1.0 + spec.eps_theta)
+        assert self._check(wingrock_proposed, 0.5 * inner, noisy) == 0
+
+    @pytest.mark.parametrize("noisy", [False, True])
+    def test_projected_boundary_layer(self, wingrock_proposed, noisy):
+        spec = wingrock_proposed.controller.projection
+        inner = spec.theta_max / np.sqrt(1.0 + spec.eps_theta)
+        assert self._check(wingrock_proposed, 0.5 * (inner + spec.theta_max), noisy) > 0
+
+    @pytest.mark.parametrize("noisy", [False, True])
+    def test_projection_off(self, wingrock_proposed, noisy):
+        scn = dataclasses.replace(
+            wingrock_proposed,
+            controller=dataclasses.replace(wingrock_proposed.controller, projection=None))
+        self._check(scn, 10.0, noisy)
+
+    @pytest.mark.parametrize("noisy", [False, True])
+    def test_stabilization_without_integrator(self, noisy):
+        scn = _projected_scalar()
+        assert sim.assemble(scn).n_c == 0
+        assert self._check(scn, 0.5 * (3.0 / np.sqrt(1.2) + 3.0), noisy) > 0
 
 
 class TestScenarioValidation:
