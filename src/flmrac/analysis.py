@@ -349,16 +349,11 @@ def margins(gamma: float, kappa: float, eta: float, alpha: float,
 # Spectral high-frequency content
 # ---------------------------------------------------------------------------
 
-#: Cap on the number of samples fed to the transform (decimation above this).
-SPECTRUM_MAX_SAMPLES = 4096
-
-
 def spectrum_fraction_above(t, values, cutoff: float) -> float:
     """Fraction of non-DC discrete-spectrum energy above `cutoff` rad/s.
 
-    The signal must be uniformly sampled with at least 64 samples; longer
-    records are decimated to at most SPECTRUM_MAX_SAMPLES before the
-    transform.  Multi-channel input sums channel energies.
+    The signal must be uniformly sampled with at least 64 samples; the whole
+    record is transformed.  Multi-channel input sums channel energies.
     """
     t = np.asarray(t, dtype=float)
     v = np.asarray(values, dtype=float)
@@ -369,9 +364,7 @@ def spectrum_fraction_above(t, values, cutoff: float) -> float:
     dts = np.diff(t)
     if float(np.max(np.abs(dts - dts[0]))) > 1e-9 * max(dts[0], 1.0):
         raise ValueError("signal is not uniformly sampled")
-    step = max(1, int(math.ceil(t.size / SPECTRUM_MAX_SAMPLES)))
-    v = v[::step]
-    dt = float(dts[0]) * step
+    dt = float(dts[0])
 
     omega = 2.0 * math.pi * np.abs(np.fft.fftfreq(v.shape[0], d=dt))
     energy_hi = 0.0

@@ -98,18 +98,16 @@ def control(x, sigma, W_hat, K) -> np.ndarray:
 
 
 def update_deriv(W_hat, sigma, e, lyap: LyapunovPair, B, gamma: float,
-                 projection: ProjectionSpec | None = None, PB=None) -> np.ndarray:
+                 projection: ProjectionSpec | None = None) -> np.ndarray:
     """Weight-estimate rate: gamma * sigma e'PB, optionally projected.
 
     With a ProjectionSpec the raw direction is pushed through the column-wise
-    projection at the current estimate before scaling by gamma.  PB may be
-    passed precomputed by hot loops; otherwise it is lyap.P @ B.
+    projection at the current estimate before scaling by gamma.
     """
     sigma = np.asarray(sigma, dtype=float)
     e = np.asarray(e, dtype=float)
     W_hat = np.atleast_2d(np.asarray(W_hat, dtype=float))
-    if PB is None:
-        PB = lyap.P @ np.atleast_2d(np.asarray(B, dtype=float))
+    PB = lyap.P @ np.atleast_2d(np.asarray(B, dtype=float))
     if e.size != PB.shape[0]:
         raise DimensionError(f"e has length {e.size}, P B has {PB.shape[0]} rows")
     Y = np.outer(sigma, e @ PB)

@@ -7,6 +7,7 @@ eigenvalue extremes, and the handful of norms used by the analysis layer.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,6 +134,14 @@ def norms(M) -> dict[str, float]:
         "two": float(np.linalg.norm(a, 2)),
         "inf": float(np.linalg.norm(a, np.inf)),
     }
+
+
+def frobenius_norms(stack) -> np.ndarray:
+    """Frobenius norm of each stack[i], equal to np.linalg.norm(stack[i]) of a
+    C-ordered slice: the same dot product of its flattened entries."""
+    a = np.asarray(stack, dtype=float)
+    flat = a.reshape(a.shape[0], math.prod(a.shape[1:]))
+    return np.array([math.sqrt(row.dot(row)) for row in flat])
 
 
 @dataclass(frozen=True)

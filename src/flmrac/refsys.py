@@ -9,26 +9,9 @@ shrinks the high-frequency part of the system error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .matrixcore import DimensionError
-
-
-@dataclass
-class ReferenceState:
-    """Modified reference, ideal reference and filtered-error states of a run."""
-
-    x_r: np.ndarray
-    x_ri: np.ndarray
-    e_L: np.ndarray
-
-    @classmethod
-    def initial(cls, x_r0) -> "ReferenceState":
-        x_r0 = np.asarray(x_r0, dtype=float)
-        # Both references start from the same point; the filter starts at zero.
-        return cls(x_r=x_r0.copy(), x_ri=x_r0.copy(), e_L=np.zeros_like(x_r0))
 
 
 def ideal_ref_deriv(x_ri, c, A_r, B_r) -> np.ndarray:

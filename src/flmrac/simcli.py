@@ -15,9 +15,7 @@ import datetime
 import hashlib
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 from pathlib import Path
 
@@ -26,7 +24,7 @@ import numpy as np
 from . import __version__, analysis
 from .analysis import BoundReport, NoCrossoverError
 from .controllers import ControllerConfig, ProjectionSpec
-from .matrixcore import LyapunovPair, is_hurwitz
+from .matrixcore import LyapunovPair, frobenius_norms, is_hurwitz
 from .plantmodel import (BasisSpec, Modulation, PlantModel, UncertaintyTruth,
                          aggregate_true_weights, augment)
 from .simulator import (CommandSpec, DivergenceError, NoiseSpec,
@@ -371,16 +369,12 @@ def _truth_norms(truth: UncertaintyTruth, lam, K, ts: np.ndarray) -> np.ndarray:
     norm(aggregate_true_weights(truth, lam, K, t)).
 
     W(t) is built for all times at once in aggregate_true_weights' order
-    (modulate W_p, then scale by Lambda^-1), and each norm is the dot product
-    np.linalg.norm takes.
+    (W_p(t) from the truth, then scaled by Lambda^-1).
     """
-    s = truth.W_p_base.shape[0]
-    W_p = np.repeat(truth.W_p_base[np.newaxis], ts.size, axis=0)
-    for mod in truth.modulations:
-        W_p[:, mod.row, mod.col] *= [mod.factor(t) for t in ts.tolist()]
+    W_p = truth.W_p_grid(ts)
     W = np.repeat(aggregate_true_weights(truth.W_p_base, lam, K)[np.newaxis], ts.size, axis=0)
-    W[:, :s] = W_p * (1.0 / lam)
-    return np.array([math.sqrt(row.dot(row)) for row in W.reshape(ts.size, -1)])
+    W[:, :W_p.shape[1]] = W_p * (1.0 / lam)
+    return frobenius_norms(W)
 
 
 def _truth_norm_budget(scn: ScenarioConfig) -> tuple[float, float]:
@@ -640,17 +634,16 @@ def _warn_gain_window(scn: ScenarioConfig) -> None:
 def _run_with_retries(scn: ScenarioConfig) -> tuple[Trajectory, ScenarioConfig]:
     """Run the scenario, halving h after each divergence, up to the retry cap."""
     _warn_gain_window(scn)
-    last_exc: DivergenceError | None = None
     for attempt in range(MAX_STEP_HALVINGS + 1):
         try:
             return run(scn), scn
         except DivergenceError as exc:
-            last_exc = exc
+            if attempt == MAX_STEP_HALVINGS:
+                raise
             new_h = scn.h / 2.0
             print(f"[flmrac] divergence ({exc}); retrying with h={new_h:g}",
                   file=sys.stderr)
             scn = dataclasses.replace(scn, h=new_h)
-    raise last_exc
 
 
 def cmd_run(args) -> int:
@@ -725,16 +718,11 @@ def cmd_compare(args) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    max_workers = int(os.environ.get("FLMRAC_THREADS", "0")) or min(4, len(loaded))
-
-    def one(item):
-        scn, _ = item
-        traj, scn = _run_with_retries(scn)
-        return run_metrics(scn, traj, args.cutoff)
-
+    rows = []
     try:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            rows = list(pool.map(one, loaded))
+        for scn, _ in loaded:
+            traj, scn = _run_with_retries(scn)
+            rows.append(run_metrics(scn, traj, args.cutoff))
     except DivergenceError as exc:
         print(f"[flmrac] {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE

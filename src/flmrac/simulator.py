@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import controllers, refsys
+from . import controllers
 from .controllers import ControllerConfig
 from .matrixcore import DimensionError, is_hurwitz
 from .plantmodel import PlantModel, augment
@@ -248,13 +248,13 @@ class ClosedLoopSystem:
         xr0 = x0 if self.scenario.x_r0 is None else np.asarray(self.scenario.x_r0, dtype=float)
         if xr0.shape != (n,):
             raise DimensionError(f"x_r0 must have length {n}")
-        ref = refsys.ReferenceState.initial(xr0)
         W0 = self.scenario.controller.initial_estimate(self.s + n, self.m)
         y = np.empty(self.state_dim)
         y[self.sl_x] = x0
-        y[self.sl_xr] = ref.x_r
-        y[self.sl_xri] = ref.x_ri
-        y[self.sl_eL] = ref.e_L
+        # Both references start from x_r0; the filter starts at zero.
+        y[self.sl_xr] = xr0
+        y[self.sl_xri] = xr0
+        y[self.sl_eL] = 0.0
         y[self.sl_W] = W0.ravel()
         return y
 
@@ -370,18 +370,21 @@ def run(scenario: ScenarioConfig) -> Trajectory:
             f"simulation diverged at t={t:.6g} (signal: {sys.diverged_block(state)}); "
             "consider a smaller step size", state)
 
-    for k in range(n_steps):
-        t = k * h
-        noise = draw_noise(t)
-        if k % stride == 0:
-            record(k // stride, t, y, noise)
-        f = lambda tt, yy: sys.deriv(tt, yy, noise)
-        try:
-            y = rk4_step(f, y, t, h)
-        except DivergenceError as exc:
-            raise diverged((k + 1) * h, exc.state) from None
-        if float(np.max(np.abs(y))) > DIVERGENCE_LIMIT:
-            raise diverged((k + 1) * h, y)
+    # A blow-up overflows inside a step before the checks below catch it;
+    # it is reported as a DivergenceError, not as numpy warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_steps):
+            t = k * h
+            noise = draw_noise(t)
+            if k % stride == 0:
+                record(k // stride, t, y, noise)
+            f = lambda tt, yy: sys.deriv(tt, yy, noise)
+            try:
+                y = rk4_step(f, y, t, h)
+            except DivergenceError as exc:
+                raise diverged((k + 1) * h, exc.state) from None
+            if float(np.max(np.abs(y))) > DIVERGENCE_LIMIT:
+                raise diverged((k + 1) * h, y)
     t_end = n_steps * h
     record(N - 1, t_end, y, draw_noise(t_end))
 

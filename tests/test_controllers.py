@@ -159,15 +159,6 @@ class TestUpdateDeriv:
                                np.array([[1.0]]), 100.0, projection=spec)
         assert out[0, 0] == pytest.approx(0.0, abs=1e-12)
 
-    def test_precomputed_pb_matches(self):
-        lyap = LyapunovPair(R=np.eye(2), P=np.array([[2.0, 0.5], [0.5, 1.0]]))
-        B = np.array([[1.0], [0.0]])
-        sigma = np.array([0.3, -0.7, 0.1])
-        e = np.array([0.2, 0.4])
-        a = ctl.update_deriv(np.zeros((3, 1)), sigma, e, lyap, B, 5.0)
-        b = ctl.update_deriv(np.zeros((3, 1)), sigma, e, lyap, B, 5.0, PB=lyap.P @ B)
-        assert np.array_equal(a, b)
-
 
 class TestNormContainment:
     def test_integrated_projection_respects_ball(self):

@@ -87,6 +87,81 @@ class TestTruthBounds:
         with pytest.raises(ValueError):
             truth.check_bounds([0.0, 1.0])
 
+    @pytest.mark.parametrize("truth, grid", [
+        # step switch inside the grid: the jump itself is exempt
+        (pm.UncertaintyTruth(W_p_base=np.array([[1.0], [2.0]]),
+                             modulations=(pm.Modulation(row=1, col=0, kind="step", start=0.35),),
+                             w_p_max=2.5, w_p_dot_max=0.0), np.linspace(0.0, 1.0, 11)),
+        # norm violated only after the step switches on
+        (pm.UncertaintyTruth(W_p_base=np.array([[1.0], [2.0]]),
+                             modulations=(pm.Modulation(row=1, col=0, kind="step", start=0.35),),
+                             w_p_max=1.5, w_p_dot_max=0.0), np.linspace(0.0, 1.0, 11)),
+        # sin rate above its bound, first seen one sample after the switch
+        (pm.UncertaintyTruth(W_p_base=np.array([[0.0, 4.0]]),
+                             modulations=(pm.Modulation(row=0, col=1, kind="sin", start=0.3),),
+                             w_p_max=5.0, w_p_dot_max=1.0), np.linspace(0.0, 2.0, 41)),
+        # norm and rate first violated at the same sample: the norm is reported
+        (pm.UncertaintyTruth(W_p_base=np.array([[0.0, 4.0]]),
+                             modulations=(pm.Modulation(row=0, col=1, kind="sin", start=0.0),),
+                             w_p_max=1.0, w_p_dot_max=1.0), [0.0, 1.0]),
+        # repeated and decreasing times are skipped by the rate test
+        (pm.UncertaintyTruth(W_p_base=np.array([[3.0]]),
+                             modulations=(pm.Modulation(row=0, col=0, kind="sin", start=0.0),),
+                             w_p_max=3.0, w_p_dot_max=3.0), [0.0, 0.5, 0.5, 0.2, 1.0]),
+        (wingrock_truth(), np.linspace(0.0, 90.0, 401)),
+        (wingrock_truth(), []),
+    ])
+    def test_check_bounds_matches_per_sample_loop(self, truth, grid):
+        def outcome(check):
+            try:
+                check(grid)
+            except ValueError as exc:
+                return str(exc)
+            return None
+
+        assert outcome(truth.check_bounds) == outcome(lambda g: _check_bounds_per_sample(truth, g))
+
+
+def _check_bounds_per_sample(truth, t_grid):
+    """Reference: check_bounds as one W_p(t) evaluation per sample."""
+    ts = np.asarray(t_grid, dtype=float)
+    prev = None
+    for i, t in enumerate(ts):
+        W = truth.W_p(float(t))
+        if np.linalg.norm(W) > truth.w_p_max + 1e-9:
+            raise ValueError(f"||W_p({t})||_F exceeds declared bound {truth.w_p_max}")
+        if prev is not None:
+            dt = float(t - ts[i - 1])
+            crosses = any(ts[i - 1] < mod.start <= t for mod in truth.modulations)
+            if dt > 0 and not crosses:
+                rate = np.linalg.norm(W - prev) / dt
+                if rate > truth.w_p_dot_max + 1e-6:
+                    raise ValueError(
+                        f"||dW_p/dt|| ~ {rate:.3g} near t={t} exceeds bound {truth.w_p_dot_max}"
+                    )
+        prev = W
+
+
+class TestTruthGrid:
+    @pytest.mark.parametrize("mods", [
+        (),
+        (pm.Modulation(row=1, col=0, kind="step", start=3.0),),
+        (pm.Modulation(row=0, col=0, kind="sin", start=45.0),),
+        (pm.Modulation(row=0, col=1, kind="sin", start=0.0),
+         pm.Modulation(row=0, col=1, kind="step", start=2.5),
+         pm.Modulation(row=2, col=0, kind="sin", start=7.0)),
+    ])
+    def test_grid_equals_pointwise(self, mods):
+        rng = np.random.default_rng(len(mods))
+        truth = pm.UncertaintyTruth(W_p_base=rng.standard_normal((6, 2)), modulations=mods)
+        ts = np.concatenate([np.linspace(0.0, 60.0, 1201), [2.5, 3.0, 45.0, -1.0]])
+        grid = truth.W_p_grid(ts)
+        assert grid.shape == (ts.size, 6, 2)
+        assert np.array_equal(grid, [truth.W_p(float(t)) for t in ts])
+
+    def test_empty_grid(self):
+        assert wingrock_truth().W_p_grid([]).shape == (0, 6, 1)
+
 
 class TestAugment:
     def test_wingrock_blocks(self):

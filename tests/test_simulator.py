@@ -182,8 +182,6 @@ class TestRun:
         with pytest.raises(sim.DivergenceError):
             sim.run(scn)
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                                "ignore:invalid value:RuntimeWarning")
     def test_stiff_blowup_names_block(self):
         # The last step size the CLI retries for kappa = 5e4 still blows up.
         scn, _ = load_config("wingrock_proposed")
