@@ -303,6 +303,12 @@ LOW_FREQ_EDGE = 5.0 / (2.0 * math.pi)
 HIGH_FREQ_POINT = 100.0
 
 
+def band_gains_db(gamma: float, kappa: float, eta: float, alpha: float) -> tuple[float, float]:
+    """|G| in dB at LOW_FREQ_EDGE and at HIGH_FREQ_POINT."""
+    return tuple(20.0 * math.log10(abs(loop_transfer(gamma, kappa, eta, alpha, w)))
+                 for w in (LOW_FREQ_EDGE, HIGH_FREQ_POINT))
+
+
 def margins(gamma: float, kappa: float, eta: float, alpha: float,
             band: tuple[float, float] = (1e-3, 1e4)) -> MarginReport:
     """Gain-crossover search plus phase/delay margins and band gains.
@@ -320,6 +326,7 @@ def margins(gamma: float, kappa: float, eta: float, alpha: float,
     if idx.size == 0:
         raise NoCrossoverError(f"|G| has no unity crossing in [{lo:g}, {hi:g}] rad/s")
 
+    low_gain, high_gain = band_gains_db(gamma, kappa, eta, alpha)
     best: MarginReport | None = None
     for i in idx:
         a, b = grid[i], grid[i + 1]
@@ -337,8 +344,8 @@ def margins(gamma: float, kappa: float, eta: float, alpha: float,
             gain_crossover=wc,
             phase_margin=math.degrees(pm_rad),
             delay_margin=pm_rad / wc,
-            low_freq_gain=20.0 * math.log10(abs(loop_transfer(gamma, kappa, eta, alpha, LOW_FREQ_EDGE))),
-            high_freq_gain=20.0 * math.log10(abs(loop_transfer(gamma, kappa, eta, alpha, HIGH_FREQ_POINT))),
+            low_freq_gain=low_gain,
+            high_freq_gain=high_gain,
         )
         if best is None or report.delay_margin < best.delay_margin:
             best = report

@@ -149,8 +149,7 @@ class ControllerConfig:
                 raise ValueError("initial estimate columns must lie inside theta_max")
 
     def initial_estimate(self, rows: int, cols: int) -> np.ndarray:
+        """W_hat(0): a copy of W_hat0 (ScenarioConfig checks its shape), else zeros."""
         if self.W_hat0 is None:
             return np.zeros((rows, cols))
-        if self.W_hat0.shape != (rows, cols):
-            raise DimensionError(f"W_hat0 is {self.W_hat0.shape}, expected ({rows}, {cols})")
         return self.W_hat0.copy()

@@ -24,11 +24,11 @@ import numpy as np
 from . import __version__, analysis
 from .analysis import BoundReport, NoCrossoverError
 from .controllers import ControllerConfig, ProjectionSpec
-from .matrixcore import LyapunovPair, frobenius_norms, is_hurwitz
+from .matrixcore import LyapunovPair, NotHurwitzError, frobenius_norms
 from .plantmodel import (BasisSpec, Modulation, PlantModel, UncertaintyTruth,
-                         aggregate_true_weights, augment)
-from .simulator import (CommandSpec, DivergenceError, NoiseSpec,
-                        ScenarioConfig, Trajectory, run)
+                         aggregate_true_weights)
+from .simulator import (CommandSpec, ConfigError, DivergenceError, NoiseSpec,
+                        ScenarioConfig, Trajectory, closed_loop, run)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -38,14 +38,6 @@ EXIT_DIVERGENCE = 3
 MAX_STEP_HALVINGS = 3
 #: Default cutoff (rad/s) for the control-signal high-frequency metric.
 DEFAULT_HF_CUTOFF = 10.0
-
-
-class ConfigError(ValueError):
-    """A scenario file failed validation; `path` names the offending field."""
-
-    def __init__(self, path: str, message: str):
-        self.path = path
-        super().__init__(f"{path}: {message}")
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +72,18 @@ class _Section:
         value = self.require(key) if default is None else self.get(key, default)
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(self._join(key), f"expected a number, got {value!r}")
-        return float(value)
+        return float(self._numbers(key, [value])[0])
+
+    def _numbers(self, key: str, values: list) -> np.ndarray:
+        """values as a float array, each a finite number (JSON parsing also
+        accepts NaN and Infinity)."""
+        try:
+            arr = np.array([float(v) for v in values], dtype=float)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(self._join(key), str(exc)) from None
+        if not np.all(np.isfinite(arr)):
+            raise ConfigError(self._join(key), "NaN and infinity are not allowed")
+        return arr
 
     def integer(self, key: str, default=None) -> int:
         value = self.require(key) if default is None else self.get(key, default)
@@ -96,20 +99,13 @@ class _Section:
         data = sub.require("data")
         if not isinstance(data, list) or len(data) != rows * cols:
             raise ConfigError(sub._join("data"), f"expected {rows * cols} entries")
-        try:
-            arr = np.array([float(v) for v in data], dtype=float).reshape(rows, cols)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(sub._join("data"), str(exc)) from None
-        return arr
+        return sub._numbers("data", data).reshape(rows, cols)
 
     def vector(self, key: str) -> np.ndarray:
         raw = self.require(key)
         if not isinstance(raw, list):
             raise ConfigError(self._join(key), "expected a list of numbers")
-        try:
-            return np.array([float(v) for v in raw], dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(self._join(key), str(exc)) from None
+        return self._numbers(key, raw)
 
 
 def _matrix_dict(arr: np.ndarray) -> dict:
@@ -118,102 +114,88 @@ def _matrix_dict(arr: np.ndarray) -> dict:
             "data": [float(v) for v in a.ravel()]}
 
 
+def _build(path: str, make, *args, **kwargs):
+    """make(*args, **kwargs), raising its ValueError or KeyError as a ConfigError at
+    `path`; a ConfigError keeps its path, and a non-Hurwitz A - B K is the gain K's."""
+    try:
+        return make(*args, **kwargs)
+    except ConfigError:
+        raise
+    except NotHurwitzError as exc:
+        raise ConfigError("controller.K", str(exc)) from None
+    except (ValueError, KeyError) as exc:
+        raise ConfigError(path, str(exc)) from None
+
+
 def dict_to_scenario(raw: dict) -> ScenarioConfig:
-    """Build and validate a ScenarioConfig from a parsed config dict."""
+    """Build a ScenarioConfig from a parsed config dict; a malformed field
+    raises ConfigError naming it."""
     root = _Section(raw)
     plant_sec = root.child("plant")
-    basis = BasisSpec(tuple(plant_sec.require("basis")))
+    basis = _build(f"{plant_sec.path}.basis", BasisSpec, tuple(plant_sec.require("basis")))
     truth_sec = plant_sec.child("truth")
     mods = []
     for i, m in enumerate(truth_sec.get("modulations", [])):
         ms = _Section(m, f"{truth_sec.path}.modulations[{i}]")
-        mods.append(Modulation(row=ms.integer("row"), col=ms.integer("col"),
-                               kind=str(ms.require("kind")), start=ms.number("start", 0.0)))
-    try:
-        truth = UncertaintyTruth(
-            W_p_base=truth_sec.matrix("W_p"),
-            modulations=tuple(mods),
-            w_p_max=truth_sec.number("w_p_max", 0.0),
-            w_p_dot_max=truth_sec.number("w_p_dot_max", 0.0),
-        )
-        plant = PlantModel(
-            A_p=plant_sec.matrix("A_p"),
-            B_p=plant_sec.matrix("B_p"),
-            Lambda=plant_sec.vector("Lambda"),
-            truth=truth,
-            basis=basis,
-        )
-    except ConfigError:
-        raise
-    except (ValueError, KeyError) as exc:
-        raise ConfigError(plant_sec.path, str(exc)) from None
+        mods.append(_build(ms.path, Modulation, row=ms.integer("row"), col=ms.integer("col"),
+                           kind=str(ms.require("kind")), start=ms.number("start", 0.0)))
+    truth = _build(truth_sec.path, UncertaintyTruth,
+                   W_p_base=truth_sec.matrix("W_p"),
+                   modulations=tuple(mods),
+                   w_p_max=truth_sec.number("w_p_max", 0.0),
+                   w_p_dot_max=truth_sec.number("w_p_dot_max", 0.0))
+    plant = _build(plant_sec.path, PlantModel,
+                   A_p=plant_sec.matrix("A_p"),
+                   B_p=plant_sec.matrix("B_p"),
+                   Lambda=plant_sec.vector("Lambda"),
+                   truth=truth,
+                   basis=basis)
 
     E_p = root.matrix("E_p") if raw.get("E_p") is not None else np.zeros((0, plant.n_p))
 
     ctrl_sec = root.child("controller")
     K = ctrl_sec.matrix("K")
-    gamma = ctrl_sec.number("gamma")
-    kappa = ctrl_sec.number("kappa", 0.0)
-    eta = ctrl_sec.number("eta", 0.0)
-    R = ctrl_sec.matrix("R")
     proj_raw = ctrl_sec.get("projection")
     projection = None
     if proj_raw is not None:
         ps = _Section(proj_raw, f"{ctrl_sec.path}.projection")
-        projection = ProjectionSpec(theta_max=ps.number("theta_max"),
-                                    eps_theta=ps.number("eps_theta"))
+        projection = _build(ps.path, ProjectionSpec, theta_max=ps.number("theta_max"),
+                            eps_theta=ps.number("eps_theta"))
     W_hat0 = ctrl_sec.matrix("W_hat0") if ctrl_sec.get("W_hat0") is not None else None
 
-    try:
-        aug = augment(plant, E_p)
-        A_r = aug.A - aug.B @ K
-        if not is_hurwitz(A_r):
-            raise ConfigError("controller.K", "A - B K is not Hurwitz")
-        lyap = LyapunovPair.for_closed_loop(A_r, R)
-        controller = ControllerConfig(K=K, gamma=gamma, kappa=kappa, eta=eta,
-                                      lyap=lyap, projection=projection, W_hat0=W_hat0)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(ctrl_sec.path, str(exc)) from None
+    _, A_r = closed_loop(plant, E_p, K)
+    lyap = _build(f"{ctrl_sec.path}.R", LyapunovPair.for_closed_loop, A_r, ctrl_sec.matrix("R"))
+    controller = _build(ctrl_sec.path, ControllerConfig, K=K, gamma=ctrl_sec.number("gamma"),
+                        kappa=ctrl_sec.number("kappa", 0.0), eta=ctrl_sec.number("eta", 0.0),
+                        lyap=lyap, projection=projection, W_hat0=W_hat0)
 
     cmd_sec = root.child("command")
-    try:
-        cmd = CommandSpec(
-            kind=str(cmd_sec.require("kind")),
-            amplitude=cmd_sec.number("amplitude", 0.0),
-            period=cmd_sec.number("period", 0.0),
-            offset=cmd_sec.number("offset", 0.0),
-            times=tuple(cmd_sec.get("times", [])),
-            values=tuple(cmd_sec.get("values", [])),
-        )
-    except ValueError as exc:
-        raise ConfigError(cmd_sec.path, str(exc)) from None
+    cmd = _build(cmd_sec.path, CommandSpec,
+                 kind=str(cmd_sec.require("kind")),
+                 amplitude=cmd_sec.number("amplitude", 0.0),
+                 period=cmd_sec.number("period", 0.0),
+                 offset=cmd_sec.number("offset", 0.0),
+                 times=tuple(cmd_sec._numbers("times", cmd_sec.get("times", []))),
+                 values=tuple(cmd_sec._numbers("values", cmd_sec.get("values", []))))
 
     noise_sec = root.child("noise")
-    noise = NoiseSpec(
-        enabled=bool(noise_sec.get("enabled", False)),
-        std=tuple(noise_sec.vector("std")) if noise_sec.get("std") is not None else (),
-        start_time=noise_sec.number("start_time", 0.0),
-        seed=noise_sec.integer("seed", 0),
-    )
+    if not isinstance(noise_sec.get("enabled", False), bool):
+        raise ConfigError(f"{noise_sec.path}.enabled", "expected true or false")
+    noise = _build(noise_sec.path, NoiseSpec,
+                   enabled=noise_sec.get("enabled", False),
+                   std=tuple(noise_sec.vector("std")) if noise_sec.get("std") is not None else (),
+                   start_time=noise_sec.number("start_time", 0.0),
+                   seed=noise_sec.integer("seed", 0))
 
     x0 = root.vector("x0") if raw.get("x0") is not None else None
     x_r0 = root.vector("x_r0") if raw.get("x_r0") is not None else None
     t_final = root.number("t_final")
-    try:
-        truth.check_bounds(np.linspace(0.0, max(t_final, 1.0), 401))
-    except ValueError as exc:
-        raise ConfigError("plant.truth", str(exc)) from None
-    try:
-        return ScenarioConfig(
-            plant=plant, E_p=E_p, controller=controller, command=cmd, noise=noise,
-            t_final=t_final, h=root.number("h"),
-            record_stride=root.integer("record_stride", 1),
-            x0=x0, x_r0=x_r0, name=str(root.get("name", "scenario")),
-        )
-    except ValueError as exc:
-        raise ConfigError("<root>", str(exc)) from None
+    _build(truth_sec.path, truth.check_bounds, np.linspace(0.0, max(t_final, 1.0), 401))
+    return _build("<root>", ScenarioConfig,
+                  plant=plant, E_p=E_p, controller=controller, command=cmd, noise=noise,
+                  t_final=t_final, h=root.number("h"),
+                  record_stride=root.integer("record_stride", 1),
+                  x0=x0, x_r0=x_r0, name=str(root.get("name", "scenario")))
 
 
 def scenario_to_dict(scn: ScenarioConfig) -> dict:
@@ -317,10 +299,6 @@ def list_bundled() -> list[str]:
 # Trajectory CSV
 # ---------------------------------------------------------------------------
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
-
-
 def trajectory_header(n: int, m: int, s: int, n_c: int) -> list[str]:
     cols = ["t"]
     cols += [f"x_{i+1}" for i in range(n)]
@@ -335,20 +313,24 @@ def trajectory_header(n: int, m: int, s: int, n_c: int) -> list[str]:
     return cols
 
 
-def write_trajectory_csv(traj: Trajectory, path: Path) -> None:
-    n = traj.x.shape[1]
-    m = traj.u.shape[1]
-    sn = traj.W_hat.shape[1]
-    n_c = traj.c.shape[1]
-    header = trajectory_header(n, m, sn - n, n_c)
-    N = len(traj)
-    table = np.column_stack([traj.t, traj.x, traj.x_r, traj.x_ri, traj.e, traj.e_L,
-                             traj.e_H, traj.u, traj.W_hat.reshape(N, -1), traj.c])
+def write_csv(path: Path, header: list[str], table: np.ndarray) -> None:
+    """The header line, then each row of table as "%.17g" values."""
     # One format per row; "%.17g" % v writes the same bytes as format(v, ".17g").
     row_format = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         fh.writelines(row_format % tuple(row.tolist()) for row in table)
+
+
+def write_trajectory_csv(traj: Trajectory, path: Path) -> None:
+    n = traj.x.shape[1]
+    m = traj.u.shape[1]
+    sn = traj.W_hat.shape[1]
+    n_c = traj.c.shape[1]
+    N = len(traj)
+    table = np.column_stack([traj.t, traj.x, traj.x_r, traj.x_ri, traj.e, traj.e_L,
+                             traj.e_H, traj.u, traj.W_hat.reshape(N, -1), traj.c])
+    write_csv(path, trajectory_header(n, m, sn - n, n_c), table)
 
 
 def read_csv_columns(path: Path) -> dict[str, np.ndarray]:
@@ -399,13 +381,9 @@ def bound_report_for(scn: ScenarioConfig, traj: Trajectory, xi: float = 0.5) -> 
     lam = scn.plant.Lambda
     lyap = cfg.lyap
     ex = lyap.extremes()
-    W0 = aggregate_true_weights(scn.plant.truth, lam, cfg.K, t=0.0)
-    W_hat0 = cfg.initial_estimate(*W0.shape)
-    W_tilde0 = W_hat0 - W0
-    n = scn.plant.n_p + scn.E_p.shape[0]
-    x0 = np.zeros(n) if scn.x0 is None else np.asarray(scn.x0, dtype=float)
-    xr0 = x0 if scn.x_r0 is None else np.asarray(scn.x_r0, dtype=float)
-    e0 = x0 - xr0
+    # The first sample is the run's initial state.
+    W_tilde0 = traj.W_hat[0] - aggregate_true_weights(scn.plant.truth, lam, cfg.K, t=0.0)
+    e0 = traj.e[0]
 
     inputs = {
         "gamma": cfg.gamma, "kappa": cfg.kappa, "eta": cfg.eta, "xi": xi,
@@ -767,20 +745,15 @@ def cmd_bode(args) -> int:
                                                           args.eta, args.alpha, float(w))))
     stem = f"bode_g{args.gamma:g}_k{args.kappa:g}_e{args.eta:g}"
     csv_path = out_dir / f"{stem}.csv"
-    with open(csv_path, "w", newline="") as fh:
-        fh.write("omega,mag_db,phase_deg\n")
-        for w, mg, ph in zip(grid, mag_db, phase_deg):
-            fh.write(f"{_fmt(w)},{_fmt(mg)},{_fmt(ph)}\n")
+    write_csv(csv_path, ["omega", "mag_db", "phase_deg"],
+              np.column_stack([grid, mag_db, phase_deg]))
     try:
         rep = analysis.margins(args.gamma, args.kappa, args.eta, args.alpha)
         rep_dict = rep.as_dict()
     except NoCrossoverError:
+        low, high = analysis.band_gains_db(args.gamma, args.kappa, args.eta, args.alpha)
         rep_dict = {"gain_crossover_rad_s": None, "phase_margin_deg": None,
-                    "delay_margin_s": None,
-                    "low_freq_gain_db": 20.0 * math.log10(abs(analysis.loop_transfer(
-                        args.gamma, args.kappa, args.eta, args.alpha, analysis.LOW_FREQ_EDGE))),
-                    "high_freq_gain_db": 20.0 * math.log10(abs(analysis.loop_transfer(
-                        args.gamma, args.kappa, args.eta, args.alpha, analysis.HIGH_FREQ_POINT)))}
+                    "delay_margin_s": None, "low_freq_gain_db": low, "high_freq_gain_db": high}
     rep_path = out_dir / f"{stem}_margins.json"
     rep_path.write_text(json.dumps(rep_dict, indent=2, sort_keys=True) + "\n")
     dm = rep_dict["delay_margin_s"]

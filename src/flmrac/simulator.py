@@ -19,10 +19,18 @@ import numpy as np
 from . import controllers
 from .controllers import ControllerConfig
 from .matrixcore import DimensionError, is_hurwitz
-from .plantmodel import PlantModel, augment
+from .plantmodel import AugmentedSystem, PlantModel, augment
 
 # Abort threshold for the stacked-state infinity norm.
 DIVERGENCE_LIMIT = 1e9
+
+
+class ConfigError(ValueError):
+    """A scenario failed validation; `path` names the offending config field."""
+
+    def __init__(self, path: str, message: str):
+        self.path = path
+        super().__init__(f"{path}: {message}")
 
 
 class DivergenceError(RuntimeError):
@@ -96,8 +104,21 @@ class NoiseSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "std", tuple(float(s) for s in self.std))
-        if any(s < 0 for s in self.std):
-            raise ValueError("noise std entries must be nonnegative")
+        if not all(0.0 <= s < math.inf for s in self.std):
+            raise ConfigError("noise.std", "entries must be finite and nonnegative")
+        if self.seed < 0:
+            raise ConfigError("noise.seed", f"must be nonnegative, got {self.seed}")
+
+
+def closed_loop(plant: PlantModel, E_p, K: np.ndarray) -> tuple[AugmentedSystem, np.ndarray]:
+    """The augmented system and A - B K, once E_p and K are checked to fit the plant."""
+    try:
+        aug = augment(plant, E_p)
+    except DimensionError as exc:
+        raise ConfigError("E_p", str(exc)) from None
+    if K.shape != (aug.m, aug.n):
+        raise ConfigError("controller.K", f"shape {K.shape}, expected ({aug.m}, {aug.n})")
+    return aug, aug.A - aug.B @ K
 
 
 @dataclass(frozen=True)
@@ -117,14 +138,28 @@ class ScenarioConfig:
     name: str = ""
 
     def __post_init__(self):
-        if self.h <= 0:
-            raise ValueError("step size h must be positive")
-        if self.t_final < 0:
-            raise ValueError("t_final must be nonnegative")
-        if self.t_final > 0 and self.t_final < self.h:
-            raise ValueError("t_final must be at least one step h")
+        """Check every condition a run relies on; a failure names its config field."""
+        if not 0.0 < self.h < math.inf:
+            raise ConfigError("h", "step size must be positive and finite")
+        if not (self.t_final == 0.0 or self.h <= self.t_final < math.inf):
+            raise ConfigError("t_final", "must be 0, or finite and at least one step h")
         if self.record_stride < 1:
-            raise ValueError("record_stride must be >= 1")
+            raise ConfigError("record_stride", "must be >= 1")
+        cfg = self.controller
+        aug, A_r = closed_loop(self.plant, self.E_p, cfg.K)
+        n, m = aug.n, aug.m
+        if not is_hurwitz(A_r):
+            raise ConfigError("controller.K", "A - B K is not Hurwitz; fix the nominal gain K")
+        R, P = cfg.lyap.R, cfg.lyap.P
+        if (R.shape != (n, n) or P.shape != (n, n)
+                or cfg.lyap.residual(A_r) > 1e-8 * max(1.0, float(np.linalg.norm(R)))):
+            raise ConfigError("controller.R", "Lyapunov pair does not solve A - B K's equation")
+        shapes = (("controller.W_hat0", cfg.W_hat0, (self.plant.basis.dim + n, m)),
+                  ("noise.std", self.noise.std if self.noise.enabled else None, (n,)),
+                  ("x0", self.x0, (n,)), ("x_r0", self.x_r0, (n,)))
+        for path, value, shape in shapes:
+            if value is not None and np.shape(value) != shape:
+                raise ConfigError(path, f"shape {np.shape(value)}, expected {shape}")
 
 
 @dataclass
@@ -181,15 +216,7 @@ class ClosedLoopSystem:
         aug = augment(plant, scenario.E_p)
         cfg = scenario.controller
         n, m, n_p = aug.n, aug.m, aug.n_p
-        if cfg.K.shape != (m, n):
-            raise DimensionError(f"K is {cfg.K.shape}, expected ({m}, {n})")
         A_r = aug.A - aug.B @ cfg.K
-        if not is_hurwitz(A_r):
-            raise ValueError("A - B K is not Hurwitz; fix the nominal gain K")
-        if cfg.lyap.P.shape != (n, n):
-            raise DimensionError(f"Lyapunov P is {cfg.lyap.P.shape}, expected ({n}, {n})")
-        if cfg.lyap.residual(A_r) > 1e-8 * max(1.0, float(np.linalg.norm(cfg.lyap.R))):
-            raise ValueError("Lyapunov pair does not solve this closed loop's equation")
 
         self.scenario = scenario
         self.plant = plant
@@ -218,10 +245,7 @@ class ClosedLoopSystem:
         self.block_names = ("x", "x_r", "x_ri", "e_L", "W_hat")
         self.blocks = (self.sl_x, self.sl_xr, self.sl_xri, self.sl_eL, self.sl_W)
 
-        std = np.asarray(scenario.noise.std, dtype=float)
-        if scenario.noise.enabled and std.shape != (n,):
-            raise DimensionError(f"noise std must have length {n}, got {std.shape}")
-        self.noise_std = std if scenario.noise.enabled else np.zeros(n)
+        self.noise_std = np.asarray(scenario.noise.std if scenario.noise.enabled else np.zeros(n))
 
         # Fused linear part of [x; x_r; x_ri; e_L]' (see the class docstring).
         I, Z = np.eye(n), np.zeros((n, n))
@@ -243,11 +267,7 @@ class ClosedLoopSystem:
     def initial_state(self) -> np.ndarray:
         n = self.n
         x0 = np.zeros(n) if self.scenario.x0 is None else np.asarray(self.scenario.x0, dtype=float)
-        if x0.shape != (n,):
-            raise DimensionError(f"x0 must have length {n}")
         xr0 = x0 if self.scenario.x_r0 is None else np.asarray(self.scenario.x_r0, dtype=float)
-        if xr0.shape != (n,):
-            raise DimensionError(f"x_r0 must have length {n}")
         W0 = self.scenario.controller.initial_estimate(self.s + n, self.m)
         y = np.empty(self.state_dim)
         y[self.sl_x] = x0
@@ -316,7 +336,7 @@ class ClosedLoopSystem:
 
 
 def assemble(scenario: ScenarioConfig) -> ClosedLoopSystem:
-    """Validate the scenario and build its closed-loop vector field."""
+    """Build the scenario's closed-loop vector field."""
     return ClosedLoopSystem(scenario)
 
 

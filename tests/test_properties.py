@@ -1,6 +1,8 @@
-"""Property tests: projection invariants over random shapes, and the config
-serialize -> parse -> serialize round trip."""
+"""Property tests: projection invariants over random shapes, the config
+serialize -> parse -> serialize round trip, and the recorded identities of
+short random runs."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from flmrac import controllers as ctl
 from flmrac.simcli import dict_to_scenario, load_config, serialize_scenario
+from flmrac.simulator import run
 
 finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 
@@ -62,7 +65,7 @@ def _l1(v) -> float:
     return float(np.sum(np.abs(v)))
 
 
-_, _BUNDLED = load_config("wingrock_proposed")
+_PROPOSED, _BUNDLED = load_config("wingrock_proposed")
 
 
 @settings(deadline=None, max_examples=100)
@@ -81,3 +84,38 @@ def test_config_round_trip(gamma, kappa, eta, seed, h, steps, record_stride):
             parsed["controller"]["eta"], parsed["noise"]["seed"], parsed["h"],
             parsed["t_final"], parsed["record_stride"]) == (
         gamma, kappa, eta, seed, h, raw["t_final"], record_stride)
+
+
+@st.composite
+def short_run(draw):
+    """Bundled wingrock_proposed cut to at most 100 steps, noisy from t = 0,
+    with random gains, seed, stride and initial state; projected runs start
+    Ŵ in or near the projection's boundary layer so that it acts."""
+    ctrl = _PROPOSED.controller
+    projection, W_hat0 = None, None
+    if draw(st.booleans()):
+        projection = ctl.ProjectionSpec(theta_max=draw(st.floats(0.5, 5.0)),
+                                        eps_theta=draw(st.floats(0.05, 1.0)))
+        rows = ctrl.K.shape[1] + _PROPOSED.plant.basis.dim
+        W_hat0 = _column(draw, rows, draw(st.floats(0.5, 0.999)) * projection.theta_max)
+        W_hat0 = W_hat0.reshape(rows, 1)
+    controller = dataclasses.replace(
+        ctrl, gamma=draw(st.floats(1.0, 2000.0)), kappa=draw(st.floats(0.0, 200.0)),
+        eta=draw(st.floats(0.0, 20.0)), projection=projection, W_hat0=W_hat0)
+    noise = dataclasses.replace(_PROPOSED.noise, start_time=0.0, std=(0.01, 0.01, 0.0),
+                                seed=draw(st.integers(0, 2**32 - 1)))
+    x0 = np.array(draw(st.lists(st.floats(-0.5, 0.5), min_size=3, max_size=3)))
+    return dataclasses.replace(_PROPOSED, controller=controller, noise=noise, x0=x0,
+                               t_final=draw(st.integers(1, 100)) * _PROPOSED.h,
+                               record_stride=draw(st.integers(1, 7)))
+
+
+@settings(deadline=None, max_examples=100)
+@given(short_run())
+def test_run_identities_and_projection(scn):
+    traj = run(scn)
+    assert np.array_equal(traj.e, traj.x - traj.x_r)
+    assert np.array_equal(traj.e_H, traj.e - traj.e_L)
+    if scn.controller.projection is not None:
+        col_norms = np.linalg.norm(traj.W_hat, axis=1)
+        assert np.all(col_norms <= scn.controller.projection.theta_max)

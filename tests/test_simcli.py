@@ -72,6 +72,86 @@ class TestConfigParsing:
         assert err.value.path == "plant.truth"
 
 
+def _matrix(rows, cols, data):
+    return {"rows": rows, "cols": cols, "data": data}
+
+
+# (edit of the bundled wingrock_proposed config, field path the error names)
+MALFORMED_FIELDS = {
+    "noise_std_length": (lambda r: r["noise"].update(std=[1e-3, 1e-3]), "noise.std"),
+    "x0_length": (lambda r: r.update(x0=[0.0, 0.0]), "x0"),
+    "x_r0_length": (lambda r: r.update(x_r0=[0.0]), "x_r0"),
+    "W_hat0_shape": (lambda r: r["controller"].update(W_hat0=_matrix(2, 1, [0.0, 0.0])),
+                     "controller.W_hat0"),
+    "noise_std_negative": (lambda r: r["noise"].update(std=[1e-3, -1e-3, 0.0]), "noise.std"),
+    "basis_unknown": (lambda r: r["plant"]["basis"].__setitem__(5, "x1_squared"), "plant.basis"),
+    "modulation_kind": (lambda r: r["plant"]["truth"]["modulations"][0].update(kind="cos"),
+                        "plant.truth.modulations[0]"),
+    "theta_max_negative": (lambda r: r["controller"]["projection"].update(theta_max=-1.0),
+                           "controller.projection"),
+    "noise_seed_negative": (lambda r: r["noise"].update(seed=-3), "noise.seed"),
+    "gamma_nan": (lambda r: r["controller"].update(gamma=float("nan")), "controller.gamma"),
+    "noise_std_nan": (lambda r: r["noise"].update(std=[float("nan"), 0.0, 0.0]), "noise.std"),
+    "K_shape": (lambda r: r["controller"].update(K=_matrix(1, 2, [2.0, 2.0])), "controller.K"),
+    "h_infinite": (lambda r: r.update(h=float("inf")), "h"),
+    "gamma_beyond_float": (lambda r: r["controller"].update(gamma=10**400), "controller.gamma"),
+    "noise_enabled_string": (lambda r: r["noise"].update(enabled="false"), "noise.enabled"),
+    "command_sample_nan": (lambda r: r["command"].update(kind="custom", times=[0.0, 0.1],
+                                                         values=[0.3, float("nan")]),
+                           "command.values"),
+}
+
+# (command-line override, field path the error names)
+MALFORMED_OVERRIDES = {
+    "seed_override_negative": (["--seed-override", "-1"], "noise.seed"),
+    "step_size_negative": (["--step-size", "-0.01"], "h"),
+    "step_size_beyond_horizon": (["--step-size", "200"], "t_final"),
+}
+
+
+def _malformed_config(tmp_path, edit=lambda raw: None):
+    """A short bundled config with noise from t = 0, after `edit`; written as
+    JSON, which spells non-finite numbers as NaN and Infinity."""
+    _, raw = load_config("wingrock_proposed")
+    raw.update(name="malformed", t_final=0.2)
+    raw["noise"]["start_time"] = 0.0
+    edit(raw)
+    path = tmp_path / "malformed.cfg"
+    path.write_text(json.dumps(raw))
+    return raw, path
+
+
+class TestConfigBoundary:
+    """Every malformed field stops at load with its path and exit 2."""
+
+    @pytest.mark.parametrize("case", MALFORMED_FIELDS)
+    def test_malformed_field(self, tmp_path, capsys, case):
+        edit, path = MALFORMED_FIELDS[case]
+        raw, cfg = _malformed_config(tmp_path, edit)
+        with pytest.raises(ConfigError) as err:
+            dict_to_scenario(raw)
+        assert err.value.path == path
+        assert simcli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        stderr = capsys.readouterr().err
+        assert f"config error: {path}: " in stderr and "Traceback" not in stderr
+
+    @pytest.mark.parametrize("case", MALFORMED_OVERRIDES)
+    def test_malformed_override(self, tmp_path, capsys, case):
+        args, path = MALFORMED_OVERRIDES[case]
+        _, cfg = _malformed_config(tmp_path)
+        assert simcli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                            *args]) == 2
+        stderr = capsys.readouterr().err
+        assert f"config error: {path}: " in stderr and "Traceback" not in stderr
+
+    def test_compare_with_one_malformed_member(self, tmp_path, capsys):
+        good = short_noisy_config(tmp_path, t_final=0.2)
+        _, bad = _malformed_config(tmp_path, MALFORMED_FIELDS["x0_length"][0])
+        assert simcli.main(["compare", str(good), str(bad),
+                            "--out", str(tmp_path / "cmp")]) == 2
+        assert "config error: x0: " in capsys.readouterr().err
+
+
 class TestTrajectoryCsv:
     def test_header_layout(self):
         header = trajectory_header(n=3, m=1, s=6, n_c=1)

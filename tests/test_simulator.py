@@ -307,3 +307,27 @@ class TestScenarioValidation:
     def test_horizon_shorter_than_step(self):
         with pytest.raises(ValueError):
             _no_uncertainty_scenario(t_final=1e-5, h=1e-3)
+
+    @pytest.mark.parametrize("change, path", [
+        (dict(x0=np.zeros(3)), "x0"),
+        (dict(x_r0=[0.0]), "x_r0"),
+        (dict(noise=sim.NoiseSpec(enabled=True, std=(1e-3,))), "noise.std"),
+        (dict(E_p=np.ones((1, 2))), "E_p"),
+        (dict(h=float("nan")), "h"),
+        (dict(t_final=float("inf")), "t_final"),
+    ])
+    def test_library_errors_name_the_field(self, change, path):
+        # Built in code, a scenario fails as a config file would.
+        with pytest.raises(sim.ConfigError) as err:
+            _no_uncertainty_scenario(**change)
+        assert err.value.path == path
+
+    @pytest.mark.parametrize("controller, path", [
+        (dict(K=np.array([[2.0, 2.0, 1.0]])), "controller.K"),
+        (dict(W_hat0=np.zeros((2, 1))), "controller.W_hat0"),
+    ])
+    def test_library_controller_errors_name_the_field(self, controller, path):
+        scn = _no_uncertainty_scenario()
+        with pytest.raises(sim.ConfigError) as err:
+            dataclasses.replace(scn, controller=dataclasses.replace(scn.controller, **controller))
+        assert err.value.path == path
