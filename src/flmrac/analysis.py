@@ -121,7 +121,12 @@ def aggregated_truth_bounds(w_max: float, w_p_dot_max: float, Lam,
     return theta_max * math.sqrt(m) + w_max, float(np.max(1.0 / lam)) * w_p_dot_max
 
 
-def optimal_xi(bound_of_xi, lo: float = 1e-6, hi: float = 1.0 - 1e-6,
+#: Upper end of the admissible xi in (0, 1).  The modified transient bound depends on xi
+#: only through 1 + sqrt(kappa lambda_max(P) / (2 xi lambda_min(R))), so it is tightest here.
+XI_MAX = 1.0 - 1e-6
+
+
+def optimal_xi(bound_of_xi, lo: float = 1e-6, hi: float = XI_MAX,
                iters: int = 200) -> tuple[float, float]:
     """Golden-section minimizer of a bound over xi in (0, 1).
 
@@ -247,34 +252,42 @@ def decay_fit(traj: Trajectory, t_window: float) -> tuple[float, float]:
 # Loop transfer function and margins (scalar first-order design case)
 # ---------------------------------------------------------------------------
 
-def loop_transfer(gamma: float, kappa: float, eta: float, alpha: float,
-                  omega: float) -> complex:
+def _check_loop(gamma: float, kappa: float, eta: float, alpha: float, omega=None) -> None:
+    """Domain of the scalar loop: finite gamma > 0, alpha > 0, kappa >= 0 and
+    eta >= 0, and every given omega > 0 (the integrator pole sits at zero)."""
+    for name, value, positive in (("gamma", gamma, True), ("kappa", kappa, False),
+                                  ("eta", eta, False), ("alpha", alpha, True)):
+        if not (math.isfinite(value) and (value > 0.0 if positive else value >= 0.0)):
+            rule = "positive" if positive else "nonnegative"
+            raise ValueError(f"{name} must be finite and {rule}, got {value!r}")
+    if omega is not None and not np.all(np.asarray(omega) > 0.0):
+        raise ValueError("omega must be positive (integrator pole at zero)")
+
+
+def loop_transfer(gamma: float, kappa: float, eta: float, alpha: float, omega):
     """Loop gain G(j omega) of the scalar design case, broken at the input:
     (gamma / s) ((s + alpha + eta) / (s + alpha + kappa + eta)) (alpha / (s + alpha)).
+    omega is one frequency or an array of them.
     """
-    if omega <= 0:
-        raise ValueError("omega must be positive (integrator pole at zero)")
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    _check_loop(gamma, kappa, eta, alpha, omega)
     s = 1j * omega
     return (gamma / s) * ((s + alpha + eta) / (s + alpha + kappa + eta)) * (alpha / (s + alpha))
 
 
-def loop_phase(gamma: float, kappa: float, eta: float, alpha: float,
-               omega: float) -> float:
-    """Unwrapped phase of G(j omega) in radians, assembled factor by factor."""
-    if omega <= 0:
-        raise ValueError("omega must be positive")
+def loop_phase(gamma: float, kappa: float, eta: float, alpha: float, omega):
+    """Unwrapped phase of G(j omega) in radians, assembled factor by factor;
+    omega is one frequency or an array of them."""
+    _check_loop(gamma, kappa, eta, alpha, omega)
     return (
         -0.5 * math.pi
-        + math.atan2(omega, alpha + eta)
-        - math.atan2(omega, alpha + kappa + eta)
-        - math.atan2(omega, alpha)
+        + np.arctan2(omega, alpha + eta)
+        - np.arctan2(omega, alpha + kappa + eta)
+        - np.arctan2(omega, alpha)
     )
 
 
 class NoCrossoverError(RuntimeError):
-    """|G| never crosses unity in the searched band."""
+    """|G| does not cross unity inside the given band."""
 
 
 @dataclass(frozen=True)
@@ -305,51 +318,40 @@ HIGH_FREQ_POINT = 100.0
 
 def band_gains_db(gamma: float, kappa: float, eta: float, alpha: float) -> tuple[float, float]:
     """|G| in dB at LOW_FREQ_EDGE and at HIGH_FREQ_POINT."""
-    return tuple(20.0 * math.log10(abs(loop_transfer(gamma, kappa, eta, alpha, w)))
-                 for w in (LOW_FREQ_EDGE, HIGH_FREQ_POINT))
+    g = loop_transfer(gamma, kappa, eta, alpha, np.array([LOW_FREQ_EDGE, HIGH_FREQ_POINT]))
+    low, high = 20.0 * np.log10(np.abs(g))
+    return float(low), float(high)
 
 
 def margins(gamma: float, kappa: float, eta: float, alpha: float,
             band: tuple[float, float] = (1e-3, 1e4)) -> MarginReport:
-    """Gain-crossover search plus phase/delay margins and band gains.
+    """Gain crossover in closed form, plus phase/delay margins and band gains.
 
-    |G| is probed on 200 log-spaced points to bracket every unity crossing,
-    each bracket is bisected 60 times, and the crossover with the smallest
-    delay margin is reported (the conservative one).  Raises NoCrossoverError
-    if |G| never crosses unity in the band.
+    With u = omega^2, a = alpha + kappa + eta, b = alpha, c = alpha + eta, |G| = 1
+    is u^3 + (a^2 + b^2) u^2 + (a^2 - gamma^2) b^2 u - gamma^2 b^2 c^2 = 0.  Its
+    coefficient signs (+, +, +/-, -) change once, so by Descartes' rule the loop has
+    exactly one gain crossover: the cubic's only root with a positive real part,
+    polished by one Newton step.  Raises NoCrossoverError if it lies outside `band`.
     """
+    _check_loop(gamma, kappa, eta, alpha)
+    a2, b2, c2, g2 = (alpha + kappa + eta) ** 2, alpha**2, (alpha + eta) ** 2, gamma**2
+    coeffs = (1.0, a2 + b2, a2 * b2 - g2 * b2, -g2 * b2 * c2)
+    u = float(np.max(np.roots(coeffs).real))
+    u -= np.polyval(coeffs, u) / np.polyval((3.0, 2.0 * coeffs[1], coeffs[2]), u)
+    wc = math.sqrt(u)
     lo, hi = band
-    grid = np.logspace(math.log10(lo), math.log10(hi), 200)
-    mags = np.array([abs(loop_transfer(gamma, kappa, eta, alpha, w)) for w in grid])
-    signs = np.sign(mags - 1.0)
-    idx = np.where(np.diff(signs) != 0)[0]
-    if idx.size == 0:
-        raise NoCrossoverError(f"|G| has no unity crossing in [{lo:g}, {hi:g}] rad/s")
-
+    if not lo <= wc <= hi:
+        raise NoCrossoverError(f"the gain crossover {wc:g} rad/s lies outside "
+                               f"[{lo:g}, {hi:g}] rad/s")
+    pm_rad = math.pi + float(loop_phase(gamma, kappa, eta, alpha, wc))
     low_gain, high_gain = band_gains_db(gamma, kappa, eta, alpha)
-    best: MarginReport | None = None
-    for i in idx:
-        a, b = grid[i], grid[i + 1]
-        fa = abs(loop_transfer(gamma, kappa, eta, alpha, a)) - 1.0
-        for _ in range(60):
-            mid = math.sqrt(a * b)
-            fm = abs(loop_transfer(gamma, kappa, eta, alpha, mid)) - 1.0
-            if fa * fm <= 0:
-                b = mid
-            else:
-                a, fa = mid, fm
-        wc = math.sqrt(a * b)
-        pm_rad = math.pi + loop_phase(gamma, kappa, eta, alpha, wc)
-        report = MarginReport(
-            gain_crossover=wc,
-            phase_margin=math.degrees(pm_rad),
-            delay_margin=pm_rad / wc,
-            low_freq_gain=low_gain,
-            high_freq_gain=high_gain,
-        )
-        if best is None or report.delay_margin < best.delay_margin:
-            best = report
-    return best
+    return MarginReport(
+        gain_crossover=wc,
+        phase_margin=math.degrees(pm_rad),
+        delay_margin=pm_rad / wc,
+        low_freq_gain=low_gain,
+        high_freq_gain=high_gain,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -56,11 +56,8 @@ def resolve_feature(name: str):
     if name in BASIS_FEATURES:
         return BASIS_FEATURES[name]
     m = _COMPONENT_RE.match(name)
-    if m:
-        k = int(m.group(1)) - 1
-        if k < 0:
-            raise KeyError(name)
-        return lambda t, x_p, _k=k: float(x_p[_k])
+    if m and int(m.group(1)) > 0:
+        return lambda t, x_p, _k=int(m.group(1)) - 1: float(x_p[_k])
     raise KeyError(f"unknown basis feature {name!r}")
 
 

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, analysis
-from .analysis import BoundReport, NoCrossoverError
+from .analysis import BoundReport, MarginReport, NoCrossoverError
 from .controllers import ControllerConfig, ProjectionSpec
 from .matrixcore import LyapunovPair, NotHurwitzError, frobenius_norms
 from .plantmodel import (BasisSpec, Modulation, PlantModel, UncertaintyTruth,
@@ -123,7 +123,9 @@ def _build(path: str, make, *args, **kwargs):
         raise
     except NotHurwitzError as exc:
         raise ConfigError("controller.K", str(exc)) from None
-    except (ValueError, KeyError) as exc:
+    except KeyError as exc:
+        raise ConfigError(path, str(exc.args[0])) from None
+    except ValueError as exc:
         raise ConfigError(path, str(exc)) from None
 
 
@@ -359,14 +361,10 @@ def _truth_norms(truth: UncertaintyTruth, lam, K, ts: np.ndarray) -> np.ndarray:
     return frobenius_norms(W)
 
 
-def _truth_norm_budget(scn: ScenarioConfig) -> tuple[float, float]:
-    """(sup ||W(t)||_F sampled, aggregated rate bound) for the configured truth."""
-    truth = scn.plant.truth
-    lam = scn.plant.Lambda
+def _truth_norm_budget(scn: ScenarioConfig) -> float:
+    """sup ||W(t)||_F of the configured truth, sampled over the horizon."""
     ts = np.linspace(0.0, max(scn.t_final, 1.0), 2001)
-    w_max = float(np.max(_truth_norms(truth, lam, scn.controller.K, ts)))
-    w_dot = float(np.max(1.0 / lam)) * truth.w_p_dot_max
-    return w_max, w_dot
+    return float(np.max(_truth_norms(scn.plant.truth, scn.plant.Lambda, scn.controller.K, ts)))
 
 
 def bound_report_for(scn: ScenarioConfig, traj: Trajectory, xi: float = 0.5) -> BoundReport:
@@ -401,7 +399,7 @@ def bound_report_for(scn: ScenarioConfig, traj: Trajectory, xi: float = 0.5) -> 
 
     time_varying = not scn.plant.truth.is_constant
     if time_varying and cfg.projection is not None:
-        w_max, w_dot = _truth_norm_budget(scn)
+        w_max = _truth_norm_budget(scn)
         wt_max, wd_max = analysis.aggregated_truth_bounds(
             w_max, scn.plant.truth.w_p_dot_max, lam, cfg.projection.theta_max, scn.plant.m)
         inputs.update({"w_tilde_max": wt_max, "w_dot_max": wd_max})
@@ -414,10 +412,9 @@ def bound_report_for(scn: ScenarioConfig, traj: Trajectory, xi: float = 0.5) -> 
                                            W_tilde0, lam, e0)
         observed = analysis.linf_norm(traj, "x_err_ideal")
         kind = "modified_transient"
-        xi_star, tightest = analysis.optimal_xi(
-            lambda z: analysis.bound_modified_transient(cfg.gamma, cfg.kappa, z, lyap,
-                                                 W_tilde0, lam, e0))
-        inputs.update({"xi_star": xi_star, "bound_at_xi_star": tightest})
+        tightest = analysis.bound_modified_transient(cfg.gamma, cfg.kappa, analysis.XI_MAX,
+                                                     lyap, W_tilde0, lam, e0)
+        inputs.update({"xi_star": analysis.XI_MAX, "bound_at_xi_star": tightest})
     return BoundReport.make(kind, value, observed, inputs)
 
 
@@ -565,8 +562,7 @@ def svg_bode(omega, mag_db, phase_deg, path: Path, title: str = "") -> None:
 # Manifest
 # ---------------------------------------------------------------------------
 
-def make_manifest(raw_config: dict, scn: ScenarioConfig, outputs: list[str],
-                  overrides: dict) -> dict:
+def make_manifest(scn: ScenarioConfig, outputs: list[str], overrides: dict) -> dict:
     canon = serialize_scenario(scn)
     return {
         "scenario": scn.name,
@@ -626,7 +622,7 @@ def _run_with_retries(scn: ScenarioConfig) -> tuple[Trajectory, ScenarioConfig]:
 
 def cmd_run(args) -> int:
     try:
-        scn, raw = load_config(args.config)
+        scn, _ = load_config(args.config)
         scn, overrides = _apply_overrides(scn, args)
     except ConfigError as exc:
         print(f"[flmrac] config error: {exc}", file=sys.stderr)
@@ -644,7 +640,7 @@ def cmd_run(args) -> int:
     report = bound_report_for(scn, traj)
     bounds_path = out_dir / f"{scn.name}_bounds.json"
     bounds_path.write_text(json.dumps(_report_dict(report), indent=2, sort_keys=True) + "\n")
-    manifest = make_manifest(raw, scn, [str(csv_path), str(bounds_path)], overrides)
+    manifest = make_manifest(scn, [str(csv_path), str(bounds_path)], overrides)
     manifest_path = out_dir / f"{scn.name}_manifest.json"
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
@@ -729,31 +725,30 @@ def _cell(v) -> str:
 
 
 def cmd_bode(args) -> int:
-    if args.points < 2 or args.omega_min <= 0 or args.omega_max <= args.omega_min:
-        print("[flmrac] bode needs points >= 2 and 0 < omega-min < omega-max",
+    if args.points < 2 or not 0.0 < args.omega_min < args.omega_max < math.inf:
+        print("[flmrac] bode needs --points >= 2 and finite 0 < --omega-min < --omega-max",
               file=sys.stderr)
         return EXIT_VALIDATION
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     grid = np.logspace(math.log10(args.omega_min), math.log10(args.omega_max), args.points)
     grid[0], grid[-1] = args.omega_min, args.omega_max
-    mag_db, phase_deg = [], []
-    for w in grid:
-        g = analysis.loop_transfer(args.gamma, args.kappa, args.eta, args.alpha, float(w))
-        mag_db.append(20.0 * math.log10(abs(g)))
-        phase_deg.append(math.degrees(analysis.loop_phase(args.gamma, args.kappa,
-                                                          args.eta, args.alpha, float(w))))
+    loop = (args.gamma, args.kappa, args.eta, args.alpha)
+    try:
+        mag_db = 20.0 * np.log10(np.abs(analysis.loop_transfer(*loop, grid)))
+    except ValueError as exc:
+        # The message starts with the loop parameter, which is also the flag's name.
+        print(f"[flmrac] bode: --{exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    phase_deg = np.degrees(analysis.loop_phase(*loop, grid))
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     stem = f"bode_g{args.gamma:g}_k{args.kappa:g}_e{args.eta:g}"
     csv_path = out_dir / f"{stem}.csv"
     write_csv(csv_path, ["omega", "mag_db", "phase_deg"],
               np.column_stack([grid, mag_db, phase_deg]))
     try:
-        rep = analysis.margins(args.gamma, args.kappa, args.eta, args.alpha)
-        rep_dict = rep.as_dict()
+        rep_dict = analysis.margins(*loop).as_dict()
     except NoCrossoverError:
-        low, high = analysis.band_gains_db(args.gamma, args.kappa, args.eta, args.alpha)
-        rep_dict = {"gain_crossover_rad_s": None, "phase_margin_deg": None,
-                    "delay_margin_s": None, "low_freq_gain_db": low, "high_freq_gain_db": high}
+        rep_dict = MarginReport(None, None, None, *analysis.band_gains_db(*loop)).as_dict()
     rep_path = out_dir / f"{stem}_margins.json"
     rep_path.write_text(json.dumps(rep_dict, indent=2, sort_keys=True) + "\n")
     dm = rep_dict["delay_margin_s"]

@@ -145,7 +145,12 @@ class ScenarioConfig:
             raise ConfigError("t_final", "must be 0, or finite and at least one step h")
         if self.record_stride < 1:
             raise ConfigError("record_stride", "must be >= 1")
+        if self.name in (".", "..") or "/" in self.name or "\\" in self.name:
+            raise ConfigError("name", f"{self.name!r} must be a single file-name component")
         cfg = self.controller
+        for key in ("K", "gamma", "kappa", "eta"):
+            if not np.all(np.isfinite(getattr(cfg, key))):
+                raise ConfigError(f"controller.{key}", "NaN and infinity are not allowed")
         aug, A_r = closed_loop(self.plant, self.E_p, cfg.K)
         n, m = aug.n, aug.m
         if not is_hurwitz(A_r):

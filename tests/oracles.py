@@ -41,6 +41,43 @@ def loop_transfer_rational(gamma, kappa, eta, alpha, omega) -> complex:
     return num / den
 
 
+def loop_phase_factors(gamma, kappa, eta, alpha, omega) -> float:
+    """Phase of G(j omega) in radians, summed over the factors' phases."""
+    return (-0.5 * math.pi + math.atan2(omega, alpha + eta)
+            - math.atan2(omega, alpha + kappa + eta) - math.atan2(omega, alpha))
+
+
+def margins_by_search(gamma, kappa, eta, alpha, band=(1e-3, 1e4)):
+    """(gain crossover, phase margin in degrees, delay margin in s), or None.
+
+    The search the closed-form crossover replaced: |G| - 1 is scanned on 200
+    log-spaced points, every sign change is bisected 60 times, and the
+    crossover with the smallest delay margin is kept.  None means |G| does not
+    cross unity in the band.
+    """
+    def excess(w):
+        return abs(loop_transfer_rational(gamma, kappa, eta, alpha, w)) - 1.0
+
+    grid = np.logspace(math.log10(band[0]), math.log10(band[1]), 200)
+    signs = np.sign([excess(w) for w in grid])
+    best = None
+    for i in np.where(np.diff(signs) != 0)[0]:
+        a, b = grid[i], grid[i + 1]
+        fa = excess(a)
+        for _ in range(60):
+            mid = math.sqrt(a * b)
+            fm = excess(mid)
+            if fa * fm <= 0:
+                b = mid
+            else:
+                a, fa = mid, fm
+        wc = math.sqrt(a * b)
+        pm_rad = math.pi + loop_phase_factors(gamma, kappa, eta, alpha, wc)
+        if best is None or pm_rad / wc < best[2]:
+            best = (wc, math.degrees(pm_rad), pm_rad / wc)
+    return best
+
+
 def bound_transient_modified(gamma, kappa, xi, lam_min_P, lam_max_P, lam_min_R,
                              w_weighted_fro, e0_norm) -> float:
     """Hand substitution of the modified-architecture transient bound."""

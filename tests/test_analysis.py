@@ -148,6 +148,8 @@ class TestOptimalXi:
         xi, val = analysis.optimal_xi(f)
         assert xi > 0.99
         assert val <= f(0.5)
+        # What bound_report_for reports without a search.
+        assert (xi, val) == (analysis.XI_MAX, f(analysis.XI_MAX))
 
     def test_ultimate_bound_interior_optimum(self, wingrock_lyap):
         f = lambda x: analysis.bound_time_varying_ultimate(500.0, 100.0, 5.0, x,
@@ -202,6 +204,32 @@ class TestLoopTransfer:
     def test_rejects_zero_frequency(self):
         with pytest.raises(ValueError):
             analysis.loop_transfer(100.0, 50.0, 10.0, 1.0, 0.0)
+        with pytest.raises(ValueError):
+            analysis.loop_phase(100.0, 50.0, 10.0, 1.0, np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize("loop, name", [
+        ((math.nan, 50.0, 10.0, 1.0), "gamma"),
+        ((-100.0, 50.0, 10.0, 1.0), "gamma"),
+        ((100.0, -1.0, 10.0, 1.0), "kappa"),
+        ((100.0, 50.0, math.inf, 1.0), "eta"),
+        ((100.0, 50.0, 10.0, 0.0), "alpha"),
+    ])
+    def test_rejects_parameters_outside_the_domain(self, loop, name):
+        for f in (lambda: analysis.loop_transfer(*loop, 1.0),
+                  lambda: analysis.loop_phase(*loop, 1.0),
+                  lambda: analysis.margins(*loop)):
+            with pytest.raises(ValueError, match=f"^{name} must be finite"):
+                f()
+
+    def test_array_matches_scalar_evaluation(self):
+        w = np.logspace(-3.0, 4.0, 57)
+        g = analysis.loop_transfer(100.0, 50.0, 10.0, 1.0, w)
+        ph = analysis.loop_phase(100.0, 50.0, 10.0, 1.0, w)
+        for i, wi in enumerate(w):
+            assert g[i] == pytest.approx(analysis.loop_transfer(100.0, 50.0, 10.0, 1.0, wi),
+                                         rel=1e-13)
+            assert ph[i] == pytest.approx(analysis.loop_phase(100.0, 50.0, 10.0, 1.0, wi),
+                                          rel=1e-13)
 
     def test_phase_matches_principal_argument(self):
         for w in (0.05, 0.7, 5.0, 80.0):

@@ -1,17 +1,21 @@
 """Property tests: projection invariants over random shapes, the config
-serialize -> parse -> serialize round trip, and the recorded identities of
-short random runs."""
+serialize -> parse -> serialize round trip, the recorded identities of
+short random runs, and the closed-form loop margins against a search."""
 
 import dataclasses
 import json
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flmrac import analysis
 from flmrac import controllers as ctl
 from flmrac.simcli import dict_to_scenario, load_config, serialize_scenario
 from flmrac.simulator import run
+
+from oracles import loop_transfer_rational, margins_by_search
 
 finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 
@@ -119,3 +123,19 @@ def test_run_identities_and_projection(scn):
     if scn.controller.projection is not None:
         col_norms = np.linalg.norm(traj.W_hat, axis=1)
         assert np.all(col_norms <= scn.controller.projection.theta_max)
+
+
+@settings(deadline=None, max_examples=200)
+@given(gamma=st.floats(1e-2, 1e4), kappa=st.floats(0.0, 1e3), eta=st.floats(0.0, 1e3),
+       alpha=st.floats(1e-2, 10.0))
+def test_margins_match_crossover_search(gamma, kappa, eta, alpha):
+    reference = margins_by_search(gamma, kappa, eta, alpha)
+    if reference is None:
+        with pytest.raises(analysis.NoCrossoverError):
+            analysis.margins(gamma, kappa, eta, alpha)
+        return
+    rep = analysis.margins(gamma, kappa, eta, alpha)
+    got = (rep.gain_crossover, rep.phase_margin, rep.delay_margin)
+    assert got == pytest.approx(reference, rel=1e-12, abs=0.0)
+    assert abs(loop_transfer_rational(gamma, kappa, eta, alpha, rep.gain_crossover)) == \
+        pytest.approx(1.0, rel=0.0, abs=1e-12)

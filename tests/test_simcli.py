@@ -76,7 +76,8 @@ def _matrix(rows, cols, data):
     return {"rows": rows, "cols": cols, "data": data}
 
 
-# (edit of the bundled wingrock_proposed config, field path the error names)
+# (edit of the bundled wingrock_proposed config, field path the error names[,
+# the message that follows the path])
 MALFORMED_FIELDS = {
     "noise_std_length": (lambda r: r["noise"].update(std=[1e-3, 1e-3]), "noise.std"),
     "x0_length": (lambda r: r.update(x0=[0.0, 0.0]), "x0"),
@@ -84,7 +85,13 @@ MALFORMED_FIELDS = {
     "W_hat0_shape": (lambda r: r["controller"].update(W_hat0=_matrix(2, 1, [0.0, 0.0])),
                      "controller.W_hat0"),
     "noise_std_negative": (lambda r: r["noise"].update(std=[1e-3, -1e-3, 0.0]), "noise.std"),
-    "basis_unknown": (lambda r: r["plant"]["basis"].__setitem__(5, "x1_squared"), "plant.basis"),
+    "basis_unknown": (lambda r: r["plant"]["basis"].__setitem__(5, "x1_squared"), "plant.basis",
+                      "unknown basis feature 'x1_squared'"),
+    "basis_component_zero": (lambda r: r["plant"]["basis"].__setitem__(5, "x0"), "plant.basis",
+                             "unknown basis feature 'x0'"),
+    "name_parent_dir": (lambda r: r.update(name="../escaped"), "name"),
+    "name_dot_dot": (lambda r: r.update(name=".."), "name"),
+    "name_backslash": (lambda r: r.update(name="sub\\escaped"), "name"),
     "modulation_kind": (lambda r: r["plant"]["truth"]["modulations"][0].update(kind="cos"),
                         "plant.truth.modulations[0]"),
     "theta_max_negative": (lambda r: r["controller"]["projection"].update(theta_max=-1.0),
@@ -126,14 +133,24 @@ class TestConfigBoundary:
 
     @pytest.mark.parametrize("case", MALFORMED_FIELDS)
     def test_malformed_field(self, tmp_path, capsys, case):
-        edit, path = MALFORMED_FIELDS[case]
+        edit, path, *message = MALFORMED_FIELDS[case]
         raw, cfg = _malformed_config(tmp_path, edit)
         with pytest.raises(ConfigError) as err:
             dict_to_scenario(raw)
         assert err.value.path == path
         assert simcli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         stderr = capsys.readouterr().err
-        assert f"config error: {path}: " in stderr and "Traceback" not in stderr
+        assert f"config error: {path}: {''.join(message)}" in stderr
+        assert "Traceback" not in stderr
+
+    def test_name_cannot_leave_out_dir(self, tmp_path):
+        # Nothing is written, neither in --out nor next to it.
+        _, bad = _malformed_config(tmp_path, MALFORMED_FIELDS["name_parent_dir"][0])
+        out = tmp_path / "sub" / "o"
+        assert simcli.main(["run", "--config", str(bad), "--out", str(out)]) == 2
+        good = short_noisy_config(tmp_path, t_final=0.2)
+        assert simcli.main(["compare", str(good), str(bad), "--out", str(out)]) == 2
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["malformed.cfg", "short.cfg"]
 
     @pytest.mark.parametrize("case", MALFORMED_OVERRIDES)
     def test_malformed_override(self, tmp_path, capsys, case):
@@ -237,7 +254,7 @@ class TestBulkWriters:
         # Only the fields the budget reads: truth, Lambda, K and the horizon.
         scn = SimpleNamespace(t_final=12.5, plant=SimpleNamespace(truth=truth, Lambda=lam),
                               controller=SimpleNamespace(K=K))
-        assert simcli._truth_norm_budget(scn) == (max(per_sample), float(np.max(1.0 / lam)) * 0.5)
+        assert simcli._truth_norm_budget(scn) == max(per_sample)
 
 
 class TestCmdRun:
@@ -373,6 +390,24 @@ class TestCmdBode:
         rep = json.loads((out / "bode_g100_k50_e10_margins.json").read_text())
         assert rep["delay_margin_s"] > 0
         assert rep["phase_margin_deg"] > 0
+
+    @pytest.mark.parametrize("args, flag", [
+        (["--gamma", "nan"], "--gamma"),
+        (["--gamma", "-100"], "--gamma"),
+        (["--kappa", "-1"], "--kappa"),
+        (["--eta", "inf"], "--eta"),
+        (["--alpha", "0"], "--alpha"),
+        (["--omega-min", "nan"], "--omega-min"),
+        (["--omega-max", "inf"], "--omega-max"),
+    ])
+    def test_out_of_domain_argument_exits_2(self, tmp_path, capsys, args, flag):
+        out = tmp_path / "bode"
+        # The last value of a repeated flag wins.
+        assert simcli.main(["bode", "--gamma", "100", "--kappa", "50", "--eta", "10",
+                            *args, "--out", str(out)]) == 2
+        stderr = capsys.readouterr().err
+        assert flag in stderr and "Traceback" not in stderr
+        assert not out.exists()
 
     def test_no_crossover_reports_none(self, tmp_path):
         out = tmp_path / "bode"

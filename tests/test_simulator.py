@@ -315,6 +315,7 @@ class TestScenarioValidation:
         (dict(E_p=np.ones((1, 2))), "E_p"),
         (dict(h=float("nan")), "h"),
         (dict(t_final=float("inf")), "t_final"),
+        (dict(name="runs/clean"), "name"),
     ])
     def test_library_errors_name_the_field(self, change, path):
         # Built in code, a scenario fails as a config file would.
@@ -325,6 +326,11 @@ class TestScenarioValidation:
     @pytest.mark.parametrize("controller, path", [
         (dict(K=np.array([[2.0, 2.0, 1.0]])), "controller.K"),
         (dict(W_hat0=np.zeros((2, 1))), "controller.W_hat0"),
+        (dict(K=np.array([[np.nan, 1.0]])), "controller.K"),
+        (dict(gamma=np.nan, kappa=np.nan), "controller.gamma"),
+        (dict(gamma=np.inf), "controller.gamma"),
+        (dict(kappa=np.nan), "controller.kappa"),
+        (dict(eta=np.inf), "controller.eta"),
     ])
     def test_library_controller_errors_name_the_field(self, controller, path):
         scn = _no_uncertainty_scenario()
