@@ -126,19 +126,18 @@ def aggregated_truth_bounds(w_max: float, w_p_dot_max: float, Lam,
 XI_MAX = 1.0 - 1e-6
 
 
-def optimal_xi(bound_of_xi, lo: float = 1e-6, hi: float = XI_MAX,
-               iters: int = 200) -> tuple[float, float]:
-    """Golden-section minimizer of a bound over xi in (0, 1).
+def optimal_xi(bound_of_xi) -> tuple[float, float]:
+    """Golden-section minimizer of a bound over xi in [1e-6, XI_MAX], in 200 steps.
 
     Returns (xi_star, bound(xi_star)).  For bounds monotone in xi the search
     converges to the admissible boundary, which is the tightest choice.
     """
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
+    a, b = 1e-6, XI_MAX
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
     fc, fd = bound_of_xi(c), bound_of_xi(d)
-    for _ in range(iters):
+    for _ in range(200):
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - inv_phi * (b - a)
@@ -387,6 +386,6 @@ def spectrum_fraction_above(t, values, cutoff: float) -> float:
     return energy_hi / energy_all
 
 
-def hf_content(traj: Trajectory, cutoff: float, name: str = "u") -> float:
-    """spectrum_fraction_above applied to one trajectory signal."""
-    return spectrum_fraction_above(traj.t, signal(traj, name), cutoff)
+def hf_content(traj: Trajectory, cutoff: float) -> float:
+    """spectrum_fraction_above applied to the recorded control u."""
+    return spectrum_fraction_above(traj.t, traj.u, cutoff)

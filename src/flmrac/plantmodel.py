@@ -297,13 +297,18 @@ def augment(plant: PlantModel, E_p) -> AugmentedSystem:
     return AugmentedSystem(A=A, B=B, B_r=B_r, E_p=E_p, n_p=n_p, n_c=n_c)
 
 
-def aggregate_true_weights(truth, Lambda, K, t: float = 0.0) -> np.ndarray:
+def aggregate_true_weights(truth, Lambda, K, t: float | np.ndarray = 0.0) -> np.ndarray:
     """Aggregated truth W with W' = [Lambda^-1 W_p', (Lambda^-1 - I) K].
 
-    `truth` may be an UncertaintyTruth (evaluated at time t) or a plain
-    (s, m) array.  Analysis-only: the controller never receives this.
+    `truth` may be an UncertaintyTruth or a plain (s, m) array.  One time t
+    gives the (s+n, m) matrix; an array of N times gives the (N, s+n, m)
+    stack of an UncertaintyTruth, each slice equal to the matrix at its time.
+    Analysis-only: the controller never receives this.
     """
-    W_p = truth.W_p(t) if isinstance(truth, UncertaintyTruth) else np.atleast_2d(np.asarray(truth, dtype=float))
+    if isinstance(truth, UncertaintyTruth):
+        W_p = truth.W_p_grid(t) if np.ndim(t) else truth.W_p(t)
+    else:
+        W_p = np.atleast_2d(np.asarray(truth, dtype=float))
     lam = np.atleast_1d(np.asarray(Lambda, dtype=float))
     K = np.atleast_2d(np.asarray(K, dtype=float))
     m = K.shape[0]
@@ -311,9 +316,10 @@ def aggregate_true_weights(truth, Lambda, K, t: float = 0.0) -> np.ndarray:
         raise DimensionError(f"Lambda must have {m} entries, got {lam.shape}")
     if np.any(lam == 0):
         raise ValueError("Lambda is singular")
-    if W_p.shape[1] != m:
-        raise DimensionError(f"W_p has {W_p.shape[1]} columns, expected {m}")
+    if W_p.shape[-1] != m:
+        raise DimensionError(f"W_p has {W_p.shape[-1]} columns, expected {m}")
     lam_inv = 1.0 / lam
-    upper = W_p * lam_inv[np.newaxis, :]  # Lambda^-1 W_p' transposed
+    upper = W_p * lam_inv  # Lambda^-1 W_p' transposed
     lower = ((np.diag(lam_inv) - np.eye(m)) @ K).T  # ((Lambda^-1 - I) K)'
-    return np.vstack([upper, lower])
+    lower = np.broadcast_to(lower, W_p.shape[:-2] + lower.shape)
+    return np.concatenate([upper, lower], axis=-2)

@@ -38,6 +38,8 @@ EXIT_DIVERGENCE = 3
 MAX_STEP_HALVINGS = 3
 #: Default cutoff (rad/s) for the control-signal high-frequency metric.
 DEFAULT_HF_CUTOFF = 10.0
+#: xi at which bound_report_for evaluates the modified-architecture bounds.
+BOUND_XI = 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -191,11 +193,9 @@ def dict_to_scenario(raw: dict) -> ScenarioConfig:
 
     x0 = root.vector("x0") if raw.get("x0") is not None else None
     x_r0 = root.vector("x_r0") if raw.get("x_r0") is not None else None
-    t_final = root.number("t_final")
-    _build(truth_sec.path, truth.check_bounds, np.linspace(0.0, max(t_final, 1.0), 401))
     return _build("<root>", ScenarioConfig,
                   plant=plant, E_p=E_p, controller=controller, command=cmd, noise=noise,
-                  t_final=t_final, h=root.number("h"),
+                  t_final=root.number("t_final"), h=root.number("h"),
                   record_stride=root.integer("record_stride", 1),
                   x0=x0, x_r0=x_r0, name=str(root.get("name", "scenario")))
 
@@ -257,8 +257,9 @@ def scenario_to_dict(scn: ScenarioConfig) -> dict:
     return out
 
 
-def canonical_text(config_dict: dict) -> str:
-    return json.dumps(config_dict, indent=2, sort_keys=True) + "\n"
+def canonical_text(data: dict) -> str:
+    """The one JSON text format of every file flmrac writes."""
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
 def serialize_scenario(scn: ScenarioConfig) -> str:
@@ -348,32 +349,20 @@ def read_csv_columns(path: Path) -> dict[str, np.ndarray]:
 # Bound reports
 # ---------------------------------------------------------------------------
 
-def _truth_norms(truth: UncertaintyTruth, lam, K, ts: np.ndarray) -> np.ndarray:
-    """||W(t)||_F at each time in ts, equal to the per-sample
-    norm(aggregate_true_weights(truth, lam, K, t)).
-
-    W(t) is built for all times at once in aggregate_true_weights' order
-    (W_p(t) from the truth, then scaled by Lambda^-1).
-    """
-    W_p = truth.W_p_grid(ts)
-    W = np.repeat(aggregate_true_weights(truth.W_p_base, lam, K)[np.newaxis], ts.size, axis=0)
-    W[:, :W_p.shape[1]] = W_p * (1.0 / lam)
-    return frobenius_norms(W)
-
-
 def _truth_norm_budget(scn: ScenarioConfig) -> float:
     """sup ||W(t)||_F of the configured truth, sampled over the horizon."""
     ts = np.linspace(0.0, max(scn.t_final, 1.0), 2001)
-    return float(np.max(_truth_norms(scn.plant.truth, scn.plant.Lambda, scn.controller.K, ts)))
+    W = aggregate_true_weights(scn.plant.truth, scn.plant.Lambda, scn.controller.K, ts)
+    return float(np.max(frobenius_norms(W)))
 
 
-def bound_report_for(scn: ScenarioConfig, traj: Trajectory, xi: float = 0.5) -> BoundReport:
+def bound_report_for(scn: ScenarioConfig, traj: Trajectory) -> BoundReport:
     """Evaluate the architecture-appropriate bound against the trajectory.
 
     kappa = 0 gets the classical transient bound on ||e||; kappa > 0 gets the
     modified-architecture transient bound on ||x - x_ri|| when the truth is
     constant, and the time-varying ultimate bound when a projection radius is
-    available for a time-varying truth.
+    available for a time-varying truth; both at xi = BOUND_XI.
     """
     cfg = scn.controller
     lam = scn.plant.Lambda
@@ -384,7 +373,7 @@ def bound_report_for(scn: ScenarioConfig, traj: Trajectory, xi: float = 0.5) -> 
     e0 = traj.e[0]
 
     inputs = {
-        "gamma": cfg.gamma, "kappa": cfg.kappa, "eta": cfg.eta, "xi": xi,
+        "gamma": cfg.gamma, "kappa": cfg.kappa, "eta": cfg.eta, "xi": BOUND_XI,
         "lam_min_P": ex["lam_min_P"], "lam_max_P": ex["lam_max_P"],
         "lam_min_R": ex["lam_min_R"],
         "W_tilde0_weighted_fro": analysis._weighted_fro(W_tilde0, lam),
@@ -403,25 +392,19 @@ def bound_report_for(scn: ScenarioConfig, traj: Trajectory, xi: float = 0.5) -> 
         wt_max, wd_max = analysis.aggregated_truth_bounds(
             w_max, scn.plant.truth.w_p_dot_max, lam, cfg.projection.theta_max, scn.plant.m)
         inputs.update({"w_tilde_max": wt_max, "w_dot_max": wd_max})
-        value = analysis.bound_time_varying_ultimate(cfg.gamma, cfg.kappa, cfg.eta, xi,
-                                           lyap, lam, wt_max, wd_max)
+        value = analysis.bound_time_varying_ultimate(cfg.gamma, cfg.kappa, cfg.eta, BOUND_XI,
+                                                     lyap, lam, wt_max, wd_max)
         observed = analysis.linf_norm(traj, "x_err_ideal")
         kind = "time_varying_ultimate"
     else:
-        value = analysis.bound_modified_transient(cfg.gamma, cfg.kappa, xi, lyap,
-                                           W_tilde0, lam, e0)
+        value = analysis.bound_modified_transient(cfg.gamma, cfg.kappa, BOUND_XI, lyap,
+                                                  W_tilde0, lam, e0)
         observed = analysis.linf_norm(traj, "x_err_ideal")
         kind = "modified_transient"
         tightest = analysis.bound_modified_transient(cfg.gamma, cfg.kappa, analysis.XI_MAX,
                                                      lyap, W_tilde0, lam, e0)
         inputs.update({"xi_star": analysis.XI_MAX, "bound_at_xi_star": tightest})
     return BoundReport.make(kind, value, observed, inputs)
-
-
-def _report_dict(rep: BoundReport) -> dict:
-    return {"kind": rep.kind, "bound_value": rep.bound_value,
-            "observed": rep.observed, "satisfied": rep.satisfied,
-            "inputs": rep.inputs}
 
 
 # ---------------------------------------------------------------------------
@@ -621,28 +604,20 @@ def _run_with_retries(scn: ScenarioConfig) -> tuple[Trajectory, ScenarioConfig]:
 
 
 def cmd_run(args) -> int:
-    try:
-        scn, _ = load_config(args.config)
-        scn, overrides = _apply_overrides(scn, args)
-    except ConfigError as exc:
-        print(f"[flmrac] config error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    scn, _ = load_config(args.config)
+    scn, overrides = _apply_overrides(scn, args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    try:
-        traj, scn = _run_with_retries(scn)
-    except DivergenceError as exc:
-        print(f"[flmrac] {exc}", file=sys.stderr)
-        return EXIT_DIVERGENCE
+    traj, scn = _run_with_retries(scn)
 
     csv_path = out_dir / f"{scn.name}.csv"
     write_trajectory_csv(traj, csv_path)
     report = bound_report_for(scn, traj)
     bounds_path = out_dir / f"{scn.name}_bounds.json"
-    bounds_path.write_text(json.dumps(_report_dict(report), indent=2, sort_keys=True) + "\n")
+    bounds_path.write_text(canonical_text(dataclasses.asdict(report)))
     manifest = make_manifest(scn, [str(csv_path), str(bounds_path)], overrides)
     manifest_path = out_dir / f"{scn.name}_manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    manifest_path.write_text(canonical_text(manifest))
 
     print(f"[flmrac] {scn.name}: {len(traj)} samples to t={traj.t[-1]:g} s")
     print(f"[flmrac] bound[{report.kind}] = {report.bound_value:.6g}, "
@@ -651,10 +626,11 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _compare_key(raw: dict) -> str:
-    shared = {"plant": raw.get("plant"), "command": raw.get("command"),
-              "seed": (raw.get("noise") or {}).get("seed")}
-    return json.dumps(shared, sort_keys=True)
+def _compare_key(scn: ScenarioConfig) -> str:
+    """What compare members must share: the parsed plant and command, and the noise seed."""
+    parsed = scenario_to_dict(scn)
+    return canonical_text({"plant": parsed["plant"], "command": parsed["command"],
+                           "seed": scn.noise.seed})
 
 
 def run_metrics(scn: ScenarioConfig, traj: Trajectory, cutoff: float) -> dict:
@@ -679,13 +655,8 @@ def run_metrics(scn: ScenarioConfig, traj: Trajectory, cutoff: float) -> dict:
 
 
 def cmd_compare(args) -> int:
-    try:
-        loaded = [load_config(c) for c in args.configs]
-    except ConfigError as exc:
-        print(f"[flmrac] config error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    keys = {_compare_key(raw) for _, raw in loaded}
-    if len(keys) != 1:
+    scenarios = [load_config(c)[0] for c in args.configs]
+    if len({_compare_key(scn) for scn in scenarios}) != 1:
         print("[flmrac] compare requires identical plant, command and noise seed "
               "across configs", file=sys.stderr)
         return EXIT_VALIDATION
@@ -693,17 +664,12 @@ def cmd_compare(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
-    try:
-        for scn, _ in loaded:
-            traj, scn = _run_with_retries(scn)
-            rows.append(run_metrics(scn, traj, args.cutoff))
-    except DivergenceError as exc:
-        print(f"[flmrac] {exc}", file=sys.stderr)
-        return EXIT_DIVERGENCE
+    for scn in scenarios:
+        traj, scn = _run_with_retries(scn)
+        rows.append(run_metrics(scn, traj, args.cutoff))
 
     report_path = out_dir / "compare_report.json"
-    report_path.write_text(json.dumps({"cutoff_rad_s": args.cutoff, "runs": rows},
-                                      indent=2, sort_keys=True) + "\n")
+    report_path.write_text(canonical_text({"cutoff_rad_s": args.cutoff, "runs": rows}))
     cols = ["name", "gamma", "kappa", "eta", "tracking_linf", "tracking_linf_post",
             "hf_content_u", "max_abs_u", "bound_satisfied"]
     widths = {c: max(len(c), *(len(_cell(r[c])) for r in rows)) for c in cols}
@@ -724,6 +690,15 @@ def _cell(v) -> str:
     return str(v)
 
 
+def _bode_stem(gamma: float, kappa: float, eta: float, alpha: float) -> str:
+    """File stem of one loop's outputs: "%g" values if alpha = 1 and each reads back
+    exactly from them, else 17 significant digits and alpha, so loops never share one."""
+    loop = (gamma, kappa, eta)
+    if alpha == 1.0 and all(float(f"{v:g}") == v for v in loop):
+        return "bode_g{:g}_k{:g}_e{:g}".format(*loop)
+    return "bode_g{:.17g}_k{:.17g}_e{:.17g}_a{:.17g}".format(*loop, alpha)
+
+
 def cmd_bode(args) -> int:
     if args.points < 2 or not 0.0 < args.omega_min < args.omega_max < math.inf:
         print("[flmrac] bode needs --points >= 2 and finite 0 < --omega-min < --omega-max",
@@ -741,7 +716,7 @@ def cmd_bode(args) -> int:
     phase_deg = np.degrees(analysis.loop_phase(*loop, grid))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    stem = f"bode_g{args.gamma:g}_k{args.kappa:g}_e{args.eta:g}"
+    stem = _bode_stem(*loop)
     csv_path = out_dir / f"{stem}.csv"
     write_csv(csv_path, ["omega", "mag_db", "phase_deg"],
               np.column_stack([grid, mag_db, phase_deg]))
@@ -750,7 +725,7 @@ def cmd_bode(args) -> int:
     except NoCrossoverError:
         rep_dict = MarginReport(None, None, None, *analysis.band_gains_db(*loop)).as_dict()
     rep_path = out_dir / f"{stem}_margins.json"
-    rep_path.write_text(json.dumps(rep_dict, indent=2, sort_keys=True) + "\n")
+    rep_path.write_text(canonical_text(rep_dict))
     dm = rep_dict["delay_margin_s"]
     print(f"[flmrac] wrote {csv_path}; delay margin = "
           f"{'none' if dm is None else f'{dm:.4g} s'}")
@@ -843,8 +818,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; a ConfigError exits 2 and a DivergenceError exits 3."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        print(f"[flmrac] config error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except DivergenceError as exc:
+        print(f"[flmrac] {exc}", file=sys.stderr)
+        return EXIT_DIVERGENCE
 
 
 if __name__ == "__main__":

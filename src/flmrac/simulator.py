@@ -141,8 +141,11 @@ class ScenarioConfig:
         """Check every condition a run relies on; a failure names its config field."""
         if not 0.0 < self.h < math.inf:
             raise ConfigError("h", "step size must be positive and finite")
-        if not (self.t_final == 0.0 or self.h <= self.t_final < math.inf):
-            raise ConfigError("t_final", "must be 0, or finite and at least one step h")
+        if not (self.t_final == 0.0 or self.h <= self.t_final < 2.0**53 * self.h):
+            raise ConfigError("t_final", "must be 0, or finite and 1 to 2**53 steps h")
+        # The relative tolerance admits the rounding of h * steps; halving h keeps a multiple.
+        if not math.isclose(self.steps * self.h, self.t_final, rel_tol=1e-12):
+            raise ConfigError("t_final", f"not a whole number of steps h = {self.h!r}")
         if self.record_stride < 1:
             raise ConfigError("record_stride", "must be >= 1")
         if self.name in (".", "..") or "/" in self.name or "\\" in self.name:
@@ -165,6 +168,15 @@ class ScenarioConfig:
         for path, value, shape in shapes:
             if value is not None and np.shape(value) != shape:
                 raise ConfigError(path, f"shape {np.shape(value)}, expected {shape}")
+        try:
+            self.plant.truth.check_bounds(np.linspace(0.0, max(self.t_final, 1.0), 401))
+        except ValueError as exc:
+            raise ConfigError("plant.truth", str(exc)) from None
+
+    @property
+    def steps(self) -> int:
+        """Number of RK4 steps from 0 to t_final."""
+        return round(self.t_final / self.h)
 
 
 @dataclass
@@ -218,10 +230,9 @@ class ClosedLoopSystem:
 
     def __init__(self, scenario: ScenarioConfig):
         plant = scenario.plant
-        aug = augment(plant, scenario.E_p)
         cfg = scenario.controller
+        aug, A_r = closed_loop(plant, scenario.E_p, cfg.K)
         n, m, n_p = aug.n, aug.m, aug.n_p
-        A_r = aug.A - aug.B @ cfg.K
 
         self.scenario = scenario
         self.plant = plant
@@ -249,8 +260,6 @@ class ClosedLoopSystem:
         self.sl_W = slice(4 * n, 4 * n + w_len)
         self.block_names = ("x", "x_r", "x_ri", "e_L", "W_hat")
         self.blocks = (self.sl_x, self.sl_xr, self.sl_xri, self.sl_eL, self.sl_W)
-
-        self.noise_std = np.asarray(scenario.noise.std if scenario.noise.enabled else np.zeros(n))
 
         # Fused linear part of [x; x_r; x_ri; e_L]' (see the class docstring).
         I, Z = np.eye(n), np.zeros((n, n))
@@ -352,8 +361,9 @@ def rk4_step(f, state: np.ndarray, t: float, h: float) -> np.ndarray:
     k3 = f(t + 0.5 * h, state + (0.5 * h) * k2)
     k4 = f(t + h, state + h * k3)
     out = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.all(np.isfinite(out)):
-        raise DivergenceError(f"non-finite derivative while stepping at t={t:.6g}", out)
+    # Written as "not <=", the guard also catches NaN.
+    if not np.abs(out).max() <= DIVERGENCE_LIMIT:
+        raise DivergenceError(f"state above {DIVERGENCE_LIMIT:g} or not finite at t={t:.6g}", out)
     return out
 
 
@@ -366,15 +376,16 @@ def run(scenario: ScenarioConfig) -> Trajectory:
     """
     sys = assemble(scenario)
     h = scenario.h
-    n_steps = int(round(scenario.t_final / h)) if scenario.t_final > 0 else 0
+    n_steps = scenario.steps
     stride = scenario.record_stride
 
     rng = np.random.default_rng(scenario.noise.seed)
-    noise_on = scenario.noise.enabled and np.any(sys.noise_std > 0)
+    noise_std = np.asarray(scenario.noise.std)
+    noise_on = scenario.noise.enabled and np.any(noise_std > 0)
 
     def draw_noise(t: float) -> np.ndarray | None:
         if noise_on and t >= scenario.noise.start_time:
-            return rng.standard_normal(sys.n) * sys.noise_std
+            return rng.standard_normal(sys.n) * noise_std
         return None
 
     y = sys.initial_state()
@@ -390,12 +401,7 @@ def run(scenario: ScenarioConfig) -> Trajectory:
         rec_u[i] = sys.control_at(t, y, noise)
         rec_c[i] = sys.command_spec.value(t)
 
-    def diverged(t: float, state: np.ndarray) -> DivergenceError:
-        return DivergenceError(
-            f"simulation diverged at t={t:.6g} (signal: {sys.diverged_block(state)}); "
-            "consider a smaller step size", state)
-
-    # A blow-up overflows inside a step before the checks below catch it;
+    # A blow-up overflows inside a step before rk4_step's guard catches it;
     # it is reported as a DivergenceError, not as numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_steps):
@@ -407,9 +413,10 @@ def run(scenario: ScenarioConfig) -> Trajectory:
             try:
                 y = rk4_step(f, y, t, h)
             except DivergenceError as exc:
-                raise diverged((k + 1) * h, exc.state) from None
-            if float(np.max(np.abs(y))) > DIVERGENCE_LIMIT:
-                raise diverged((k + 1) * h, y)
+                raise DivergenceError(
+                    f"simulation diverged at t={(k + 1) * h:.6g} (signal: "
+                    f"{sys.diverged_block(exc.state)}); consider a smaller step size",
+                    exc.state) from None
     t_end = n_steps * h
     record(N - 1, t_end, y, draw_noise(t_end))
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from flmrac import simcli
+from flmrac.matrixcore import frobenius_norms
 from flmrac.plantmodel import Modulation, UncertaintyTruth, aggregate_true_weights
 from flmrac.simcli import (ConfigError, bundled_scenario_path, canonical_text,
                            dict_to_scenario, list_bundled, load_config,
@@ -106,6 +107,7 @@ MALFORMED_FIELDS = {
     "command_sample_nan": (lambda r: r["command"].update(kind="custom", times=[0.0, 0.1],
                                                          values=[0.3, float("nan")]),
                            "command.values"),
+    "t_final_not_multiple": (lambda r: r.update(t_final=0.2005), "t_final"),
 }
 
 # (command-line override, field path the error names)
@@ -113,6 +115,7 @@ MALFORMED_OVERRIDES = {
     "seed_override_negative": (["--seed-override", "-1"], "noise.seed"),
     "step_size_negative": (["--step-size", "-0.01"], "h"),
     "step_size_beyond_horizon": (["--step-size", "200"], "t_final"),
+    "step_size_not_dividing_horizon": (["--step-size", "0.0007"], "t_final"),
 }
 
 
@@ -248,13 +251,15 @@ class TestBulkWriters:
         lam = np.linspace(0.7, 1.3, m)
         K = rng.standard_normal((m, 3))
         ts = np.linspace(0.0, 12.5, 2001)
-        per_sample = [np.linalg.norm(aggregate_true_weights(truth, lam, K, t=float(t)))
-                      for t in ts]
-        assert np.array_equal(simcli._truth_norms(truth, lam, K, ts), per_sample)
+        per_sample = [aggregate_true_weights(truth, lam, K, t=float(t)) for t in ts]
+        grid = aggregate_true_weights(truth, lam, K, ts)
+        assert np.array_equal(grid, per_sample)
+        norms = [np.linalg.norm(W) for W in per_sample]
+        assert np.array_equal(frobenius_norms(grid), norms)
         # Only the fields the budget reads: truth, Lambda, K and the horizon.
         scn = SimpleNamespace(t_final=12.5, plant=SimpleNamespace(truth=truth, Lambda=lam),
                               controller=SimpleNamespace(K=K))
-        assert simcli._truth_norm_budget(scn) == max(per_sample)
+        assert simcli._truth_norm_budget(scn) == max(norms)
 
 
 class TestCmdRun:
@@ -328,6 +333,25 @@ class TestCmdCompare:
         assert simcli.main(["compare", *map(str, paths), "--out", str(out)]) == 0
         report = json.loads((out / "compare_report.json").read_text())
         assert [r["name"] for r in report["runs"]] == ["b", "a", "c"]
+
+    def test_members_compared_after_parsing(self, tmp_path):
+        # Two spellings of one plant and command: integral numbers without a
+        # fraction, and defaults (a modulation start, the command offset) left out.
+        cfg = short_noisy_config(tmp_path, t_final=1.0)
+        raw = json.loads(cfg.read_text())
+        raw["plant"]["truth"]["modulations"][0]["start"] = 0.0
+        cfg.write_text(json.dumps(raw))
+        plant = raw["plant"]
+        plant["A_p"]["data"] = [int(v) for v in plant["A_p"]["data"]]
+        plant["B_p"]["data"] = [int(v) for v in plant["B_p"]["data"]]
+        del plant["truth"]["modulations"][0]["start"]
+        del raw["command"]["offset"]
+        spelled = tmp_path / "spelled.cfg"
+        spelled.write_text(json.dumps(raw))
+        out = tmp_path / "cmp"
+        assert simcli.main(["compare", str(cfg), str(spelled), "--out", str(out)]) == 0
+        a, b = json.loads((out / "compare_report.json").read_text())["runs"]
+        assert a == b
 
     def test_mismatched_plants_rejected(self, tmp_path):
         cfg1 = short_noisy_config(tmp_path, name="one")
@@ -408,6 +432,16 @@ class TestCmdBode:
         stderr = capsys.readouterr().err
         assert flag in stderr and "Traceback" not in stderr
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag, values", [("--alpha", ["1", "2"]),
+                                              ("--gamma", ["100", "100.00012"])])
+    def test_distinct_loops_write_distinct_files(self, tmp_path, flag, values):
+        out = tmp_path / "bode"
+        for value in values:
+            assert simcli.main(["bode", "--gamma", "100", "--kappa", "50", "--eta", "10",
+                                flag, value, "--points", "50", "--out", str(out)]) == 0
+        assert len(list(out.glob("bode_*.csv"))) == 2
+        assert len(list(out.glob("bode_*_margins.json"))) == 2
 
     def test_no_crossover_reports_none(self, tmp_path):
         out = tmp_path / "bode"

@@ -72,6 +72,12 @@ class TestRk4Step:
         with pytest.raises(sim.DivergenceError):
             sim.rk4_step(lambda t, y: np.array([np.nan]), np.array([1.0]), 0.0, 0.1)
 
+    def test_finite_state_above_limit_raises(self):
+        y = np.array([1.0, 2.0 * sim.DIVERGENCE_LIMIT])
+        with pytest.raises(sim.DivergenceError) as err:
+            sim.rk4_step(lambda t, yy: np.zeros(2), y, 0.0, 0.1)
+        assert np.array_equal(err.value.state, y)
+
     def test_nonfinite_error_carries_state(self):
         with pytest.raises(sim.DivergenceError) as err:
             sim.rk4_step(lambda t, y: np.array([0.0, np.inf]), np.array([1.0, 2.0]), 0.0, 0.1)
@@ -322,6 +328,15 @@ class TestScenarioValidation:
         with pytest.raises(sim.ConfigError) as err:
             _no_uncertainty_scenario(**change)
         assert err.value.path == path
+
+    @pytest.mark.parametrize("bound", [dict(w_p_max=1.0), dict(w_p_dot_max=0.0)])
+    def test_understated_truth_bound_rejected(self, wingrock_proposed, bound):
+        # Built in code, the declared truth bounds are checked as in a config file.
+        plant = wingrock_proposed.plant
+        truth = dataclasses.replace(plant.truth, **bound)
+        with pytest.raises(sim.ConfigError) as err:
+            dataclasses.replace(wingrock_proposed, plant=dataclasses.replace(plant, truth=truth))
+        assert err.value.path == "plant.truth"
 
     @pytest.mark.parametrize("controller, path", [
         (dict(K=np.array([[2.0, 2.0, 1.0]])), "controller.K"),
