@@ -154,9 +154,10 @@ def _weighted_fro(W, Lam) -> float:
     """||W Lambda^(1/2)||_F for diagonal Lambda given by its entries."""
     W = np.atleast_2d(np.asarray(W, dtype=float))
     lam = np.atleast_1d(np.asarray(Lam, dtype=float))
-    if np.any(lam < 0):
+    if (lam < 0).any():
         raise ValueError("Lambda entries must be nonnegative")
-    return float(np.linalg.norm(W * np.sqrt(lam)[np.newaxis, :]))
+    x = (W * np.sqrt(lam)[np.newaxis, :]).ravel(order="K")
+    return math.sqrt(x.dot(x))  # np.linalg.norm's formula, summed in the same order
 
 
 def _check_xi(xi: float) -> None:
@@ -201,7 +202,6 @@ def composite_lyapunov(traj: Trajectory, lyap: LyapunovPair, gamma: float,
     P = lyap.P
     ex = lyap.extremes()
     w_coeff = 2.0 * xi * ex["lam_min_R"] / (kappa * ex["lam_max_P"])
-    lam_sqrt = np.sqrt(np.atleast_1d(np.asarray(Lam, dtype=float)))
     W_true = np.atleast_2d(np.asarray(W_true, dtype=float))
     x_tilde = traj.x_r - traj.x_ri
 
@@ -209,10 +209,9 @@ def composite_lyapunov(traj: Trajectory, lyap: LyapunovPair, gamma: float,
     for i in range(len(traj)):
         e = traj.e[i]
         e_L = traj.e_L[i]
-        W_t = traj.W_hat[i] - W_true
         out[i] = (
             e @ P @ e
-            + np.linalg.norm(W_t * lam_sqrt[np.newaxis, :]) ** 2 / gamma
+            + _weighted_fro(traj.W_hat[i] - W_true, Lam) ** 2 / gamma
             + kappa / eta * (e_L @ P @ e_L)
             + w_coeff * (x_tilde[i] @ P @ x_tilde[i])
         )
@@ -357,18 +356,22 @@ def margins(gamma: float, kappa: float, eta: float, alpha: float,
 # Spectral high-frequency content
 # ---------------------------------------------------------------------------
 
+#: Fewest samples spectrum_fraction_above accepts.
+MIN_SPECTRUM_SAMPLES = 64
+
+
 def spectrum_fraction_above(t, values, cutoff: float) -> float:
     """Fraction of non-DC discrete-spectrum energy above `cutoff` rad/s.
 
-    The signal must be uniformly sampled with at least 64 samples; the whole
-    record is transformed.  Multi-channel input sums channel energies.
+    The signal must be uniformly sampled, with at least MIN_SPECTRUM_SAMPLES samples;
+    the whole record is transformed.  Multi-channel input sums channel energies.
     """
     t = np.asarray(t, dtype=float)
     v = np.asarray(values, dtype=float)
     if v.ndim == 1:
         v = v[:, np.newaxis]
-    if t.size < 64:
-        raise ValueError("need at least 64 samples for a spectral estimate")
+    if t.size < MIN_SPECTRUM_SAMPLES:
+        raise ValueError(f"need at least {MIN_SPECTRUM_SAMPLES} samples for a spectral estimate")
     dts = np.diff(t)
     if float(np.max(np.abs(dts - dts[0]))) > 1e-9 * max(dts[0], 1.0):
         raise ValueError("signal is not uniformly sampled")

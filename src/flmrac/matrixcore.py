@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -160,8 +161,11 @@ class LyapunovPair:
         A_r = _square(A_r, "A_r")
         return float(np.linalg.norm(A_r.T @ self.P + self.P @ A_r + self.R))
 
+    @cached_property
+    def _eigenvalue_extremes(self) -> tuple[float, float, float]:
+        return (*sym_eig_extremes(self.P), sym_eig_extremes(self.R)[0])
+
     def extremes(self) -> dict[str, float]:
-        """lambda_min/max of P and lambda_min of R, as used by the bounds."""
-        pmin, pmax = sym_eig_extremes(self.P)
-        rmin, _ = sym_eig_extremes(self.R)
+        """lambda_min/max of P and lambda_min of R, as used by the bounds; solved once."""
+        pmin, pmax, rmin = self._eigenvalue_extremes
         return {"lam_min_P": pmin, "lam_max_P": pmax, "lam_min_R": rmin}

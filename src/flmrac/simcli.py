@@ -12,6 +12,7 @@ import argparse
 import csv
 import dataclasses
 import datetime
+import functools
 import hashlib
 import json
 import math
@@ -367,15 +368,13 @@ def bound_report_for(scn: ScenarioConfig, traj: Trajectory) -> BoundReport:
     cfg = scn.controller
     lam = scn.plant.Lambda
     lyap = cfg.lyap
-    ex = lyap.extremes()
     # The first sample is the run's initial state.
     W_tilde0 = traj.W_hat[0] - aggregate_true_weights(scn.plant.truth, lam, cfg.K, t=0.0)
     e0 = traj.e[0]
 
     inputs = {
         "gamma": cfg.gamma, "kappa": cfg.kappa, "eta": cfg.eta, "xi": BOUND_XI,
-        "lam_min_P": ex["lam_min_P"], "lam_max_P": ex["lam_max_P"],
-        "lam_min_R": ex["lam_min_R"],
+        **lyap.extremes(),
         "W_tilde0_weighted_fro": analysis._weighted_fro(W_tilde0, lam),
         "e0_norm": float(np.linalg.norm(e0)),
         "Lambda_fro": float(np.linalg.norm(lam)),
@@ -660,6 +659,11 @@ def cmd_compare(args) -> int:
         print("[flmrac] compare requires identical plant, command and noise seed "
               "across configs", file=sys.stderr)
         return EXIT_VALIDATION
+    for scn in scenarios:
+        if scn.samples < analysis.MIN_SPECTRUM_SAMPLES or scn.steps % scn.record_stride:
+            raise ConfigError("record_stride", f"compare member {scn.name!r} records {scn.samples} "
+                              f"samples over {scn.steps} steps; hf_content needs "
+                              f"{analysis.MIN_SPECTRUM_SAMPLES} or more, evenly spaced")
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -772,6 +776,7 @@ def cmd_plot(args) -> int:
 # Entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="flmrac",
@@ -784,7 +789,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", required=True, help="output directory")
     p_run.add_argument("--seed-override", type=int, default=None)
     p_run.add_argument("--step-size", type=float, default=None)
-    p_run.set_defaults(func=cmd_run)
 
     p_cmp = sub.add_parser("compare", help="run several scenarios under one seed")
     p_cmp.add_argument("configs", nargs="+",
@@ -792,7 +796,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--out", required=True)
     p_cmp.add_argument("--cutoff", type=float, default=DEFAULT_HF_CUTOFF,
                        help="high-frequency cutoff for the control spectrum metric (rad/s)")
-    p_cmp.set_defaults(func=cmd_compare)
 
     p_bode = sub.add_parser("bode", help="loop-gain frequency response and margins")
     p_bode.add_argument("--gamma", type=float, required=True)
@@ -803,7 +806,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bode.add_argument("--omega-max", type=float, default=1e4)
     p_bode.add_argument("--points", type=int, default=400)
     p_bode.add_argument("--out", required=True)
-    p_bode.set_defaults(func=cmd_bode)
 
     p_plot = sub.add_parser("plot", help="render a CSV to a standalone SVG")
     p_plot.add_argument("--csv", required=True)
@@ -813,15 +815,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_plot.add_argument("--x", default="t", help="x-axis column (default t)")
     p_plot.add_argument("--bode", action="store_true",
                         help="dual-panel magnitude/phase layout")
-    p_plot.set_defaults(func=cmd_plot)
     return parser
 
 
 def main(argv=None) -> int:
-    """Run one command; a ConfigError exits 2 and a DivergenceError exits 3."""
+    """Run cmd_<subcommand>; a ConfigError exits 2 and a DivergenceError exits 3."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except ConfigError as exc:
         print(f"[flmrac] config error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

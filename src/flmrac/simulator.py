@@ -178,6 +178,11 @@ class ScenarioConfig:
         """Number of RK4 steps from 0 to t_final."""
         return round(self.t_final / self.h)
 
+    @property
+    def samples(self) -> int:
+        """Number of recorded samples: every record_stride-th step, and t_final."""
+        return (self.steps - 1) // self.record_stride + 2
+
 
 @dataclass
 class Trajectory:
@@ -389,7 +394,7 @@ def run(scenario: ScenarioConfig) -> Trajectory:
         return None
 
     y = sys.initial_state()
-    N = (n_steps - 1) // stride + 2 if n_steps else 1
+    N = scenario.samples
     rec_t = np.empty(N)
     rec_y = np.empty((N, sys.state_dim))
     rec_u = np.empty((N, sys.m))

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+from flmrac import analysis
 from flmrac import matrixcore as mc
 
 from helpers import random_hurwitz, random_spd
@@ -138,3 +141,33 @@ class TestLyapunovPair:
         ex = pair.extremes()
         assert 0 < ex["lam_min_P"] < ex["lam_max_P"]
         assert ex["lam_min_R"] == pytest.approx(1.0)
+
+    def test_extremes_solved_once_per_pair(self, monkeypatch):
+        calls = []
+        solve = mc.sym_eig_extremes
+        monkeypatch.setattr(mc, "sym_eig_extremes", lambda S: calls.append(S) or solve(S))
+        pair = mc.LyapunovPair.for_closed_loop(WINGROCK_AR, np.eye(3))
+        for _ in range(100):
+            pair.extremes()
+            analysis.bound_modified_transient(100.0, 50.0, 0.5, pair, np.ones((3, 1)), [0.75],
+                                              np.zeros(3))
+        assert len(calls) == 2
+
+    def test_extremes_returns_a_copy(self):
+        pair = mc.LyapunovPair.for_closed_loop(WINGROCK_AR, np.eye(3))
+        expected = pair.extremes()
+        pair.extremes()["lam_min_P"] = -1.0
+        assert pair.extremes() == expected
+
+    def test_replaced_pair_has_its_own_extremes(self):
+        pair = mc.LyapunovPair.for_closed_loop(WINGROCK_AR, np.eye(3))
+        pair.extremes()
+        other = dataclasses.replace(pair, P=4.0 * pair.P)
+        pmin, pmax = mc.sym_eig_extremes(4.0 * pair.P)
+        assert (other.extremes()["lam_min_P"], other.extremes()["lam_max_P"]) == (pmin, pmax)
+
+    def test_non_symmetric_P_raises_on_every_call(self):
+        pair = mc.LyapunovPair(R=np.eye(2), P=np.array([[1.0, 2.0], [0.0, 1.0]]))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="not symmetric"):
+                pair.extremes()

@@ -98,6 +98,27 @@ def test_config_round_trip(gamma, kappa, eta, seed, h, steps, record_stride):
         gamma, kappa, eta, seed, h, raw["t_final"], record_stride)
 
 
+magnitude = st.one_of(st.just(0.0), st.floats(1e-150, 1e150))
+
+
+@settings(deadline=None, max_examples=200)
+@given(data=st.data(), s=st.integers(1, 12), m=st.integers(1, 3),
+       fortran=st.booleans())
+def test_weighted_fro_matches_numpy_norm(data, s, m, fortran):
+    signed = st.builds(lambda v, neg: -v if neg else v, magnitude, st.booleans())
+    W = np.array(data.draw(st.lists(signed, min_size=s * m, max_size=s * m))).reshape(s, m)
+    if fortran:
+        W = np.asfortranarray(W)
+    lam = np.array(data.draw(st.lists(magnitude, min_size=m, max_size=m)))
+    # Large entries overflow to inf on both sides.
+    with np.errstate(over="ignore"):
+        expected = float(np.linalg.norm(W * np.sqrt(lam)[np.newaxis, :]))
+        assert analysis._weighted_fro(W, lam) == expected
+    lam[data.draw(st.integers(0, m - 1))] = -data.draw(st.floats(1e-150, 1e150))
+    with pytest.raises(ValueError, match="nonnegative"):
+        analysis._weighted_fro(W, lam)
+
+
 @st.composite
 def short_run(draw):
     """Bundled wingrock_proposed cut to at most 100 steps, noisy from t = 0,
@@ -126,6 +147,7 @@ def short_run(draw):
 @given(short_run())
 def test_run_identities_and_projection(scn):
     traj = run(scn)
+    assert len(traj) == scn.samples
     assert np.array_equal(traj.e, traj.x - traj.x_r)
     assert np.array_equal(traj.e_H, traj.e - traj.e_L)
     if scn.controller.projection is not None:

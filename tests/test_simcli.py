@@ -171,6 +171,18 @@ class TestConfigBoundary:
                             "--out", str(tmp_path / "cmp")]) == 2
         assert "config error: x0: " in capsys.readouterr().err
 
+    # At h = 1 ms and record_stride 10 hf_content needs 64 samples, evenly spaced: 0.625 s
+    # ends 5 steps after the last strided sample, so its sample at t_final is off the grid.
+    @pytest.mark.parametrize("t_final, samples", [(0.2, 21), (0.62, 63), (0.625, 64)])
+    def test_compare_with_short_or_uneven_records(self, tmp_path, capsys, t_final, samples):
+        paths = [short_noisy_config(tmp_path, name=name, t_final=t_final) for name in ("a", "b")]
+        out = tmp_path / "cmp"
+        assert simcli.main(["compare", *map(str, paths), "--out", str(out)]) == 2
+        stderr = capsys.readouterr().err
+        assert f"config error: record_stride: compare member 'a' records {samples} " in stderr
+        assert "Traceback" not in stderr
+        assert not out.exists()
+
 
 class TestTrajectoryCsv:
     def test_header_layout(self):
@@ -353,6 +365,13 @@ class TestCmdCompare:
         a, b = json.loads((out / "compare_report.json").read_text())["runs"]
         assert a == b
 
+    def test_shortest_even_record_accepted(self, tmp_path):
+        # 630 steps at record_stride 10 record 64 samples.
+        paths = [short_noisy_config(tmp_path, name=name, t_final=0.63) for name in ("a", "b")]
+        out = tmp_path / "cmp"
+        assert simcli.main(["compare", *map(str, paths), "--out", str(out)]) == 0
+        assert len(json.loads((out / "compare_report.json").read_text())["runs"]) == 2
+
     def test_mismatched_plants_rejected(self, tmp_path):
         cfg1 = short_noisy_config(tmp_path, name="one")
         _, raw = load_config("wingrock_proposed")
@@ -442,6 +461,30 @@ class TestCmdBode:
                                 flag, value, "--points", "50", "--out", str(out)]) == 0
         assert len(list(out.glob("bode_*.csv"))) == 2
         assert len(list(out.glob("bode_*_margins.json"))) == 2
+
+    def test_reused_parser_keeps_no_values(self, tmp_path):
+        out = tmp_path / "bode"
+        args = ["bode", "--gamma", "100", "--kappa", "50", "--eta", "10", "--points", "50",
+                "--out", str(out)]
+        assert simcli.main([*args, "--alpha", "2"]) == 0
+        assert [p.name for p in out.glob("*.csv")] == ["bode_g100_k50_e10_a2.csv"]
+        assert simcli.main(args) == 0
+        assert sorted(p.name for p in out.glob("*.csv")) == [
+            "bode_g100_k50_e10.csv", "bode_g100_k50_e10_a2.csv"]
+
+    def test_parser_error_then_valid_call(self, tmp_path, capsys):
+        args = ["bode", "--gamma", "100", "--kappa", "50", "--eta", "10", "--points", "50"]
+        with pytest.raises(SystemExit) as err:
+            simcli.main(args)
+        assert err.value.code == 2
+        assert "--out" in capsys.readouterr().err
+        assert simcli.main([*args, "--out", str(tmp_path / "bode")]) == 0
+
+    def test_handler_replaced_after_parser_built_runs(self, tmp_path, monkeypatch):
+        simcli.build_parser()
+        monkeypatch.setattr(simcli, "cmd_bode", lambda args: 7)
+        assert simcli.main(["bode", "--gamma", "1", "--kappa", "0", "--eta", "0",
+                            "--out", str(tmp_path)]) == 7
 
     def test_no_crossover_reports_none(self, tmp_path):
         out = tmp_path / "bode"
