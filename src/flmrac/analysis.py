@@ -154,10 +154,19 @@ def _weighted_fro(W, Lam) -> float:
     """||W Lambda^(1/2)||_F for diagonal Lambda given by its entries."""
     W = np.atleast_2d(np.asarray(W, dtype=float))
     lam = np.atleast_1d(np.asarray(Lam, dtype=float))
-    if (lam < 0).any():
+    if any(v < 0.0 for v in lam.tolist()):
         raise ValueError("Lambda entries must be nonnegative")
     x = (W * np.sqrt(lam)[np.newaxis, :]).ravel(order="K")
-    return math.sqrt(x.dot(x))  # np.linalg.norm's formula, summed in the same order
+    big = max(map(abs, x.tolist()), default=0.0)
+    if big * big * x.size < 1e308:  # no partial sum of squares can overflow
+        return math.sqrt(x.dot(x))  # np.linalg.norm's formula, summed in the same order
+    with np.errstate(over="ignore"):
+        ss = x.dot(x)
+    # The plain sum, unless finite entries overflowed it: then one scaled by the largest.
+    if ss < math.inf or not big < math.inf:
+        return math.sqrt(ss)
+    x = x / big
+    return big * math.sqrt(x.dot(x))
 
 
 def _check_xi(xi: float) -> None:

@@ -1,6 +1,5 @@
-"""Nominal and adaptive control laws, the weight update law, and the
-norm-ball projection operator that keeps weight estimates bounded under
-time-varying uncertainty."""
+"""Norm-ball projection keeping weight estimates bounded, and the controller
+configuration; the control and update laws are in `simulator.ClosedLoopSystem`."""
 
 from __future__ import annotations
 
@@ -82,40 +81,6 @@ def proj_matrix(Theta, Y, spec: ProjectionSpec) -> np.ndarray:
         if gy > 0.0:
             out[:, j] = y - g * (gy / float(g.dot(g))) * f
     return out
-
-
-def control(x, sigma, W_hat, K) -> np.ndarray:
-    """Total control u = -K x - W_hat' sigma (nominal plus adaptive)."""
-    x = np.asarray(x, dtype=float)
-    sigma = np.asarray(sigma, dtype=float)
-    W_hat = np.atleast_2d(np.asarray(W_hat, dtype=float))
-    K = np.atleast_2d(np.asarray(K, dtype=float))
-    if K.shape[1] != x.size:
-        raise DimensionError(f"K is {K.shape}, x has length {x.size}")
-    if W_hat.shape[0] != sigma.size or W_hat.shape[1] != K.shape[0]:
-        raise DimensionError(f"W_hat is {W_hat.shape}, expected ({sigma.size}, {K.shape[0]})")
-    return -(K @ x) - W_hat.T @ sigma
-
-
-def update_deriv(W_hat, sigma, e, lyap: LyapunovPair, B, gamma: float,
-                 projection: ProjectionSpec | None = None) -> np.ndarray:
-    """Weight-estimate rate: gamma * sigma e'PB, optionally projected.
-
-    With a ProjectionSpec the raw direction is pushed through the column-wise
-    projection at the current estimate before scaling by gamma.
-    """
-    sigma = np.asarray(sigma, dtype=float)
-    e = np.asarray(e, dtype=float)
-    W_hat = np.atleast_2d(np.asarray(W_hat, dtype=float))
-    PB = lyap.P @ np.atleast_2d(np.asarray(B, dtype=float))
-    if e.size != PB.shape[0]:
-        raise DimensionError(f"e has length {e.size}, P B has {PB.shape[0]} rows")
-    Y = np.outer(sigma, e @ PB)
-    if W_hat.shape != Y.shape:
-        raise DimensionError(f"W_hat is {W_hat.shape}, update direction is {Y.shape}")
-    if projection is not None:
-        return gamma * proj_matrix(W_hat, Y, projection)
-    return gamma * Y
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,7 @@
 
 Everything here operates on plain numpy arrays at desk scale (n <= ~10):
 Hurwitz tests, the continuous Lyapunov equation A'P + P A + R = 0, symmetric
-eigenvalue extremes, and the handful of norms used by the analysis layer.
+eigenvalue extremes, and stacked Frobenius norms.
 """
 
 from __future__ import annotations
@@ -109,32 +109,6 @@ def sym_eig_extremes(S) -> tuple[float, float]:
     _check_symmetric(S, "S")
     w = np.linalg.eigvalsh(0.5 * (S + S.T))
     return float(w[0]), float(w[-1])
-
-
-def norms(M) -> dict[str, float]:
-    """Frobenius, two- and infinity norms of a vector or matrix.
-
-    Vectors: two == frobenius == Euclidean norm, inf == max |component|.
-    Matrices: frobenius == sqrt(sum of squared entries), two == spectral
-    norm, inf == induced max absolute row sum.
-    """
-    a = np.asarray(M, dtype=float)
-    if not np.all(np.isfinite(a)):
-        raise ValueError("input has non-finite entries")
-    if a.ndim == 1:
-        two = float(np.linalg.norm(a))
-        return {
-            "frobenius": two,
-            "two": two,
-            "inf": float(np.max(np.abs(a))) if a.size else 0.0,
-        }
-    if a.ndim != 2:
-        raise DimensionError(f"expected vector or matrix, got ndim={a.ndim}")
-    return {
-        "frobenius": float(np.linalg.norm(a, "fro")),
-        "two": float(np.linalg.norm(a, 2)),
-        "inf": float(np.linalg.norm(a, np.inf)),
-    }
 
 
 def frobenius_norms(stack) -> np.ndarray:

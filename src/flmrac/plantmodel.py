@@ -255,24 +255,6 @@ class AugmentedSystem:
         return self.B.shape[1]
 
 
-def eval_basis(basis: BasisSpec, t: float, x_p, x) -> np.ndarray:
-    """Aggregated basis sigma(x) = [sigma_p(x_p); x]."""
-    x_p = np.asarray(x_p, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x_p.ndim != 1 or x_p.size > x.size:
-        raise DimensionError(f"inconsistent state shapes x_p {x_p.shape}, x {x.shape}")
-    return np.concatenate([basis.eval_plant(t, x_p), x])
-
-
-def eval_uncertainty(truth: UncertaintyTruth, basis: BasisSpec, t: float, x_p) -> np.ndarray:
-    """delta_p(t, x_p) = W_p(t)' sigma_p(x_p), an m-vector."""
-    sigma_p = basis.eval_plant(t, np.asarray(x_p, dtype=float))
-    W = truth.W_p(t)
-    if W.shape[0] != sigma_p.size:
-        raise DimensionError(f"W_p has {W.shape[0]} rows, basis dimension is {sigma_p.size}")
-    return W.T @ sigma_p
-
-
 def augment(plant: PlantModel, E_p) -> AugmentedSystem:
     """Stack the plant with the command-tracking integrator.
 

@@ -228,9 +228,8 @@ class ClosedLoopSystem:
     modified reference's kappa (e - e_L) mismatch, the ideal reference and the
     eta (e - e_L) filter; G = [-B Lambda K; kappa I; 0; eta I] injects the
     noise those laws see; E = [B; 0; 0; 0]; b_c stacks B_r 1 for the plant
-    and both references.  The module-level laws (refsys, controllers,
-    plantmodel.eval_uncertainty) are the reference this field is tested
-    against.
+    and both references.  This is the one definition of the law; its test
+    reference is tests/oracles.py's PlainMracSimulator, coded from the equations.
     """
 
     def __init__(self, scenario: ScenarioConfig):

@@ -8,8 +8,10 @@ import numpy as np
 
 from flmrac.controllers import ControllerConfig
 from flmrac.matrixcore import LyapunovPair
-from flmrac.plantmodel import BasisSpec, PlantModel, UncertaintyTruth, augment
+from flmrac.plantmodel import BasisSpec, PlantModel, UncertaintyTruth, augment, resolve_feature
 from flmrac.simulator import CommandSpec, NoiseSpec, ScenarioConfig
+
+from oracles import PlainMracSimulator
 
 WINGROCK_ALPHAS = (0.25, 0.5, 1.0, -5.0, 5.0, 10.0)
 
@@ -68,6 +70,40 @@ def scalar_scenario(gamma=50.0, kappa=100.0, eta=0.0, h=1e-4, t_final=2.0,
         x_r0=None if x_r0 is None else np.array([float(x_r0)]),
         name="scalar",
     )
+
+
+def scalar_loop_scenario(gamma: float, kappa: float, eta: float, alpha: float,
+                         a: float = 0.3, w: float = 0.7) -> ScenarioConfig:
+    """The scalar design case of the loop transfer function.
+
+    A_p = a, a bias basis with constant truth w, K = a + alpha and R = 2 alpha^2,
+    so A - B K = -alpha and P = P B = alpha; zero command, no noise, no
+    projection.  x = x_r = x_ri = e_L = 0 with W_hat = [w; 0] is an equilibrium.
+    """
+    truth = UncertaintyTruth(W_p_base=np.array([[w]]), w_p_max=abs(w), w_p_dot_max=0.0)
+    plant = PlantModel(A_p=[[a]], B_p=[[1.0]], Lambda=[1.0], truth=truth,
+                       basis=BasisSpec(("bias",)))
+    E_p = np.zeros((0, 1))
+    K = np.array([[a + alpha]])
+    lyap = LyapunovPair.for_closed_loop(np.array([[-alpha]]), np.array([[2.0 * alpha**2]]))
+    ctrl = ControllerConfig(K=K, gamma=gamma, kappa=kappa, eta=eta, lyap=lyap)
+    return ScenarioConfig(
+        plant=plant, E_p=E_p, controller=ctrl,
+        command=CommandSpec(kind="zero"), noise=NoiseSpec(),
+        t_final=1.0, h=1e-3, name="scalar_loop",
+    )
+
+
+def oracle_for(scn: ScenarioConfig) -> PlainMracSimulator:
+    """The from-scratch oracle fed the scenario's plant data, gains and command."""
+    plant, ctrl = scn.plant, scn.controller
+    spec = ctrl.projection
+    return PlainMracSimulator(
+        A_p=plant.A_p, B_p=plant.B_p, lam=plant.Lambda, W_p=plant.truth.W_p,
+        basis_funcs=[resolve_feature(name) for name in plant.basis.names],
+        E_p=scn.E_p, K=ctrl.K, P=ctrl.lyap.P, gamma=ctrl.gamma,
+        command_func=scn.command.value, kappa=ctrl.kappa, eta=ctrl.eta,
+        projection=None if spec is None else (spec.theta_max, spec.eps_theta))
 
 
 def decay_scenario(kappa: float, eta: float = 2.0, h: float = 5e-5,

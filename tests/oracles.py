@@ -99,14 +99,18 @@ def bound_ultimate_time_varying(gamma, kappa, eta, xi, lam_min_P, lam_max_P,
 
 
 class PlainMracSimulator:
-    """Classical MRAC (ideal reference, unfiltered error) coded from scratch.
+    """The closed loop coded from scratch: classical MRAC by default, the
+    modified architecture with kappa, eta > 0 and an optional projection.
 
-    Integrates the stacked [x, x_r, W_hat] with its own RK4; serves as the
-    reduction oracle for kappa = eta = 0 runs of the main simulator.
+    The stacked state is [x; x_r; x_ri; e_L; vec(W_hat)], the main
+    simulator's layout, and `simulate` integrates it with its own RK4.  With
+    kappa = eta = 0 and no projection it is the reduction oracle of the
+    classical architecture.  `W_p` is the truth matrix or a function of t,
+    `projection` a (theta_max, eps_theta) pair or None.
     """
 
     def __init__(self, A_p, B_p, lam, W_p, basis_funcs, E_p, K, P, gamma,
-                 command_func):
+                 command_func, kappa=0.0, eta=0.0, projection=None):
         A_p = np.atleast_2d(np.asarray(A_p, dtype=float))
         B_p = np.atleast_2d(np.asarray(B_p, dtype=float))
         E_p = np.atleast_2d(np.asarray(E_p, dtype=float))
@@ -124,37 +128,64 @@ class PlainMracSimulator:
         self.K = np.atleast_2d(np.asarray(K, dtype=float))
         self.A_r = self.A - self.B @ self.K
         self.lam = np.atleast_1d(np.asarray(lam, dtype=float))
-        self.W_p = np.atleast_2d(np.asarray(W_p, dtype=float))
+        if callable(W_p):
+            self.W_p = W_p
+        else:
+            W_const = np.atleast_2d(np.asarray(W_p, dtype=float))
+            self.W_p = lambda t: W_const
         self.basis_funcs = list(basis_funcs)
         self.s = len(self.basis_funcs)
         self.PB = np.atleast_2d(np.asarray(P, dtype=float)) @ self.B
         self.gamma = float(gamma)
+        self.kappa = float(kappa)
+        self.eta = float(eta)
+        self.projection = projection
         self.command_func = command_func
 
-    def sigma(self, t, x):
-        plant_part = [f(t, x[: self.n_p]) for f in self.basis_funcs]
-        return np.concatenate([np.asarray(plant_part, dtype=float), x])
+    def sigma_p(self, t, x):
+        return np.asarray([f(t, x[: self.n_p]) for f in self.basis_funcs], dtype=float)
 
-    def rhs(self, t, z):
+    def sigma(self, t, x):
+        return np.concatenate([self.sigma_p(t, x), x])
+
+    def project(self, W_hat, Y):
+        """Column by column: where phi(theta) = ((eps + 1)|theta|^2 - tmax^2) /
+        (eps tmax^2) is positive and y points outward (theta'y > 0), remove
+        phi times y's component along theta, the gradient direction of phi."""
+        theta_max, eps = self.projection
+        out = Y.copy()
+        for j in range(Y.shape[1]):
+            theta, y = W_hat[:, j], Y[:, j]
+            phi = ((eps + 1.0) * (theta @ theta) - theta_max**2) / (eps * theta_max**2)
+            if phi > 0.0 and theta @ y > 0.0:
+                out[:, j] = y - phi * (theta @ y) / (theta @ theta) * theta
+        return out
+
+    def rhs(self, t, z, noise=None):
+        """z' at time t.  The controller sees x + noise; the plant integrates x."""
         n = self.n
-        x = z[:n]
-        x_r = z[n : 2 * n]
-        W_hat = z[2 * n :].reshape(self.s + n, self.m)
-        sig = self.sigma(t, x)
-        u = -(self.K @ x) - W_hat.T @ sig
-        delta = self.W_p.T @ np.asarray(
-            [f(t, x[: self.n_p]) for f in self.basis_funcs], dtype=float)
+        x, x_r, x_ri, e_L = (z[i * n : (i + 1) * n] for i in range(4))
+        W_hat = z[4 * n :].reshape(self.s + n, self.m)
+        x_m = x if noise is None else x + noise
+        sig = self.sigma(t, x_m)
+        u = -(self.K @ x_m) - W_hat.T @ sig
+        delta = self.W_p(t).T @ self.sigma_p(t, x)
         c = np.full(self.n_c, self.command_func(t))
+        e = x_m - x_r
         x_dot = self.A @ x + self.B @ (self.lam * u + delta) + self.B_r @ c
-        xr_dot = self.A_r @ x_r + self.B_r @ c
-        e = x - x_r
-        W_dot = self.gamma * np.outer(sig, e @ self.PB)
-        return np.concatenate([x_dot, xr_dot, W_dot.ravel()])
+        xr_dot = self.A_r @ x_r + self.B_r @ c + self.kappa * (e - e_L)
+        xri_dot = self.A_r @ x_ri + self.B_r @ c
+        eL_dot = self.A_r @ e_L + self.eta * (e - e_L)
+        W_dot = np.outer(sig, e @ self.PB)
+        if self.projection is not None:
+            W_dot = self.project(W_hat, W_dot)
+        return np.concatenate([x_dot, xr_dot, xri_dot, eL_dot, self.gamma * W_dot.ravel()])
 
     def simulate(self, x0, x_r0, t_final, h):
+        """Noise-free run from W_hat = 0, both references at x_r0 and e_L = 0."""
         n = self.n
-        z = np.concatenate([np.asarray(x0, dtype=float),
-                            np.asarray(x_r0, dtype=float),
+        x_r0 = np.asarray(x_r0, dtype=float)
+        z = np.concatenate([np.asarray(x0, dtype=float), x_r0, x_r0, np.zeros(n),
                             np.zeros((self.s + n) * self.m)])
         steps = int(round(t_final / h))
         ts = [0.0]
@@ -173,5 +204,7 @@ class PlainMracSimulator:
             "t": np.asarray(ts),
             "x": zs[:, :n],
             "x_r": zs[:, n : 2 * n],
-            "W_hat": zs[:, 2 * n :].reshape(len(ts), self.s + n, self.m),
+            "x_ri": zs[:, 2 * n : 3 * n],
+            "e_L": zs[:, 3 * n : 4 * n],
+            "W_hat": zs[:, 4 * n :].reshape(len(ts), self.s + n, self.m),
         }

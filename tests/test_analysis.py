@@ -70,6 +70,18 @@ class TestBoundStandardMrac:
         b4 = analysis.bound_standard_mrac(200.0, P, W, [0.75, 1.25])
         assert b4 == pytest.approx(b1 / 2.0, rel=1e-12)
 
+    @pytest.mark.parametrize("W, lam", [
+        ([[5.64e102]], [5.64e104]),          # one entry whose square overflows
+        ([[3e154], [-4e154]], [1.0]),       # each square fits, their sum does not
+        ([[1e160, 1e-5], [2.0, -1e159]], [0.5, 7.0]),
+    ])
+    def test_finite_norm_whose_squares_overflow(self, W, lam):
+        want = math.hypot(*(np.asarray(W) * np.sqrt(lam)).ravel())
+        assert analysis._weighted_fro(W, lam) == pytest.approx(want, rel=1e-14, abs=0.0)
+        # gamma = lambda_min(P) = 1: the bound is the norm itself.
+        assert analysis.bound_standard_mrac(1.0, np.eye(1), W, lam) == pytest.approx(
+            want, rel=1e-14, abs=0.0)
+
 
 @pytest.fixture(scope="module")
 def wingrock_lyap():

@@ -1,33 +1,62 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from flmrac import controllers as ctl
 from flmrac.matrixcore import DimensionError, LyapunovPair
+from flmrac.simulator import ConfigError, assemble
+
+from helpers import scalar_scenario
 
 SPEC = ctl.ProjectionSpec(theta_max=2.0, eps_theta=0.5)
 
 
+def _state(system, x=None, x_r=None, W_hat=None):
+    """Stacked state with the given blocks and zeros elsewhere."""
+    y = np.zeros(system.state_dim)
+    for sl, value in ((system.sl_x, x), (system.sl_xr, x_r), (system.sl_W, W_hat)):
+        if value is not None:
+            y[sl] = np.ravel(value)
+    return y
+
+
+@pytest.fixture(scope="module")
+def wingrock_system(wingrock_proposed):
+    return assemble(wingrock_proposed)
+
+
 class TestControlLaw:
-    def test_zero_everything(self):
-        u = ctl.control(np.zeros(3), np.zeros(4), np.zeros((4, 1)),
-                        np.array([[1.0, 2.0, 3.0]]))
+    """ClosedLoopSystem.control_at: u = -K x_m - W_hat' sigma(x_m), x_m = x + noise."""
+
+    def test_zero_everything(self, wingrock_system):
+        u = wingrock_system.control_at(0.0, _state(wingrock_system), None)
         assert np.array_equal(u, [0.0])
 
-    def test_pure_nominal_when_estimate_zero(self):
+    def test_pure_nominal_when_estimate_zero(self, wingrock_system):
         x = np.array([1.0, -2.0, 0.5])
-        K = np.array([[2.0, 2.0, 1.0]])
-        u = ctl.control(x, np.zeros(9), np.zeros((9, 1)), K)
-        assert np.allclose(u, -(K @ x))
+        u = wingrock_system.control_at(0.0, _state(wingrock_system, x=x), None)
+        assert np.allclose(u, -(wingrock_system.K @ x))
 
-    def test_wingrock_point(self):
-        u = ctl.control(np.array([0.1, 0.0, 0.0]), np.zeros(9), np.zeros((9, 1)),
-                        np.array([[2.0, 2.0, 1.0]]))
+    def test_wingrock_point(self, wingrock_system):
+        u = wingrock_system.control_at(0.0, _state(wingrock_system, x=[0.1, 0.0, 0.0]), None)
         assert u[0] == pytest.approx(-0.2)
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionError):
-            ctl.control(np.zeros(2), np.zeros(3), np.zeros((3, 1)),
-                        np.array([[1.0, 2.0, 3.0]]))
+    def test_adaptive_term_sees_measured_state(self, wingrock_system):
+        # x_m = (1, 2, 0.5): sigma = (1, 1, 2, 2, 4, 1, 1, 2, 0.5), K x_m = 6.5.
+        noise = np.array([0.25, -0.5, 0.125])
+        y = _state(wingrock_system, x=np.array([1.0, 2.0, 0.5]) - noise, W_hat=np.ones(9))
+        u = wingrock_system.control_at(0.0, y, noise)
+        assert u[0] == pytest.approx(-6.5 - 14.5, rel=1e-15)
+
+    def test_dimension_mismatch(self, wingrock_proposed):
+        # The law's shapes are checked once, where the scenario is built.
+        for change, path in ((dict(K=np.array([[2.0, 2.0]])), "controller.K"),
+                             (dict(W_hat0=np.zeros((3, 1))), "controller.W_hat0")):
+            with pytest.raises(ConfigError) as err:
+                dataclasses.replace(wingrock_proposed, controller=dataclasses.replace(
+                    wingrock_proposed.controller, **change))
+            assert err.value.path == path
 
 
 class TestPhi:
@@ -124,58 +153,68 @@ def _scalar_lyap():
     return LyapunovPair(R=np.array([[2.0]]), P=np.array([[1.0]]))
 
 
+def _scalar_system(projection=None, gamma=500.0):
+    """scalar_scenario's loop: sigma = (x, x), P B = 1/4."""
+    scn = scalar_scenario(gamma=gamma)
+    ctrl = dataclasses.replace(scn.controller, projection=projection)
+    return assemble(dataclasses.replace(scn, controller=ctrl))
+
+
+def _w_rate(system, x, x_r, W_hat=None, noise=None):
+    """deriv's W_hat block at state (x, x_r, W_hat), shaped like W_hat."""
+    y = _state(system, x=[x], x_r=[x_r], W_hat=W_hat)
+    return system.deriv(0.0, y, noise)[system.sl_W].reshape(system.s + system.n, system.m)
+
+
 class TestUpdateDeriv:
+    """deriv's W_hat block: gamma sigma(x_m) (x_m - x_r)' P B, projected when configured."""
+
     def test_zero_error_freezes(self):
-        out = ctl.update_deriv(np.zeros((2, 1)), np.array([1.0, 1.0]), np.zeros(1),
-                               _scalar_lyap(), np.array([[1.0]]), 500.0)
-        assert np.all(out == 0.0)
+        assert np.all(_w_rate(_scalar_system(), 0.7, 0.7, [0.3, -0.2]) == 0.0)
 
     def test_zero_basis_freezes(self):
-        out = ctl.update_deriv(np.zeros((2, 1)), np.zeros(2), np.array([1.0]),
-                               _scalar_lyap(), np.array([[1.0]]), 500.0)
-        assert np.all(out == 0.0)
+        assert np.all(_w_rate(_scalar_system(), 0.0, 1.0, [0.3, -0.2]) == 0.0)
 
     def test_scalar_product(self):
-        out = ctl.update_deriv(np.zeros((1, 1)), np.array([1.0]), np.array([1.0]),
-                               LyapunovPair(R=np.array([[2.0]]), P=np.array([[1.0]])),
-                               np.array([[1.0]]), 500.0)
-        assert out[0, 0] == pytest.approx(500.0)
+        system = _scalar_system()
+        assert system.PB[0, 0] == pytest.approx(0.25, rel=1e-15)
+        assert np.allclose(_w_rate(system, 1.0, 0.0), 125.0, rtol=1e-14, atol=0.0)
 
     def test_bilinear_without_projection(self):
+        # sigma scales with x_m and e with x_m - x_r: (2 sigma, -3 e) gives -6 times the rate.
+        system = _scalar_system()
         rng = np.random.default_rng(4)
-        lyap = LyapunovPair(R=np.eye(2), P=np.array([[2.0, 0.5], [0.5, 1.0]]))
-        B = rng.standard_normal((2, 1))
-        sigma = rng.standard_normal(3)
-        e = rng.standard_normal(2)
-        W = np.zeros((3, 1))
-        base = ctl.update_deriv(W, sigma, e, lyap, B, 10.0)
-        scaled = ctl.update_deriv(W, 2.0 * sigma, -3.0 * e, lyap, B, 10.0)
-        assert np.allclose(scaled, -6.0 * base, rtol=1e-12)
+        x, x_r = rng.standard_normal(2)
+        W = rng.standard_normal(2)
+        base = _w_rate(system, x, x_r, W)
+        scaled = _w_rate(system, 2.0 * x, 2.0 * x + 3.0 * (x - x_r), W)
+        assert np.allclose(scaled, -6.0 * base, rtol=1e-12, atol=0.0)
 
     def test_projection_is_applied(self):
-        spec = ctl.ProjectionSpec(theta_max=1.0, eps_theta=0.1)
-        W = np.array([[1.0]])  # on the outer boundary
-        out = ctl.update_deriv(W, np.array([1.0]), np.array([1.0]), _scalar_lyap(),
-                               np.array([[1.0]]), 100.0, projection=spec)
-        assert out[0, 0] == pytest.approx(0.0, abs=1e-12)
+        # Outer boundary (phi = 1), outward drive: no rate along the estimate remains.
+        system = _scalar_system(ctl.ProjectionSpec(theta_max=1.0, eps_theta=0.1))
+        W = np.array([0.6, 0.8])
+        rate = _w_rate(system, 1.0, 0.0, W)[:, 0]
+        assert np.all(rate != 125.0)
+        assert abs(W @ rate) <= 1e-12 * 125.0
 
 
 class TestNormContainment:
     def test_integrated_projection_respects_ball(self):
-        # Euler-integrate a deliberately outward drive; columns must never
-        # leave theta_max by more than the discretization slack at h = 1e-3.
+        # Euler-integrate deriv's W_hat block under a deliberately outward
+        # drive; columns must never leave theta_max by more than the
+        # discretization slack at h = 1e-3.
         spec = ctl.ProjectionSpec(theta_max=1.5, eps_theta=0.2)
-        lyap = _scalar_lyap()
-        B = np.array([[1.0]])
+        system = _scalar_system(spec, gamma=50.0)
         h = 1e-3
-        W = np.array([[1.2], [0.6]])  # admissible start
+        y = _state(system, x=[1.0], W_hat=[1.2, 0.6])  # admissible start, e = 1
         rng = np.random.default_rng(12)
         for k in range(4000):
-            sigma = W[:, 0] / np.linalg.norm(W[:, 0]) + 0.2 * rng.standard_normal(2)
-            e = np.array([1.0])
-            dW = ctl.update_deriv(W, sigma, e, lyap, B, 50.0, projection=spec)
-            W = W + h * dW
-            assert np.linalg.norm(W[:, 0]) <= spec.theta_max * (1.0 + 1e-3)
+            dy = system.deriv(0.0, y, 0.2 * rng.standard_normal(1))
+            y[system.sl_W] += h * dy[system.sl_W]
+            assert np.linalg.norm(y[system.sl_W]) <= spec.theta_max * (1.0 + 1e-3)
+        # The drive reached the boundary layer, where projection acts.
+        assert np.linalg.norm(y[system.sl_W]) > spec.theta_max / np.sqrt(1.0 + spec.eps_theta)
 
 
 class TestControllerConfig:

@@ -114,26 +114,6 @@ class TestSymEigExtremes:
             mc.sym_eig_extremes(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
-class TestNorms:
-    def test_vector_345(self):
-        out = mc.norms(np.array([3.0, 4.0]))
-        assert out["two"] == pytest.approx(5.0)
-        assert out["inf"] == pytest.approx(4.0)
-
-    def test_identity_frobenius(self):
-        assert mc.norms(np.eye(3))["frobenius"] == pytest.approx(np.sqrt(3.0))
-
-    def test_frobenius_trace_identity(self):
-        rng = np.random.default_rng(11)
-        M = rng.standard_normal((3, 2))
-        out = mc.norms(M)
-        assert out["frobenius"] == pytest.approx(np.sqrt(np.trace(M.T @ M)), rel=1e-12)
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            mc.norms(np.array([1.0, np.inf]))
-
-
 class TestLyapunovPair:
     def test_for_closed_loop_and_extremes(self):
         pair = mc.LyapunovPair.for_closed_loop(WINGROCK_AR, np.eye(3))

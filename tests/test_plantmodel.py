@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from flmrac import plantmodel as pm
 from flmrac.matrixcore import DimensionError
+from flmrac.simulator import ConfigError, assemble
 
 from helpers import scalar_plant
 
@@ -21,25 +24,35 @@ def wingrock_plant():
                          Lambda=[0.75], truth=wingrock_truth(), basis=WINGROCK_BASIS)
 
 
+def _delta(truth, t, x_p):
+    """delta_p(t, x_p) = W_p(t)' sigma_p(x_p), as ClosedLoopSystem.deriv forms it."""
+    return WINGROCK_BASIS.eval_plant(t, x_p) @ truth.W_p(t)
+
+
 class TestEvalBasis:
-    def test_origin(self):
-        sigma = pm.eval_basis(WINGROCK_BASIS, 0.0, np.zeros(2), np.zeros(3))
+    """The aggregated basis sigma(x) = [sigma_p(x_p); x] of ClosedLoopSystem.measured_basis."""
+
+    def test_origin(self, wingrock_proposed):
+        sigma = assemble(wingrock_proposed).measured_basis(0.0, np.zeros(3))
         assert np.array_equal(sigma, np.array([1.0, 0, 0, 0, 0, 0, 0, 0, 0]))
 
-    def test_hand_evaluated_point(self):
-        x_p = np.array([1.0, 2.0])
-        sigma = pm.eval_basis(WINGROCK_BASIS, 0.0, x_p, np.array([1.0, 2.0, 0.5]))
+    def test_hand_evaluated_point(self, wingrock_proposed):
+        x = np.array([1.0, 2.0, 0.5])
+        sigma = assemble(wingrock_proposed).measured_basis(0.0, x)
         assert np.allclose(sigma[:6], [1.0, 1.0, 2.0, 2.0, 4.0, 1.0])
         assert np.allclose(sigma[6:], [1.0, 2.0, 0.5])
+        assert np.array_equal(sigma[:6], WINGROCK_BASIS.eval_plant(0.0, x[:2]))
 
     def test_rate_features_vanish_with_x2(self):
-        x_p = np.array([-3.0, 0.0])
-        sigma = pm.eval_basis(WINGROCK_BASIS, 1.0, x_p, np.array([-3.0, 0.0, 7.0]))
-        assert sigma[3] == 0.0 and sigma[4] == 0.0
+        sigma_p = WINGROCK_BASIS.eval_plant(1.0, np.array([-3.0, 0.0]))
+        assert sigma_p[3] == 0.0 and sigma_p[4] == 0.0
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionError):
-            pm.eval_basis(WINGROCK_BASIS, 0.0, np.zeros(4), np.zeros(3))
+    def test_dimension_mismatch(self, wingrock_proposed):
+        # The plant state alone is not the augmented state; the scenario says so.
+        for path in ("x0", "x_r0"):
+            with pytest.raises(ConfigError) as err:
+                dataclasses.replace(wingrock_proposed, **{path: np.zeros(2)})
+            assert err.value.path == path
 
     def test_unknown_feature_name(self):
         with pytest.raises(KeyError):
@@ -52,28 +65,22 @@ class TestEvalBasis:
 
 class TestEvalUncertainty:
     def test_zero_at_origin(self):
-        val = pm.eval_uncertainty(wingrock_truth(), WINGROCK_BASIS, 0.0, np.zeros(2))
-        assert val == pytest.approx(0.0)
+        assert _delta(wingrock_truth(), 0.0, np.zeros(2)) == pytest.approx(0.0)
 
     def test_hand_evaluated(self):
         # x_p = (1, 0) before the disturbance switch: 0.5*1 + 10*1^3
-        val = pm.eval_uncertainty(wingrock_truth(), WINGROCK_BASIS, 0.0,
-                                  np.array([1.0, 0.0]))
-        assert val[0] == pytest.approx(10.5)
+        assert _delta(wingrock_truth(), 0.0, np.array([1.0, 0.0]))[0] == pytest.approx(10.5)
 
     def test_disturbance_gated_at_switch(self):
         truth = wingrock_truth()
         x_p = np.array([0.0, 0.0])
-        before = pm.eval_uncertainty(truth, WINGROCK_BASIS, 44.0, x_p)
-        after = pm.eval_uncertainty(truth, WINGROCK_BASIS, 46.0, x_p)
-        assert before[0] == 0.0
-        assert after[0] == pytest.approx(0.25 * np.sin(46.0))
+        assert _delta(truth, 44.0, x_p)[0] == 0.0
+        assert _delta(truth, 46.0, x_p)[0] == pytest.approx(0.25 * np.sin(46.0))
 
     def test_constant_truth_time_invariant(self):
         truth = wingrock_truth(alpha1_mod=False)
         x_p = np.array([0.3, -0.2])
-        vals = [pm.eval_uncertainty(truth, WINGROCK_BASIS, t, x_p)
-                for t in (0.0, 1.7, 42.0, 90.0)]
+        vals = [_delta(truth, t, x_p) for t in (0.0, 1.7, 42.0, 90.0)]
         for v in vals[1:]:
             assert np.array_equal(v, vals[0])
 
@@ -247,9 +254,9 @@ class TestClosedLoopConsistency:
             u_a = rng.standard_normal(1)
             c = rng.standard_normal(1)
             t = float(rng.uniform(0.0, 10.0))
-            sigma = pm.eval_basis(plant.basis, t, x[:2], x)
+            sigma = np.concatenate([plant.basis.eval_plant(t, x[:2]), x])
             u = -(K @ x) + u_a
-            delta = pm.eval_uncertainty(truth, plant.basis, t, x[:2])
+            delta = _delta(truth, t, x[:2])
             raw = aug.A @ x + aug.B @ (lam * u + delta) + aug.B_r @ c
             regrouped = A_r @ x + aug.B_r @ c + aug.B @ (lam * (u_a + W.T @ sigma))
             assert np.allclose(raw, regrouped, atol=1e-12)

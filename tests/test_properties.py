@@ -1,9 +1,11 @@
 """Property tests: projection invariants over random shapes, the config
 serialize -> parse -> serialize round trip, the recorded identities of
-short random runs, and the closed-form loop margins against a search."""
+short random runs, the closed-form loop margins against a search, and the
+scalar loop's linearized closed loop against its loop transfer function."""
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -13,8 +15,9 @@ from hypothesis import strategies as st
 from flmrac import analysis
 from flmrac import controllers as ctl
 from flmrac.simcli import dict_to_scenario, load_config, serialize_scenario
-from flmrac.simulator import run
+from flmrac.simulator import assemble, run
 
+from helpers import scalar_loop_scenario
 from oracles import loop_transfer_rational, margins_by_search
 
 finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
@@ -110,10 +113,16 @@ def test_weighted_fro_matches_numpy_norm(data, s, m, fortran):
     if fortran:
         W = np.asfortranarray(W)
     lam = np.array(data.draw(st.lists(magnitude, min_size=m, max_size=m)))
-    # Large entries overflow to inf on both sides.
+    x = W * np.sqrt(lam)[np.newaxis, :]
     with np.errstate(over="ignore"):
-        expected = float(np.linalg.norm(W * np.sqrt(lam)[np.newaxis, :]))
-        assert analysis._weighted_fro(W, lam) == expected
+        expected = float(np.linalg.norm(x))
+    # Outside errstate: a RuntimeWarning from _weighted_fro fails the test.
+    got = analysis._weighted_fro(W, lam)
+    if expected < math.inf:
+        assert got == expected
+    else:
+        # numpy's sum of squares overflows, yet the norm itself is finite.
+        assert got == pytest.approx(math.hypot(*x.ravel()), rel=1e-14, abs=0.0)
     lam[data.draw(st.integers(0, m - 1))] = -data.draw(st.floats(1e-150, 1e150))
     with pytest.raises(ValueError, match="nonnegative"):
         analysis._weighted_fro(W, lam)
@@ -169,3 +178,42 @@ def test_margins_match_crossover_search(gamma, kappa, eta, alpha):
     assert got == pytest.approx(reference, rel=1e-12, abs=0.0)
     assert abs(loop_transfer_rational(gamma, kappa, eta, alpha, rep.gain_crossover)) == \
         pytest.approx(1.0, rel=0.0, abs=1e-12)
+
+
+def _central_jacobian(system, y, step=1e-6):
+    """Central-difference Jacobian of deriv at y."""
+    J = np.empty((y.size, y.size))
+    for i in range(y.size):
+        d = np.zeros(y.size)
+        d[i] = step
+        J[:, i] = (system.deriv(0.0, y + d) - system.deriv(0.0, y - d)) / (2.0 * step)
+    return J
+
+
+@example(gamma=1.0, kappa=1.0, eta=0.0, alpha=1.0)  # (s + 1)^3 (s + 1)^2 s: a 5-fold pole
+@settings(deadline=None, max_examples=200)
+@given(gamma=st.floats(1.0, 500.0),
+       kappa=st.one_of(st.just(0.0), st.floats(0.0, 100.0)),
+       eta=st.one_of(st.sampled_from([0.0, 1e-8]), st.floats(0.0, 20.0)),
+       alpha=st.floats(0.5, 5.0))
+def test_scalar_loop_eigenvalues_are_loop_transfer_poles(gamma, kappa, eta, alpha):
+    # Linearized at its equilibrium, the closed loop that run integrates has
+    # the roots of 1 + G(s) = 0, i.e. of s(s + a)(s + a + kappa + eta)
+    # + gamma a (s + a + eta) for a = alpha, plus -alpha (x_r), -alpha (x_ri)
+    # and 0 (the x row of W_hat, whose update is second order).  Multiple
+    # roots occur (eta = 0 gives a triple -alpha), and a Jordan block moves
+    # an eigenvalue by the cube root of its perturbation, so the eigenvalues
+    # are compared through their characteristic polynomial, whose
+    # coefficients a perturbation moves by only its own size.
+    system = assemble(scalar_loop_scenario(gamma, kappa, eta, alpha, a=0.3, w=0.7))
+    y = np.zeros(system.state_dim)
+    y[system.sl_W] = [0.7, 0.0]
+    assert np.array_equal(system.deriv(0.0, y), np.zeros_like(y))
+    got = np.poly(np.linalg.eigvals(_central_jacobian(system, y))).real
+    loop = [1.0, 2.0 * alpha + kappa + eta, alpha * (alpha + kappa + eta) + gamma * alpha,
+            gamma * alpha * (alpha + eta)]
+    want = np.polymul(loop, [1.0, 2.0 * alpha, alpha**2, 0.0])
+    # |c_k| <= C(6, k) r^k for roots no larger than r.
+    r = float(np.max(np.abs(np.roots(want))))
+    scale = [math.comb(6, k) * r**k for k in range(7)]
+    assert np.all(np.abs(got - want) <= 1e-8 * np.array(scale))

@@ -1,16 +1,16 @@
+import copy
 import dataclasses
 
 import numpy as np
 import pytest
 
-from flmrac import controllers, plantmodel, refsys
 from flmrac import simulator as sim
 from flmrac.matrixcore import LyapunovPair
 from flmrac.plantmodel import BasisSpec, PlantModel, UncertaintyTruth, augment
 from flmrac.controllers import ControllerConfig, ProjectionSpec
 from flmrac.simcli import load_config
 
-from helpers import quiet_wingrock, scalar_scenario
+from helpers import oracle_for, quiet_wingrock, scalar_scenario
 
 WINGROCK_AR = np.array([[0.0, 1.0, 0.0], [-2.0, -2.0, -1.0], [1.0, 0.0, 0.0]])
 
@@ -215,28 +215,6 @@ class TestDivergedBlock:
         assert system.diverged_block(y) == "e_L"
 
 
-def _reference_deriv(system, t, y, noise):
-    """The closed loop composed from the module-level laws."""
-    cfg = system.scenario.controller
-    aug = system.aug
-    x, x_r, x_ri, e_L = (y[sl] for sl in system.blocks[:4])
-    W_hat = y[system.sl_W].reshape(system.s + system.n, system.m)
-    x_m = x + noise
-    e_m = x_m - x_r
-    sigma_m = plantmodel.eval_basis(system.basis, t, x_m[: system.n_p], x_m)
-    u = controllers.control(x_m, sigma_m, W_hat, cfg.K)
-    delta = plantmodel.eval_uncertainty(system.truth, system.basis, t, x[: system.n_p])
-    c = sim.command(system.command_spec, t, system.n_c)
-    return [
-        aug.A @ x + aug.B @ (system.Lam * u + delta) + aug.B_r @ c,
-        refsys.modified_ref_deriv(x_r, c, e_m, e_L, cfg.kappa, system.A_r, aug.B_r),
-        refsys.ideal_ref_deriv(x_ri, c, system.A_r, aug.B_r),
-        refsys.filter_deriv(e_L, e_m, cfg.eta, system.A_r),
-        controllers.update_deriv(W_hat, sigma_m, e_m, cfg.lyap, aug.B, cfg.gamma,
-                                 cfg.projection).ravel(),
-    ]
-
-
 def _random_state(system, rng, radius):
     """State near the reference, with every weight column of norm `radius`."""
     n = system.n
@@ -256,27 +234,26 @@ def _projected_scalar():
 
 
 class TestFusedVectorField:
-    """deriv against the composition of the module-level laws, block by block."""
+    """deriv against the from-scratch oracle's rhs, block by block."""
 
     @staticmethod
     def _check(scn, radius, noisy, seed=3, samples=40):
         system = sim.assemble(scn)
+        oracle = oracle_for(scn)
+        unprojected = copy.copy(oracle)
+        unprojected.projection = None
         rng = np.random.default_rng(seed)
         projected = 0
         for _ in range(samples):
             t = float(rng.uniform(0.0, 90.0))
             y = _random_state(system, rng, radius)
-            noise = 0.01 * rng.standard_normal(system.n) if noisy else np.zeros(system.n)
-            got = system.deriv(t, y, noise if noisy else None)
-            ref = _reference_deriv(system, t, y, noise)
-            for name, sl, want in zip(system.block_names, system.blocks, ref):
-                scale = max(1.0, float(np.max(np.abs(want))))
-                assert np.max(np.abs(got[sl] - want)) <= 1e-12 * scale, (name, t)
-            if system.projection is not None:
-                raw = got[system.sl_W] != system.gamma * np.outer(
-                    system.measured_basis(t, y[system.sl_x] + noise),
-                    (y[system.sl_x] + noise - y[system.sl_xr]) @ system.PB).ravel()
-                projected += bool(raw.any())
+            noise = 0.01 * rng.standard_normal(system.n) if noisy else None
+            got = system.deriv(t, y, noise)
+            want = oracle.rhs(t, y, noise)
+            for name, sl in zip(system.block_names, system.blocks):
+                scale = max(1.0, float(np.max(np.abs(want[sl]))))
+                assert np.max(np.abs(got[sl] - want[sl])) <= 1e-12 * scale, (name, t)
+            projected += bool((want != unprojected.rhs(t, y, noise)).any())
         return projected
 
     @pytest.mark.parametrize("noisy", [False, True])
@@ -303,6 +280,18 @@ class TestFusedVectorField:
         scn = _projected_scalar()
         assert sim.assemble(scn).n_c == 0
         assert self._check(scn, 0.5 * (3.0 / np.sqrt(1.2) + 3.0), noisy) > 0
+
+
+class TestOracleTrajectory:
+    def test_modified_architecture_matches_oracle(self, wingrock_proposed):
+        # kappa = 100, eta = 5, h = 1e-3: 10 000 steps of the full coupled law.
+        scn = quiet_wingrock(wingrock_proposed, t_final=10.0, record_stride=1)
+        assert scn.controller.kappa > 0 and scn.controller.eta > 0
+        traj = sim.run(scn)
+        ref = oracle_for(scn).simulate(scn.x0, scn.x0, scn.t_final, scn.h)
+        for name in ("x", "x_r", "x_ri", "e_L", "W_hat"):
+            gap = float(np.max(np.abs(getattr(traj, name) - ref[name])))
+            assert gap <= 1e-12, (name, gap)
 
 
 class TestScenarioValidation:
