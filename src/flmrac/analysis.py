@@ -151,17 +151,23 @@ def optimal_xi(bound_of_xi) -> tuple[float, float]:
 
 
 def _weighted_fro(W, Lam) -> float:
-    """||W Lambda^(1/2)||_F for diagonal Lambda given by its entries."""
+    """||W Lambda^(1/2)||_F for diagonal Lambda given by its entries; inf if an
+    entry of W Lambda^(1/2) overflows."""
     W = np.atleast_2d(np.asarray(W, dtype=float))
     lam = np.atleast_1d(np.asarray(Lam, dtype=float))
-    if any(v < 0.0 for v in lam.tolist()):
+    lam_list = lam.tolist()
+    if any(v < 0.0 for v in lam_list):
         raise ValueError("Lambda entries must be nonnegative")
-    x = (W * np.sqrt(lam)[np.newaxis, :]).ravel(order="K")
-    big = max(map(abs, x.tolist()), default=0.0)
-    if big * big * x.size < 1e308:  # no partial sum of squares can overflow
+    w_max = max(map(abs, W.ravel().tolist()), default=0.0)
+    # A bound on every squared entry of W Lambda^(1/2), in Python floats, which
+    # overflow without a warning; x.size <= W.size * lam.size.
+    if w_max * w_max * max(lam_list, default=0.0) * W.size * lam.size < 1e308:
+        x = (W * np.sqrt(lam)[np.newaxis, :]).ravel(order="K")
         return math.sqrt(x.dot(x))  # np.linalg.norm's formula, summed in the same order
     with np.errstate(over="ignore"):
+        x = (W * np.sqrt(lam)[np.newaxis, :]).ravel(order="K")
         ss = x.dot(x)
+    big = max(map(abs, x.tolist()))
     # The plain sum, unless finite entries overflowed it: then one scaled by the largest.
     if ss < math.inf or not big < math.inf:
         return math.sqrt(ss)
@@ -294,7 +300,7 @@ def loop_phase(gamma: float, kappa: float, eta: float, alpha: float, omega):
 
 
 class NoCrossoverError(RuntimeError):
-    """|G| does not cross unity inside the given band."""
+    """|G| does not cross unity inside MARGIN_BAND."""
 
 
 @dataclass(frozen=True)
@@ -321,6 +327,8 @@ class MarginReport:
 LOW_FREQ_EDGE = 5.0 / (2.0 * math.pi)
 #: Reference point for the measurement-noise amplification figure (rad/s).
 HIGH_FREQ_POINT = 100.0
+#: Frequencies (rad/s) where margins accepts a gain crossover: bode's default range.
+MARGIN_BAND = (1e-3, 1e4)
 
 
 def band_gains_db(gamma: float, kappa: float, eta: float, alpha: float) -> tuple[float, float]:
@@ -330,15 +338,14 @@ def band_gains_db(gamma: float, kappa: float, eta: float, alpha: float) -> tuple
     return float(low), float(high)
 
 
-def margins(gamma: float, kappa: float, eta: float, alpha: float,
-            band: tuple[float, float] = (1e-3, 1e4)) -> MarginReport:
+def margins(gamma: float, kappa: float, eta: float, alpha: float) -> MarginReport:
     """Gain crossover in closed form, plus phase/delay margins and band gains.
 
     With u = omega^2, a = alpha + kappa + eta, b = alpha, c = alpha + eta, |G| = 1
     is u^3 + (a^2 + b^2) u^2 + (a^2 - gamma^2) b^2 u - gamma^2 b^2 c^2 = 0.  Its
     coefficient signs (+, +, +/-, -) change once, so by Descartes' rule the loop has
     exactly one gain crossover: the cubic's only root with a positive real part,
-    polished by one Newton step.  Raises NoCrossoverError if it lies outside `band`.
+    polished by one Newton step.  Raises NoCrossoverError if it lies outside MARGIN_BAND.
     """
     _check_loop(gamma, kappa, eta, alpha)
     a2, b2, c2, g2 = (alpha + kappa + eta) ** 2, alpha**2, (alpha + eta) ** 2, gamma**2
@@ -346,7 +353,7 @@ def margins(gamma: float, kappa: float, eta: float, alpha: float,
     u = float(np.max(np.roots(coeffs).real))
     u -= np.polyval(coeffs, u) / np.polyval((3.0, 2.0 * coeffs[1], coeffs[2]), u)
     wc = math.sqrt(u)
-    lo, hi = band
+    lo, hi = MARGIN_BAND
     if not lo <= wc <= hi:
         raise NoCrossoverError(f"the gain crossover {wc:g} rad/s lies outside "
                                f"[{lo:g}, {hi:g}] rad/s")

@@ -198,63 +198,33 @@ def dict_to_scenario(raw: dict) -> ScenarioConfig:
                   plant=plant, E_p=E_p, controller=controller, command=cmd, noise=noise,
                   t_final=root.number("t_final"), h=root.number("h"),
                   record_stride=root.integer("record_stride", 1),
-                  x0=x0, x_r0=x_r0, name=str(root.get("name", "scenario")))
+                  x0=x0, x_r0=x_r0, name=str(root.get("name", ScenarioConfig.name)))
+
+
+def _plain(value):
+    """value in JSON form: a dataclass as a dict of its init fields, a 2-D array
+    as a matrix dict, a 1-D array as a float list and a tuple or list as a list."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name))
+                for f in dataclasses.fields(value) if f.init}
+    if isinstance(value, np.ndarray):
+        return _matrix_dict(value) if value.ndim == 2 else [float(v) for v in value]
+    if isinstance(value, (tuple, list)):
+        return [_plain(v) for v in value]
+    return value
 
 
 def scenario_to_dict(scn: ScenarioConfig) -> dict:
-    """Normalized dict form of a scenario (the canonical-serialization input)."""
-    truth = scn.plant.truth
-    cmd = scn.command
-    out = {
-        "name": scn.name,
-        "plant": {
-            "A_p": _matrix_dict(scn.plant.A_p),
-            "B_p": _matrix_dict(scn.plant.B_p),
-            "Lambda": [float(v) for v in scn.plant.Lambda],
-            "basis": list(scn.plant.basis.names),
-            "truth": {
-                "W_p": _matrix_dict(truth.W_p_base),
-                "modulations": [
-                    {"row": m.row, "col": m.col, "kind": m.kind, "start": m.start}
-                    for m in truth.modulations
-                ],
-                "w_p_max": truth.w_p_max,
-                "w_p_dot_max": truth.w_p_dot_max,
-            },
-        },
-        "E_p": _matrix_dict(scn.E_p) if scn.E_p.size else None,
-        "controller": {
-            "K": _matrix_dict(scn.controller.K),
-            "gamma": scn.controller.gamma,
-            "kappa": scn.controller.kappa,
-            "eta": scn.controller.eta,
-            "R": _matrix_dict(scn.controller.lyap.R),
-            "projection": (
-                None if scn.controller.projection is None else {
-                    "theta_max": scn.controller.projection.theta_max,
-                    "eps_theta": scn.controller.projection.eps_theta,
-                }
-            ),
-            "W_hat0": (None if scn.controller.W_hat0 is None
-                       else _matrix_dict(scn.controller.W_hat0)),
-        },
-        "command": {
-            "kind": cmd.kind, "amplitude": cmd.amplitude,
-            "period": cmd.period, "offset": cmd.offset,
-        },
-        "noise": {
-            "enabled": scn.noise.enabled, "std": list(scn.noise.std),
-            "start_time": scn.noise.start_time, "seed": scn.noise.seed,
-        },
-        "x0": None if scn.x0 is None else [float(v) for v in scn.x0],
-        "x_r0": None if scn.x_r0 is None else [float(v) for v in scn.x_r0],
-        "t_final": scn.t_final,
-        "h": scn.h,
-        "record_stride": scn.record_stride,
-    }
-    if cmd.kind == "custom":
-        out["command"]["times"] = list(cmd.times)
-        out["command"]["values"] = list(cmd.values)
+    """Normalized dict form of a scenario (the canonical-serialization input):
+    the model's fields, apart from the places where the file format differs."""
+    out = _plain(scn)
+    plant, controller, command = out["plant"], out["controller"], out["command"]
+    plant["basis"] = plant["basis"]["names"]
+    plant["truth"]["W_p"] = plant["truth"].pop("W_p_base")
+    controller["R"] = controller.pop("lyap")["R"]  # P is solved from R at load
+    out["E_p"] = _matrix_dict(scn.E_p) if scn.E_p.size else None
+    if scn.command.kind != "custom":
+        del command["times"], command["values"]
     return out
 
 
@@ -422,10 +392,11 @@ def _decimate(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x[::step], y[::step]
 
 
-def _axis_ticks(lo: float, hi: float, count: int = 5) -> list[float]:
+def _axis_ticks(lo: float, hi: float) -> list[float]:
+    """Five evenly spaced ticks from lo to hi."""
     if hi <= lo:
         hi = lo + 1.0
-    return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
+    return [lo + (hi - lo) * i / 4 for i in range(5)]
 
 
 class _Panel:
@@ -499,8 +470,7 @@ def _series_limits(series) -> tuple[tuple[float, float], tuple[float, float]]:
             (float(np.min(ys)) - pad, float(np.max(ys)) + pad))
 
 
-def svg_timeseries(series, path: Path, xlabel: str = "t [s]", ylabel: str = "",
-                   title: str = "") -> None:
+def svg_timeseries(series, path: Path, xlabel: str = "t [s]", title: str = "") -> None:
     """series: list of (label, x array, y array) tuples."""
     width, height = 860, 480
     xlim, ylim = _series_limits(series)
@@ -509,7 +479,7 @@ def svg_timeseries(series, path: Path, xlabel: str = "t [s]", ylabel: str = "",
     if title:
         parts.append(f'<text x="{width / 2}" y="24" font-size="14" '
                      f'text-anchor="middle">{title}</text>')
-    panel.frame(parts, xlabel, ylabel)
+    panel.frame(parts, xlabel, "")
     for i, (label, xs, ys) in enumerate(series):
         color = _PALETTE[i % len(_PALETTE)]
         panel.polyline(parts, xs, ys, color)

@@ -12,7 +12,7 @@ truth.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,9 +92,10 @@ def command(spec: CommandSpec, t: float, n_c: int = 1) -> np.ndarray:
 class NoiseSpec:
     """Additive white Gaussian measurement noise on the augmented state.
 
-    std is per-component (length n); sampling starts at start_time and is a
-    pure function of (seed, step index), so a shared seed gives different
-    controllers an identical noise stream.
+    std is per-component (length n).  One sample is drawn per integration
+    step, from the first step at or after start_time, as a pure function of
+    (seed, step index): a shared seed gives different controllers an
+    identical noise stream, but the stream depends on the step size h.
     """
 
     enabled: bool = False
@@ -135,7 +136,7 @@ class ScenarioConfig:
     record_stride: int = 1
     x0: np.ndarray | None = None
     x_r0: np.ndarray | None = None
-    name: str = ""
+    name: str = "scenario"
 
     def __post_init__(self):
         """Check every condition a run relies on; a failure names its config field."""
@@ -148,8 +149,8 @@ class ScenarioConfig:
             raise ConfigError("t_final", f"not a whole number of steps h = {self.h!r}")
         if self.record_stride < 1:
             raise ConfigError("record_stride", "must be >= 1")
-        if self.name in (".", "..") or "/" in self.name or "\\" in self.name:
-            raise ConfigError("name", f"{self.name!r} must be a single file-name component")
+        if self.name in ("", ".", "..") or "/" in self.name or "\\" in self.name:
+            raise ConfigError("name", f"{self.name!r} must be a nonempty file-name component")
         cfg = self.controller
         for key in ("K", "gamma", "kappa", "eta"):
             if not np.all(np.isfinite(getattr(cfg, key))):
@@ -204,7 +205,6 @@ class Trajectory:
     u: np.ndarray
     W_hat: np.ndarray  # (N, s+n, m)
     c: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     def __len__(self) -> int:
         return self.t.size
@@ -239,7 +239,6 @@ class ClosedLoopSystem:
         n, m, n_p = aug.n, aug.m, aug.n_p
 
         self.scenario = scenario
-        self.plant = plant
         self.aug = aug
         self.A_r = A_r
         self.K = cfg.K
@@ -428,7 +427,7 @@ def run(scenario: ScenarioConfig) -> Trajectory:
     x_r = rec_y[:, sys.sl_xr]
     e = x - x_r
     e_L = rec_y[:, sys.sl_eL]
-    traj = Trajectory(
+    return Trajectory(
         t=rec_t,
         x=x,
         x_r=x_r,
@@ -439,15 +438,4 @@ def run(scenario: ScenarioConfig) -> Trajectory:
         u=rec_u,
         W_hat=rec_y[:, sys.sl_W].reshape(N, sys.s + sys.n, sys.m),
         c=rec_c,
-        meta={
-            "name": scenario.name,
-            "h": h,
-            "t_final": scenario.t_final,
-            "record_stride": stride,
-            "seed": scenario.noise.seed,
-            "gamma": sys.gamma,
-            "kappa": sys.kappa,
-            "eta": sys.eta,
-        },
     )
-    return traj

@@ -267,9 +267,10 @@ class TestMargins:
             g2 = abs(analysis.loop_transfer(200.0, 50.0, 10.0, 1.0, w))
             assert 20.0 * math.log10(g2 / g1) == pytest.approx(6.0206, abs=1e-3)
 
-    def test_no_crossover_raises(self):
-        with pytest.raises(analysis.NoCrossoverError):
-            analysis.margins(1e-12, 0.0, 0.0, 1.0, band=(1e-3, 1.0))
+    @pytest.mark.parametrize("gamma", [1e-12, 1e9])  # crossover below, then above, MARGIN_BAND
+    def test_no_crossover_raises(self, gamma):
+        with pytest.raises(analysis.NoCrossoverError, match="outside"):
+            analysis.margins(gamma, 0.0, 0.0, 1.0)
 
 
 class TestHfContent:

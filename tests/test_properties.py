@@ -1,8 +1,10 @@
 """Property tests: projection invariants over random shapes, the config
 serialize -> parse -> serialize round trip, the recorded identities of
 short random runs, the closed-form loop margins against a search, and the
-scalar loop's linearized closed loop against its loop transfer function."""
+scalar loop's linearized closed loop against its loop transfer function and,
+with a delayed control, against its delay margin."""
 
+import cmath
 import dataclasses
 import json
 import math
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 from flmrac import analysis
 from flmrac import controllers as ctl
 from flmrac.simcli import dict_to_scenario, load_config, serialize_scenario
-from flmrac.simulator import assemble, run
+from flmrac.simulator import assemble, rk4_step, run
 
 from helpers import scalar_loop_scenario
 from oracles import loop_transfer_rational, margins_by_search
@@ -101,7 +103,7 @@ def test_config_round_trip(gamma, kappa, eta, seed, h, steps, record_stride):
         gamma, kappa, eta, seed, h, raw["t_final"], record_stride)
 
 
-magnitude = st.one_of(st.just(0.0), st.floats(1e-150, 1e150))
+magnitude = st.one_of(st.just(0.0), st.floats(1e-300, 1e300))
 
 
 @settings(deadline=None, max_examples=200)
@@ -113,15 +115,15 @@ def test_weighted_fro_matches_numpy_norm(data, s, m, fortran):
     if fortran:
         W = np.asfortranarray(W)
     lam = np.array(data.draw(st.lists(magnitude, min_size=m, max_size=m)))
-    x = W * np.sqrt(lam)[np.newaxis, :]
     with np.errstate(over="ignore"):
+        x = W * np.sqrt(lam)[np.newaxis, :]
         expected = float(np.linalg.norm(x))
     # Outside errstate: a RuntimeWarning from _weighted_fro fails the test.
     got = analysis._weighted_fro(W, lam)
     if expected < math.inf:
         assert got == expected
     else:
-        # numpy's sum of squares overflows, yet the norm itself is finite.
+        # numpy's sum of squares overflows: the norm is finite unless an entry overflowed.
         assert got == pytest.approx(math.hypot(*x.ravel()), rel=1e-14, abs=0.0)
     lam[data.draw(st.integers(0, m - 1))] = -data.draw(st.floats(1e-150, 1e150))
     with pytest.raises(ValueError, match="nonnegative"):
@@ -217,3 +219,64 @@ def test_scalar_loop_eigenvalues_are_loop_transfer_poles(gamma, kappa, eta, alph
     r = float(np.max(np.abs(np.roots(want))))
     scale = [math.comb(6, k) * r**k for k in range(7)]
     assert np.all(np.abs(got - want) <= 1e-8 * np.array(scale))
+
+
+DELAY_GAINS = (100.0, 50.0, 10.0, 1.0)  # (gamma, kappa, eta, alpha): delay margin 0.1224 s
+
+
+def _bias_error_with_delayed_control(scn, tau_steps: int, t_final=10.0):
+    """|W_hat_bias - w| per step of the scalar loop scn integrated by RK4, with
+    the control seeing W_hat delayed by tau_steps steps (linearly interpolated
+    at the RK4 stages); without projection the update law does not read W_hat."""
+    system = assemble(scn)
+    h, w = scn.h, float(scn.plant.truth.W_p_base[0, 0])
+    y = np.zeros(system.state_dim)
+    y[system.sl_W] = [w + 1e-3, 0.0]
+    history = [y[system.sl_W].copy()]  # W_hat at steps 0, 1, ...; constant before 0
+    for k in range(round(t_final / h)):
+        t = k * h
+        old, new = history[max(k - tau_steps, 0)], history[max(k - tau_steps + 1, 0)]
+
+        def f(tt, yy):
+            lagged = yy.copy()
+            lagged[system.sl_W] = old + (new - old) * ((tt - t) / h)
+            return system.deriv(tt, lagged)
+
+        y = rk4_step(f, y, t, h)
+        history.append(y[system.sl_W].copy())
+    return np.abs(np.array(history)[:, 0] - w)
+
+
+def _rightmost_delayed_root(tau: float, s: complex) -> complex:
+    """Newton's method from s on s(s + a)(s + a + kappa + eta)
+    + gamma a (s + a + eta) e^(-s tau) = 0, the scalar loop's 1 + G(s) e^(-s tau)."""
+    gamma, kappa, eta, a = DELAY_GAINS
+    for _ in range(50):
+        lag = cmath.exp(-s * tau)
+        f = s * (s + a) * (s + a + kappa + eta) + gamma * a * (s + a + eta) * lag
+        df = (3.0 * s * s + 2.0 * (2.0 * a + kappa + eta) * s + a * (a + kappa + eta)
+              + gamma * a * lag * (1.0 - tau * (s + a + eta)))
+        s -= f / df
+    assert abs(f) <= 1e-9 * abs(gamma * a * (s + a + eta))
+    return s
+
+
+@pytest.mark.parametrize("factor", [0.8, 1.2])
+def test_delay_margin_brackets_simulated_stability(factor):
+    # With its control delayed by less than margins' delay margin the simulated
+    # loop decays, and with more it grows, at the rate of the delayed loop's
+    # rightmost root (about -0.25 and +0.23 1/s here).
+    rep = analysis.margins(*DELAY_GAINS)
+    assert rep.delay_margin == pytest.approx(0.1224, abs=1e-4)
+    scn = scalar_loop_scenario(*DELAY_GAINS)  # h = 1e-3: a delay of 98 or 147 steps
+    h = scn.h
+    tau_steps = round(factor * rep.delay_margin / h)
+    err = _bias_error_with_delayed_control(scn, tau_steps)
+    root = _rightmost_delayed_root(tau_steps * h, 1j * rep.gain_crossover)
+    # The envelope: the peak error of each 1 s window after a 2 s start-up.
+    window = round(1.0 / h)
+    starts = range(round(2.0 / h), err.size - window + 1, window)
+    peaks = [err[i:i + window].max() for i in starts]
+    rate = np.polyfit([(i + window / 2) * h for i in starts], np.log(peaks), 1)[0]
+    assert (peaks[-1] > err[0]) == (factor > 1.0) == (root.real > 0.0)
+    assert rate == pytest.approx(root.real, rel=0.25)

@@ -90,6 +90,7 @@ MALFORMED_FIELDS = {
                       "unknown basis feature 'x1_squared'"),
     "basis_component_zero": (lambda r: r["plant"]["basis"].__setitem__(5, "x0"), "plant.basis",
                              "unknown basis feature 'x0'"),
+    "name_empty": (lambda r: r.update(name=""), "name"),
     "name_parent_dir": (lambda r: r.update(name="../escaped"), "name"),
     "name_dot_dot": (lambda r: r.update(name=".."), "name"),
     "name_backslash": (lambda r: r.update(name="sub\\escaped"), "name"),
