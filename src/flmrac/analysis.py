@@ -156,8 +156,8 @@ def _weighted_fro(W, Lam) -> float:
     W = np.atleast_2d(np.asarray(W, dtype=float))
     lam = np.atleast_1d(np.asarray(Lam, dtype=float))
     lam_list = lam.tolist()
-    if any(v < 0.0 for v in lam_list):
-        raise ValueError("Lambda entries must be nonnegative")
+    if not all(0.0 <= v < math.inf for v in lam_list):
+        raise ValueError("Lambda entries must be finite and nonnegative")
     w_max = max(map(abs, W.ravel().tolist()), default=0.0)
     # A bound on every squared entry of W Lambda^(1/2), in Python floats, which
     # overflow without a warning; x.size <= W.size * lam.size.

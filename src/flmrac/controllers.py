@@ -94,9 +94,9 @@ class ControllerConfig:
 
     K: np.ndarray
     gamma: float
-    kappa: float
-    eta: float
     lyap: LyapunovPair
+    kappa: float = 0.0
+    eta: float = 0.0
     projection: ProjectionSpec | None = None
     W_hat0: np.ndarray | None = None
 

@@ -208,8 +208,8 @@ class PlantModel:
         m = B_p.shape[1]
         if lam.shape != (m,):
             raise DimensionError(f"Lambda must have {m} diagonal entries, got {lam.shape}")
-        if np.any(lam <= 0):
-            raise ValueError("control effectiveness Lambda must be strictly positive")
+        if not all(0.0 < v < math.inf for v in lam.tolist()):
+            raise ValueError("control effectiveness Lambda must be finite and strictly positive")
         if self.truth.W_p_base.shape != (self.basis.dim, m):
             raise DimensionError(
                 f"truth W_p is {self.truth.W_p_base.shape}, expected ({self.basis.dim}, {m})"

@@ -17,6 +17,7 @@ import hashlib
 import json
 import math
 import sys
+import typing
 from importlib import resources
 from pathlib import Path
 
@@ -24,12 +25,11 @@ import numpy as np
 
 from . import __version__, analysis
 from .analysis import BoundReport, MarginReport, NoCrossoverError
-from .controllers import ControllerConfig, ProjectionSpec
+from .controllers import ControllerConfig
 from .matrixcore import LyapunovPair, NotHurwitzError, frobenius_norms
-from .plantmodel import (BasisSpec, Modulation, PlantModel, UncertaintyTruth,
-                         aggregate_true_weights)
-from .simulator import (CommandSpec, ConfigError, DivergenceError, NoiseSpec,
-                        ScenarioConfig, Trajectory, closed_loop, run)
+from .plantmodel import BasisSpec, PlantModel, aggregate_true_weights
+from .simulator import (ConfigError, DivergenceError, ScenarioConfig, Trajectory,
+                        closed_loop, run)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -46,6 +46,15 @@ BOUND_XI = 0.5
 # ---------------------------------------------------------------------------
 # Config parsing
 # ---------------------------------------------------------------------------
+
+#: JSON types, and their name in an error, of the model's scalar field types.
+_SCALARS = {float: ((int, float), "a number"), int: (int, "an integer"),
+            bool: (bool, "true or false"), str: (str, "a string")}
+#: File keys that differ from the field name, for the writer and the reader alike.
+_FILE_KEYS = {"W_p_base": "W_p", "lyap": "R"}
+#: Array fields written as a list of numbers; every other array is a matrix.
+_VECTOR_FIELDS = {"Lambda", "x0", "x_r0"}
+
 
 class _Section:
     """Cursor over a nested config dict that reports dotted field paths."""
@@ -67,15 +76,13 @@ class _Section:
             raise ConfigError(self._join(key), "missing required field")
         return self.data[key]
 
-    def get(self, key: str, default=None):
-        value = self.data.get(key, default)
-        return default if value is None else value
-
-    def number(self, key: str, default=None) -> float:
-        value = self.require(key) if default is None else self.get(key, default)
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(self._join(key), f"expected a number, got {value!r}")
-        return float(self._numbers(key, [value])[0])
+    def read(self, key: str, kind: type):
+        """The value at key as kind, one of float (finite), int, bool and str."""
+        value = self.require(key)
+        json_types, name = _SCALARS[kind]
+        if isinstance(value, bool) != (kind is bool) or not isinstance(value, json_types):
+            raise ConfigError(self._join(key), f"expected {name}, got {value!r}")
+        return float(self._numbers(key, [value])[0]) if kind is float else value
 
     def _numbers(self, key: str, values: list) -> np.ndarray:
         """values as a float array, each a finite number (JSON parsing also
@@ -88,27 +95,20 @@ class _Section:
             raise ConfigError(self._join(key), "NaN and infinity are not allowed")
         return arr
 
-    def integer(self, key: str, default=None) -> int:
-        value = self.require(key) if default is None else self.get(key, default)
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(self._join(key), f"expected an integer, got {value!r}")
-        return int(value)
+    def sequence(self, key: str) -> list:
+        raw = self.require(key)
+        if not isinstance(raw, list):
+            raise ConfigError(self._join(key), "expected a list")
+        return raw
 
     def matrix(self, key: str) -> np.ndarray:
-        raw = self.require(key)
-        sub = _Section(raw, self._join(key))
-        rows = sub.integer("rows")
-        cols = sub.integer("cols")
+        sub = self.child(key)
+        rows = sub.read("rows", int)
+        cols = sub.read("cols", int)
         data = sub.require("data")
         if not isinstance(data, list) or len(data) != rows * cols:
             raise ConfigError(sub._join("data"), f"expected {rows * cols} entries")
         return sub._numbers("data", data).reshape(rows, cols)
-
-    def vector(self, key: str) -> np.ndarray:
-        raw = self.require(key)
-        if not isinstance(raw, list):
-            raise ConfigError(self._join(key), "expected a list of numbers")
-        return self._numbers(key, raw)
 
 
 def _matrix_dict(arr: np.ndarray) -> dict:
@@ -132,80 +132,74 @@ def _build(path: str, make, *args, **kwargs):
         raise ConfigError(path, str(exc)) from None
 
 
+@functools.cache
+def _file_fields(cls) -> tuple:
+    """(name, file key, type, required) of each init field of the dataclass cls."""
+    hints = typing.get_type_hints(cls)
+    return tuple((f.name, _FILE_KEYS.get(f.name, f.name), hints[f.name],
+                  f.default is dataclasses.MISSING)
+                 for f in dataclasses.fields(cls) if f.init)
+
+
+def _value(sec: _Section, key: str, kind):
+    """The value at sec's key, read as the field type kind."""
+    if kind in _SCALARS:
+        return sec.read(key, kind)
+    if kind is np.ndarray:
+        return sec._numbers(key, sec.sequence(key)) if key in _VECTOR_FIELDS else sec.matrix(key)
+    if dataclasses.is_dataclass(kind):
+        return _read(kind, sec.child(key))
+    item = typing.get_args(kind)[0]  # of tuple[item, ...] or item | None
+    if typing.get_origin(kind) is not tuple:
+        return _value(sec, key, item)
+    if item is float:
+        return tuple(sec._numbers(key, sec.sequence(key)))
+    entries = _Section({f"{key}[{i}]": v for i, v in enumerate(sec.sequence(key))}, sec.path)
+    return tuple(_value(entries, k, item) for k in entries.data)
+
+
+def _read_fields(cls, sec: _Section, **known) -> dict:
+    """cls's init fields from sec, apart from those given in known; a missing or
+    null key leaves out a field that has a default, and a key no field has fails."""
+    fields = _file_fields(cls)
+    unknown = sec.data.keys() - {key for _, key, _, _ in fields}
+    if unknown:
+        raise ConfigError(sec._join(min(unknown)), "unknown field")
+    for name, key, kind, required in fields:
+        if name not in known and (required or sec.data.get(key) is not None):
+            known[name] = _value(sec, key, kind)
+    return known
+
+
+def _read(cls, sec: _Section, **known):
+    return _build(sec.path or "<root>", cls, **_read_fields(cls, sec, **known))
+
+
 def dict_to_scenario(raw: dict) -> ScenarioConfig:
-    """Build a ScenarioConfig from a parsed config dict; a malformed field
-    raises ConfigError naming it."""
+    """Build a ScenarioConfig from a parsed config dict, section by section from
+    the model's fields; a malformed field raises ConfigError naming it."""
     root = _Section(raw)
     plant_sec = root.child("plant")
-    basis = _build(f"{plant_sec.path}.basis", BasisSpec, tuple(plant_sec.require("basis")))
-    truth_sec = plant_sec.child("truth")
-    mods = []
-    for i, m in enumerate(truth_sec.get("modulations", [])):
-        ms = _Section(m, f"{truth_sec.path}.modulations[{i}]")
-        mods.append(_build(ms.path, Modulation, row=ms.integer("row"), col=ms.integer("col"),
-                           kind=str(ms.require("kind")), start=ms.number("start", 0.0)))
-    truth = _build(truth_sec.path, UncertaintyTruth,
-                   W_p_base=truth_sec.matrix("W_p"),
-                   modulations=tuple(mods),
-                   w_p_max=truth_sec.number("w_p_max", 0.0),
-                   w_p_dot_max=truth_sec.number("w_p_dot_max", 0.0))
-    plant = _build(plant_sec.path, PlantModel,
-                   A_p=plant_sec.matrix("A_p"),
-                   B_p=plant_sec.matrix("B_p"),
-                   Lambda=plant_sec.vector("Lambda"),
-                   truth=truth,
-                   basis=basis)
-
+    names = _value(plant_sec, "basis", typing.get_type_hints(BasisSpec)["names"])
+    basis = _build(f"{plant_sec.path}.basis", BasisSpec, names)
+    plant = _read(PlantModel, plant_sec, basis=basis)
     E_p = root.matrix("E_p") if raw.get("E_p") is not None else np.zeros((0, plant.n_p))
-
+    # The file gives R; P solves the Lyapunov equation of A - B K.
     ctrl_sec = root.child("controller")
-    K = ctrl_sec.matrix("K")
-    proj_raw = ctrl_sec.get("projection")
-    projection = None
-    if proj_raw is not None:
-        ps = _Section(proj_raw, f"{ctrl_sec.path}.projection")
-        projection = _build(ps.path, ProjectionSpec, theta_max=ps.number("theta_max"),
-                            eps_theta=ps.number("eps_theta"))
-    W_hat0 = ctrl_sec.matrix("W_hat0") if ctrl_sec.get("W_hat0") is not None else None
-
-    _, A_r = closed_loop(plant, E_p, K)
-    lyap = _build(f"{ctrl_sec.path}.R", LyapunovPair.for_closed_loop, A_r, ctrl_sec.matrix("R"))
-    controller = _build(ctrl_sec.path, ControllerConfig, K=K, gamma=ctrl_sec.number("gamma"),
-                        kappa=ctrl_sec.number("kappa", 0.0), eta=ctrl_sec.number("eta", 0.0),
-                        lyap=lyap, projection=projection, W_hat0=W_hat0)
-
-    cmd_sec = root.child("command")
-    cmd = _build(cmd_sec.path, CommandSpec,
-                 kind=str(cmd_sec.require("kind")),
-                 amplitude=cmd_sec.number("amplitude", 0.0),
-                 period=cmd_sec.number("period", 0.0),
-                 offset=cmd_sec.number("offset", 0.0),
-                 times=tuple(cmd_sec._numbers("times", cmd_sec.get("times", []))),
-                 values=tuple(cmd_sec._numbers("values", cmd_sec.get("values", []))))
-
-    noise_sec = root.child("noise")
-    if not isinstance(noise_sec.get("enabled", False), bool):
-        raise ConfigError(f"{noise_sec.path}.enabled", "expected true or false")
-    noise = _build(noise_sec.path, NoiseSpec,
-                   enabled=noise_sec.get("enabled", False),
-                   std=tuple(noise_sec.vector("std")) if noise_sec.get("std") is not None else (),
-                   start_time=noise_sec.number("start_time", 0.0),
-                   seed=noise_sec.integer("seed", 0))
-
-    x0 = root.vector("x0") if raw.get("x0") is not None else None
-    x_r0 = root.vector("x_r0") if raw.get("x_r0") is not None else None
-    return _build("<root>", ScenarioConfig,
-                  plant=plant, E_p=E_p, controller=controller, command=cmd, noise=noise,
-                  t_final=root.number("t_final"), h=root.number("h"),
-                  record_stride=root.integer("record_stride", 1),
-                  x0=x0, x_r0=x_r0, name=str(root.get("name", ScenarioConfig.name)))
+    ctrl = _read_fields(ControllerConfig, ctrl_sec, lyap=None)
+    _, A_r = closed_loop(plant, E_p, ctrl["K"])
+    ctrl["lyap"] = _build(f"{ctrl_sec.path}.R", LyapunovPair.for_closed_loop, A_r,
+                          ctrl_sec.matrix("R"))
+    controller = _build(ctrl_sec.path, ControllerConfig, **ctrl)
+    return _read(ScenarioConfig, root, plant=plant, E_p=E_p, controller=controller)
 
 
 def _plain(value):
-    """value in JSON form: a dataclass as a dict of its init fields, a 2-D array
-    as a matrix dict, a 1-D array as a float list and a tuple or list as a list."""
+    """value in JSON form: a dataclass as a dict of its init fields by file key, a
+    2-D array as a matrix dict, a 1-D array as a float list and a tuple or list as
+    a list."""
     if dataclasses.is_dataclass(value):
-        return {f.name: _plain(getattr(value, f.name))
+        return {_FILE_KEYS.get(f.name, f.name): _plain(getattr(value, f.name))
                 for f in dataclasses.fields(value) if f.init}
     if isinstance(value, np.ndarray):
         return _matrix_dict(value) if value.ndim == 2 else [float(v) for v in value]
@@ -220,8 +214,7 @@ def scenario_to_dict(scn: ScenarioConfig) -> dict:
     out = _plain(scn)
     plant, controller, command = out["plant"], out["controller"], out["command"]
     plant["basis"] = plant["basis"]["names"]
-    plant["truth"]["W_p"] = plant["truth"].pop("W_p_base")
-    controller["R"] = controller.pop("lyap")["R"]  # P is solved from R at load
+    controller["R"] = controller["R"]["R"]  # P is solved from R at load
     out["E_p"] = _matrix_dict(scn.E_p) if scn.E_p.size else None
     if scn.command.kind != "custom":
         del command["times"], command["values"]
@@ -626,9 +619,7 @@ def run_metrics(scn: ScenarioConfig, traj: Trajectory, cutoff: float) -> dict:
 def cmd_compare(args) -> int:
     scenarios = [load_config(c)[0] for c in args.configs]
     if len({_compare_key(scn) for scn in scenarios}) != 1:
-        print("[flmrac] compare requires identical plant, command and noise seed "
-              "across configs", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise ConfigError("configs", "compare requires identical plant, command and noise seed")
     for scn in scenarios:
         if scn.samples < analysis.MIN_SPECTRUM_SAMPLES or scn.steps % scn.record_stride:
             raise ConfigError("record_stride", f"compare member {scn.name!r} records {scn.samples} "
@@ -674,10 +665,11 @@ def _bode_stem(gamma: float, kappa: float, eta: float, alpha: float) -> str:
 
 
 def cmd_bode(args) -> int:
-    if args.points < 2 or not 0.0 < args.omega_min < args.omega_max < math.inf:
-        print("[flmrac] bode needs --points >= 2 and finite 0 < --omega-min < --omega-max",
-              file=sys.stderr)
-        return EXIT_VALIDATION
+    if args.points < 2:
+        raise ConfigError("--points", f"must be >= 2, got {args.points}")
+    if not 0.0 < args.omega_min < args.omega_max < math.inf:
+        flag = "--omega-max" if 0.0 < args.omega_min < math.inf else "--omega-min"
+        raise ConfigError(flag, "needs finite 0 < --omega-min < --omega-max")
     grid = np.logspace(math.log10(args.omega_min), math.log10(args.omega_max), args.points)
     grid[0], grid[-1] = args.omega_min, args.omega_max
     loop = (args.gamma, args.kappa, args.eta, args.alpha)
@@ -685,8 +677,7 @@ def cmd_bode(args) -> int:
         mag_db = 20.0 * np.log10(np.abs(analysis.loop_transfer(*loop, grid)))
     except ValueError as exc:
         # The message starts with the loop parameter, which is also the flag's name.
-        print(f"[flmrac] bode: --{exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise ConfigError(f"--{str(exc).split()[0]}", str(exc)) from None
     phase_deg = np.degrees(analysis.loop_phase(*loop, grid))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -709,33 +700,27 @@ def cmd_bode(args) -> int:
 def cmd_plot(args) -> int:
     csv_path = Path(args.csv)
     if not csv_path.exists():
-        print(f"[flmrac] no such CSV: {csv_path}", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise ConfigError("--csv", f"no such file: {csv_path}")
     data = read_csv_columns(csv_path)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     if args.bode:
         needed = ("omega", "mag_db", "phase_deg")
         if any(c not in data for c in needed):
-            print(f"[flmrac] bode plot needs columns {needed}", file=sys.stderr)
-            return EXIT_VALIDATION
+            raise ConfigError("--csv", f"a bode plot needs the columns {needed}")
         svg_bode(data["omega"], data["mag_db"], data["phase_deg"], out,
                  title=csv_path.stem)
         print(f"[flmrac] wrote {out}")
         return EXIT_OK
     columns = [c for c in (args.columns or "").split(",") if c]
     if not columns:
-        print("[flmrac] empty column selection", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise ConfigError("--columns", "empty column selection")
     missing = [c for c in columns if c not in data]
     if missing:
-        print(f"[flmrac] unknown columns: {missing}; available: "
-              f"{sorted(data)}", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise ConfigError("--columns", f"unknown columns {missing}; available: {sorted(data)}")
     xcol = args.x
     if xcol not in data:
-        print(f"[flmrac] unknown x column {xcol!r}", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise ConfigError("--x", f"unknown column {xcol!r}")
     series = [(c, data[xcol], data[c]) for c in columns]
     svg_timeseries(series, out, xlabel=xcol, title=csv_path.stem)
     print(f"[flmrac] wrote {out}")

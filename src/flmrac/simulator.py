@@ -26,7 +26,8 @@ DIVERGENCE_LIMIT = 1e9
 
 
 class ConfigError(ValueError):
-    """A scenario failed validation; `path` names the offending config field."""
+    """A scenario or a command-line flag failed validation; `path` names the
+    offending config field or flag."""
 
     def __init__(self, path: str, message: str):
         self.path = path
@@ -53,7 +54,7 @@ class CommandSpec:
     (zero-order-hold lookup in the given sample arrays).
     """
 
-    kind: str = "zero"
+    kind: str
     amplitude: float = 0.0
     period: float = 0.0
     offset: float = 0.0

@@ -82,6 +82,12 @@ class TestBoundStandardMrac:
         assert analysis.bound_standard_mrac(1.0, np.eye(1), W, lam) == pytest.approx(
             want, rel=1e-14, abs=0.0)
 
+    @pytest.mark.parametrize("lam", [-1.0, math.inf, math.nan])
+    def test_negative_or_nonfinite_lambda_rejected(self, lam):
+        # W = 0 with Lambda = inf would be 0 * inf = NaN.
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            analysis._weighted_fro([[0.0]], [lam])
+
 
 @pytest.fixture(scope="module")
 def wingrock_lyap():

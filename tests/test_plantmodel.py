@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -229,10 +230,11 @@ class TestPlantModelValidation:
                           truth=truth, basis=pm.BasisSpec(("x1",)))
 
     def test_nonpositive_lambda_rejected(self):
-        with pytest.raises(ValueError, match="Lambda"):
-            pm.PlantModel(A_p=[[-1.0]], B_p=[[1.0]], Lambda=[-0.5],
-                          truth=pm.UncertaintyTruth(W_p_base=np.zeros((1, 1))),
-                          basis=pm.BasisSpec(("x1",)))
+        for lam in (-0.5, math.inf, math.nan):
+            with pytest.raises(ValueError, match="Lambda"):
+                pm.PlantModel(A_p=[[-1.0]], B_p=[[1.0]], Lambda=[lam],
+                              truth=pm.UncertaintyTruth(W_p_base=np.zeros((1, 1))),
+                              basis=pm.BasisSpec(("x1",)))
 
 
 class TestClosedLoopConsistency:

@@ -125,7 +125,9 @@ def test_weighted_fro_matches_numpy_norm(data, s, m, fortran):
     else:
         # numpy's sum of squares overflows: the norm is finite unless an entry overflowed.
         assert got == pytest.approx(math.hypot(*x.ravel()), rel=1e-14, abs=0.0)
-    lam[data.draw(st.integers(0, m - 1))] = -data.draw(st.floats(1e-150, 1e150))
+    # A negative, infinite or NaN entry: with W = 0, an infinite one would give 0 * inf.
+    lam[data.draw(st.integers(0, m - 1))] = data.draw(
+        st.one_of(st.floats(-1e150, -1e-150), st.sampled_from([math.inf, math.nan])))
     with pytest.raises(ValueError, match="nonnegative"):
         analysis._weighted_fro(W, lam)
 

@@ -1,18 +1,21 @@
 import dataclasses
+import functools
 import json
+import operator
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from flmrac import simcli
+from flmrac.controllers import ControllerConfig
 from flmrac.matrixcore import frobenius_norms
 from flmrac.plantmodel import Modulation, UncertaintyTruth, aggregate_true_weights
 from flmrac.simcli import (ConfigError, bundled_scenario_path, canonical_text,
                            dict_to_scenario, list_bundled, load_config,
                            read_csv_columns, serialize_scenario,
                            trajectory_header, write_trajectory_csv)
-from flmrac.simulator import Trajectory, run
+from flmrac.simulator import CommandSpec, NoiseSpec, ScenarioConfig, Trajectory, run
 
 
 def short_noisy_config(tmp_path, name="short", seed=20131007, t_final=3.0):
@@ -109,6 +112,17 @@ MALFORMED_FIELDS = {
                                                          values=[0.3, float("nan")]),
                            "command.values"),
     "t_final_not_multiple": (lambda r: r.update(t_final=0.2005), "t_final"),
+    "unknown_key": (lambda r: r["controller"].update(kapa=r["controller"].pop("kappa")),
+                    "controller.kapa", "unknown field"),
+    "unknown_modulation_key": (
+        lambda r: r["plant"]["truth"]["modulations"][0].update(begin=1.0),
+        "plant.truth.modulations[0].begin", "unknown field"),
+    "name_not_string": (lambda r: r.update(name={"a": 1}), "name",
+                        "expected a string, got {'a': 1}"),
+    "command_kind_not_string": (lambda r: r["command"].update(kind=1), "command.kind",
+                                "expected a string, got 1"),
+    "basis_entry_not_string": (lambda r: r["plant"]["basis"].__setitem__(2, 2),
+                               "plant.basis[2]", "expected a string, got 2"),
 }
 
 # (command-line override, field path the error names)
@@ -130,6 +144,35 @@ def _malformed_config(tmp_path, edit=lambda raw: None):
     path = tmp_path / "malformed.cfg"
     path.write_text(json.dumps(raw))
     return raw, path
+
+
+#: Where each model dataclass with defaulted fields sits in a scenario file.
+DEFAULTED_SECTIONS = {ScenarioConfig: (), ControllerConfig: ("controller",),
+                      CommandSpec: ("command",), NoiseSpec: ("noise",),
+                      UncertaintyTruth: ("plant", "truth"),
+                      Modulation: ("plant", "truth", "modulations", 0)}
+#: Edits of wingrock_proposed under which a key's default is a valid value.
+DEFAULT_VALID_AFTER = {
+    "period": lambda r: r["command"].update(kind="step"),
+    "std": lambda r: r["noise"].update(enabled=False),
+    "w_p_max": lambda r: r["plant"]["truth"]["W_p"].update(data=[0.0] * 6),
+    "w_p_dot_max": lambda r: r["plant"]["truth"].update(modulations=[]),
+}
+
+
+@pytest.mark.parametrize("path, field", [
+    pytest.param(path, f, id=".".join(map(str, (*path, f.name))))
+    for cls, path in DEFAULTED_SECTIONS.items() for f in dataclasses.fields(cls)
+    if f.default is not dataclasses.MISSING])
+def test_key_at_its_default_may_be_left_out(path, field):
+    """A key written at the model's default loads as if it were left out."""
+    _, raw = load_config("wingrock_proposed")
+    DEFAULT_VALID_AFTER.get(field.name, lambda r: None)(raw)
+    section = functools.reduce(operator.getitem, path, raw)
+    section[field.name] = simcli._plain(field.default)
+    written = serialize_scenario(dict_to_scenario(raw))
+    del section[field.name]
+    assert serialize_scenario(dict_to_scenario(raw)) == written
 
 
 class TestConfigBoundary:
@@ -497,20 +540,27 @@ class TestCmdBode:
 
 
 class TestCmdPlot:
-    def test_empty_selection_rejected(self, tmp_path):
+    def test_empty_selection_rejected(self, tmp_path, capsys):
         cfg = short_noisy_config(tmp_path, t_final=2.0)
         out = tmp_path / "o"
         simcli.main(["run", "--config", str(cfg), "--out", str(out)])
+        capsys.readouterr()
         assert simcli.main(["plot", "--csv", str(out / "short.csv"),
                             "--out", str(tmp_path / "p.svg"), "--columns", ""]) == 2
+        stderr = capsys.readouterr().err
+        assert "config error: --columns: empty" in stderr and "Traceback" not in stderr
 
-    def test_unknown_column_rejected(self, tmp_path):
+    def test_unknown_column_rejected(self, tmp_path, capsys):
         cfg = short_noisy_config(tmp_path, t_final=2.0)
         out = tmp_path / "o"
         simcli.main(["run", "--config", str(cfg), "--out", str(out)])
+        capsys.readouterr()
         assert simcli.main(["plot", "--csv", str(out / "short.csv"),
                             "--out", str(tmp_path / "p.svg"),
                             "--columns", "x_1,bogus"]) == 2
+        stderr = capsys.readouterr().err
+        assert "config error: --columns: unknown columns ['bogus']" in stderr
+        assert "Traceback" not in stderr
 
     def test_timeseries_svg_with_labels(self, tmp_path):
         cfg = short_noisy_config(tmp_path, t_final=2.0)
