@@ -75,7 +75,7 @@ def bound_modified_transient(gamma: float, kappa: float, xi: float, lyap: Lyapun
         raise ValueError("gamma and kappa must be positive")
     ex = lyap.extremes()
     e0 = np.asarray(e0, dtype=float)
-    eps_v = _weighted_fro(W_tilde0, Lam) ** 2 / gamma + ex["lam_max_P"] * float(e0 @ e0)
+    eps_v = _weighted_fro(W_tilde0, Lam) ** 2 / gamma + ex["lam_max_P"] * float(e0.dot(e0))
     second = 1.0 + math.sqrt(kappa * ex["lam_max_P"] / (2.0 * xi * ex["lam_min_R"]))
     return math.sqrt(eps_v / ex["lam_min_P"]) * second
 
@@ -127,17 +127,33 @@ XI_MAX = 1.0 - 1e-6
 
 
 def optimal_xi(bound_of_xi) -> tuple[float, float]:
-    """Golden-section minimizer of a bound over xi in [1e-6, XI_MAX], in 200 steps.
+    """Golden-section minimizer of a bound over xi in [1e-6, XI_MAX].
 
-    Returns (xi_star, bound(xi_star)).  For bounds monotone in xi the search
-    converges to the admissible boundary, which is the tightest choice.
+    Returns (xi_star, bound(xi_star)), the result of 200 golden-section steps.
+    For bounds monotone in xi the search converges to the admissible boundary,
+    which is the tightest choice.
+
+    bound_of_xi must be pure: the same xi always gives the same value.  Then
+    the bracket (a, b, c, d) alone decides every later step, so once a
+    bracket repeats (in floating point the search ends in a fixed point or a
+    short cycle, typically within 80 steps) the bracket of step 200 is known
+    without evaluating the bound again, and the search stops there.  If no
+    bracket repeats, all 200 steps run.
     """
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = 1e-6, XI_MAX
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
     fc, fd = bound_of_xi(c), bound_of_xi(d)
-    for _ in range(200):
+    seen = {}  # bracket (a, b, c, d) -> the step it was first seen at
+    history = []  # (a, b) at each step
+    for i in range(200):
+        j = seen.setdefault((a, b, c, d), i)
+        if j < i:
+            # Steps j..i-1 repeat with period i - j; step 200 lands on one of them.
+            a, b = history[j + (200 - j) % (i - j)]
+            break
+        history.append((a, b))
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - inv_phi * (b - a)
@@ -153,16 +169,23 @@ def optimal_xi(bound_of_xi) -> tuple[float, float]:
 def _weighted_fro(W, Lam) -> float:
     """||W Lambda^(1/2)||_F for diagonal Lambda given by its entries; inf if an
     entry of W Lambda^(1/2) overflows."""
-    W = np.atleast_2d(np.asarray(W, dtype=float))
-    lam = np.atleast_1d(np.asarray(Lam, dtype=float))
+    # np.atleast_2d and np.atleast_1d cost more than the norm of a small W: call them
+    # only where they change the shape.
+    W = np.asarray(W, dtype=float)
+    if W.ndim < 2:
+        W = np.atleast_2d(W)
+    lam = np.asarray(Lam, dtype=float)
+    if lam.ndim < 1:
+        lam = np.atleast_1d(lam)
     lam_list = lam.tolist()
     if not all(0.0 <= v < math.inf for v in lam_list):
         raise ValueError("Lambda entries must be finite and nonnegative")
-    w_max = max(map(abs, W.ravel().tolist()), default=0.0)
+    w_list = W.ravel().tolist()
+    w_max = max(map(abs, w_list)) if w_list else 0.0
     # A bound on every squared entry of W Lambda^(1/2), in Python floats, which
     # overflow without a warning; x.size <= W.size * lam.size.
     if w_max * w_max * max(lam_list, default=0.0) * W.size * lam.size < 1e308:
-        x = (W * np.sqrt(lam)[np.newaxis, :]).ravel(order="K")
+        x = (W * np.sqrt(lam)).ravel(order="K")
         return math.sqrt(x.dot(x))  # np.linalg.norm's formula, summed in the same order
     with np.errstate(over="ignore"):
         x = (W * np.sqrt(lam)[np.newaxis, :]).ravel(order="K")

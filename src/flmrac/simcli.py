@@ -95,6 +95,12 @@ class _Section:
             raise ConfigError(self._join(key), "NaN and infinity are not allowed")
         return arr
 
+    def reject_unknown(self, keys) -> None:
+        """Fail at the first key of this section that is not in keys."""
+        unknown = self.data.keys() - set(keys)
+        if unknown:
+            raise ConfigError(self._join(min(unknown)), "unknown field")
+
     def sequence(self, key: str) -> list:
         raw = self.require(key)
         if not isinstance(raw, list):
@@ -103,6 +109,7 @@ class _Section:
 
     def matrix(self, key: str) -> np.ndarray:
         sub = self.child(key)
+        sub.reject_unknown(("rows", "cols", "data"))
         rows = sub.read("rows", int)
         cols = sub.read("cols", int)
         data = sub.require("data")
@@ -162,9 +169,7 @@ def _read_fields(cls, sec: _Section, **known) -> dict:
     """cls's init fields from sec, apart from those given in known; a missing or
     null key leaves out a field that has a default, and a key no field has fails."""
     fields = _file_fields(cls)
-    unknown = sec.data.keys() - {key for _, key, _, _ in fields}
-    if unknown:
-        raise ConfigError(sec._join(min(unknown)), "unknown field")
+    sec.reject_unknown(key for _, key, _, _ in fields)
     for name, key, kind, required in fields:
         if name not in known and (required or sec.data.get(key) is not None):
             known[name] = _value(sec, key, kind)
@@ -452,7 +457,9 @@ def _finish_svg(parts: list, width: int, height: int, path: Path) -> None:
            f'viewBox="0 0 {width} {height}">\n'
            '<rect width="100%" height="100%" fill="white"/>\n'
            + "\n".join(parts) + "\n</svg>\n")
-    Path(path).write_text(doc)
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(doc)
 
 
 def _series_limits(series) -> tuple[tuple[float, float], tuple[float, float]]:
@@ -703,7 +710,6 @@ def cmd_plot(args) -> int:
         raise ConfigError("--csv", f"no such file: {csv_path}")
     data = read_csv_columns(csv_path)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     if args.bode:
         needed = ("omega", "mag_db", "phase_deg")
         if any(c not in data for c in needed):

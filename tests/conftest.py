@@ -1,9 +1,14 @@
 import time
 
 import pytest
+from hypothesis import settings
 
 from flmrac.simcli import load_config
 from flmrac.simulator import run
+
+# CI runs `pytest --hypothesis-profile=ci`: examples come from a fixed seed, not from
+# the local example database, so a failure there replays from the seed alone.
+settings.register_profile("ci", derandomize=True, database=None)
 
 SEC8_NAMES = ("wingrock_standard", "wingrock_proposed", "wingrock_kappa_only",
               "wingrock_high_gain")

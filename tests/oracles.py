@@ -78,6 +78,27 @@ def margins_by_search(gamma, kappa, eta, alpha, band=(1e-3, 1e4)):
     return best
 
 
+def optimal_xi_by_search(bound_of_xi) -> tuple[float, float]:
+    """The golden-section search that optimal_xi shortcuts: always 200 steps
+    over xi in [1e-6, 1 - 1e-6], then (xi_star, bound(xi_star))."""
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = 1e-6, 1.0 - 1e-6
+    c = b - inv_phi * (b - a)
+    d = a + inv_phi * (b - a)
+    fc, fd = bound_of_xi(c), bound_of_xi(d)
+    for _ in range(200):
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - inv_phi * (b - a)
+            fc = bound_of_xi(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv_phi * (b - a)
+            fd = bound_of_xi(d)
+    xi = 0.5 * (a + b)
+    return xi, bound_of_xi(xi)
+
+
 def bound_transient_modified(gamma, kappa, xi, lam_min_P, lam_max_P, lam_min_R,
                              w_weighted_fro, e0_norm) -> float:
     """Hand substitution of the modified-architecture transient bound."""

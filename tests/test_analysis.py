@@ -176,6 +176,19 @@ class TestOptimalXi:
         assert 0.001 < xi < 0.999
         assert val <= f(min(xi + 0.05, 0.999)) and val <= f(max(xi - 0.05, 0.001))
 
+    def test_search_stops_once_its_bracket_repeats(self, wingrock_lyap):
+        # The full 200-step search evaluates a bound 203 times.
+        bounds = (
+            lambda x: analysis.bound_modified_transient(500.0, 100.0, x, wingrock_lyap,
+                                                        np.ones((9, 1)), [0.75], np.zeros(3)),
+            lambda x: analysis.bound_time_varying_ultimate(500.0, 100.0, 5.0, x, wingrock_lyap,
+                                                           [0.75], 30.0, 0.3),
+        )
+        for f in bounds:
+            calls = []
+            analysis.optimal_xi(lambda x: calls.append(x) or f(x))
+            assert len(calls) <= 100
+
 
 class TestDecayFit:
     def test_recovers_pure_exponential(self):

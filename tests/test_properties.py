@@ -1,8 +1,9 @@
 """Property tests: projection invariants over random shapes, the config
 serialize -> parse -> serialize round trip, the recorded identities of
-short random runs, the closed-form loop margins against a search, and the
-scalar loop's linearized closed loop against its loop transfer function and,
-with a delayed control, against its delay margin."""
+short random runs, the closed-form loop margins and the shortened xi search
+against the searches they replaced, and the scalar loop's linearized closed
+loop against its loop transfer function and, with a delayed control, against
+its delay margin."""
 
 import cmath
 import dataclasses
@@ -20,7 +21,7 @@ from flmrac.simcli import dict_to_scenario, load_config, serialize_scenario
 from flmrac.simulator import assemble, rk4_step, run
 
 from helpers import scalar_loop_scenario
-from oracles import loop_transfer_rational, margins_by_search
+from oracles import loop_transfer_rational, margins_by_search, optimal_xi_by_search
 
 finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 SUBNORMAL = float(np.finfo(float).smallest_subnormal)
@@ -130,6 +131,25 @@ def test_weighted_fro_matches_numpy_norm(data, s, m, fortran):
         st.one_of(st.floats(-1e150, -1e-150), st.sampled_from([math.inf, math.nan])))
     with pytest.raises(ValueError, match="nonnegative"):
         analysis._weighted_fro(W, lam)
+
+
+# Bounds of xi in (0, 1) from (p, s, o) in [0, 1] x [-100, 100] x [-10, 10]: monotone,
+# with an interior minimum or maximum, piecewise constant, kinked and oscillating.
+XI_FAMILIES = {
+    "power": lambda p, s, o: lambda x: o + s * x ** (4.0 * p - 2.0),
+    "parabola": lambda p, s, o: lambda x: o + s * (x - p) ** 2,
+    "floor": lambda p, s, o: lambda x: o + math.floor(s * (x - p)),
+    "abs": lambda p, s, o: lambda x: o + s * abs(x - p),
+    "sin": lambda p, s, o: lambda x: o + math.sin(s * x + p),
+}
+
+
+@settings(deadline=None, max_examples=500)
+@given(family=st.sampled_from(sorted(XI_FAMILIES)), p=st.floats(0.0, 1.0),
+       s=st.floats(-100.0, 100.0), o=st.floats(-10.0, 10.0))
+def test_optimal_xi_equals_the_200_step_search(family, p, s, o):
+    f = XI_FAMILIES[family](p, s, o)
+    assert analysis.optimal_xi(f) == optimal_xi_by_search(f)
 
 
 @st.composite

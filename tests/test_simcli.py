@@ -114,6 +114,8 @@ MALFORMED_FIELDS = {
     "t_final_not_multiple": (lambda r: r.update(t_final=0.2005), "t_final"),
     "unknown_key": (lambda r: r["controller"].update(kapa=r["controller"].pop("kappa")),
                     "controller.kapa", "unknown field"),
+    "matrix_unknown_key": (lambda r: r["controller"]["K"].update(transpose=True),
+                           "controller.K.transpose", "unknown field"),
     "unknown_modulation_key": (
         lambda r: r["plant"]["truth"]["modulations"][0].update(begin=1.0),
         "plant.truth.modulations[0].begin", "unknown field"),
@@ -561,6 +563,19 @@ class TestCmdPlot:
         stderr = capsys.readouterr().err
         assert "config error: --columns: unknown columns ['bogus']" in stderr
         assert "Traceback" not in stderr
+
+    @pytest.mark.parametrize("args, path", [
+        (["--columns", "bogus"], "--columns"),
+        (["--columns", "mag_db", "--x", "bogus"], "--x"),
+        (["--bode"], "--csv"),
+    ])
+    def test_rejected_plot_creates_nothing(self, tmp_path, capsys, args, path):
+        csv_path = tmp_path / "b.csv"
+        csv_path.write_text("omega,mag_db\n1.0,0.0\n2.0,-6.0\n")
+        assert simcli.main(["plot", "--csv", str(csv_path),
+                            "--out", str(tmp_path / "newdir" / "p.svg"), *args]) == 2
+        assert f"config error: {path}: " in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["b.csv"]
 
     def test_timeseries_svg_with_labels(self, tmp_path):
         cfg = short_noisy_config(tmp_path, t_final=2.0)
