@@ -10,6 +10,7 @@ part of the controller.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -133,37 +134,28 @@ def optimal_xi(bound_of_xi) -> tuple[float, float]:
     For bounds monotone in xi the search converges to the admissible boundary,
     which is the tightest choice.
 
-    bound_of_xi must be pure: the same xi always gives the same value.  Then
-    the bracket (a, b, c, d) alone decides every later step, so once a
-    bracket repeats (in floating point the search ends in a fixed point or a
-    short cycle, typically within 80 steps) the bracket of step 200 is known
-    without evaluating the bound again, and the search stops there.  If no
-    bracket repeats, all 200 steps run.
+    bound_of_xi must be pure: the same xi always gives the same value.  The
+    search memoises it, and in floating point its bracket ends in a fixed point
+    or a short cycle, so the 200 steps evaluate the bound at few distinct xi
+    (77 for the transient bound of a typical design).
     """
+    f = functools.cache(bound_of_xi)
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = 1e-6, XI_MAX
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
-    fc, fd = bound_of_xi(c), bound_of_xi(d)
-    seen = {}  # bracket (a, b, c, d) -> the step it was first seen at
-    history = []  # (a, b) at each step
-    for i in range(200):
-        j = seen.setdefault((a, b, c, d), i)
-        if j < i:
-            # Steps j..i-1 repeat with period i - j; step 200 lands on one of them.
-            a, b = history[j + (200 - j) % (i - j)]
-            break
-        history.append((a, b))
+    fc, fd = f(c), f(d)
+    for _ in range(200):
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - inv_phi * (b - a)
-            fc = bound_of_xi(c)
+            fc = f(c)
         else:
             a, c, fc = c, d, fd
             d = a + inv_phi * (b - a)
-            fd = bound_of_xi(d)
+            fd = f(d)
     xi = 0.5 * (a + b)
-    return xi, bound_of_xi(xi)
+    return xi, f(xi)
 
 
 def _weighted_fro(W, Lam) -> float:
@@ -181,10 +173,12 @@ def _weighted_fro(W, Lam) -> float:
     if not all(0.0 <= v < math.inf for v in lam_list):
         raise ValueError("Lambda entries must be finite and nonnegative")
     w_list = W.ravel().tolist()
-    w_max = max(map(abs, w_list)) if w_list else 0.0
+    w_sum = sum(map(abs, w_list))  # inf or NaN if an entry is, or if the sum overflows
+    if not w_sum < math.inf and not all(map(math.isfinite, w_list)):
+        raise ValueError("W entries must be finite")
     # A bound on every squared entry of W Lambda^(1/2), in Python floats, which
     # overflow without a warning; x.size <= W.size * lam.size.
-    if w_max * w_max * max(lam_list, default=0.0) * W.size * lam.size < 1e308:
+    if w_sum * w_sum * max(lam_list, default=0.0) * W.size * lam.size < 1e308:
         x = (W * np.sqrt(lam)).ravel(order="K")
         return math.sqrt(x.dot(x))  # np.linalg.norm's formula, summed in the same order
     with np.errstate(over="ignore"):
@@ -402,8 +396,8 @@ MIN_SPECTRUM_SAMPLES = 64
 def spectrum_fraction_above(t, values, cutoff: float) -> float:
     """Fraction of non-DC discrete-spectrum energy above `cutoff` rad/s.
 
-    The signal must be uniformly sampled, with at least MIN_SPECTRUM_SAMPLES samples;
-    the whole record is transformed.  Multi-channel input sums channel energies.
+    The signal must be uniformly sampled at a positive step, with MIN_SPECTRUM_SAMPLES
+    or more samples; the whole record is transformed, and channel energies summed.
     """
     t = np.asarray(t, dtype=float)
     v = np.asarray(values, dtype=float)
@@ -412,9 +406,9 @@ def spectrum_fraction_above(t, values, cutoff: float) -> float:
     if t.size < MIN_SPECTRUM_SAMPLES:
         raise ValueError(f"need at least {MIN_SPECTRUM_SAMPLES} samples for a spectral estimate")
     dts = np.diff(t)
-    if float(np.max(np.abs(dts - dts[0]))) > 1e-9 * max(dts[0], 1.0):
-        raise ValueError("signal is not uniformly sampled")
     dt = float(dts[0])
+    if not (dt > 0.0 and float(np.max(np.abs(dts - dt))) <= 1e-9 * max(dt, 1.0)):
+        raise ValueError("signal is not uniformly sampled")
 
     omega = 2.0 * math.pi * np.abs(np.fft.fftfreq(v.shape[0], d=dt))
     energy_hi = 0.0

@@ -282,15 +282,11 @@ def augment(plant: PlantModel, E_p) -> AugmentedSystem:
 def aggregate_true_weights(truth, Lambda, K, t: float | np.ndarray = 0.0) -> np.ndarray:
     """Aggregated truth W with W' = [Lambda^-1 W_p', (Lambda^-1 - I) K].
 
-    `truth` may be an UncertaintyTruth or a plain (s, m) array.  One time t
-    gives the (s+n, m) matrix; an array of N times gives the (N, s+n, m)
-    stack of an UncertaintyTruth, each slice equal to the matrix at its time.
-    Analysis-only: the controller never receives this.
+    `truth` is an UncertaintyTruth.  One time t gives the (s+n, m) matrix; an
+    array of N times gives the (N, s+n, m) stack, each slice equal to the
+    matrix at its time.  Analysis-only: the controller never receives this.
     """
-    if isinstance(truth, UncertaintyTruth):
-        W_p = truth.W_p_grid(t) if np.ndim(t) else truth.W_p(t)
-    else:
-        W_p = np.atleast_2d(np.asarray(truth, dtype=float))
+    W_p = truth.W_p_grid(t) if np.ndim(t) else truth.W_p(t)
     lam = np.atleast_1d(np.asarray(Lambda, dtype=float))
     K = np.atleast_2d(np.asarray(K, dtype=float))
     m = K.shape[0]

@@ -252,14 +252,11 @@ def load_config(path: str) -> tuple[ScenarioConfig, dict]:
 
 
 def bundled_scenario_path(name: str) -> Path | None:
-    base = resources.files("flmrac").joinpath("scenarios")
-    candidate = base.joinpath(f"{name}.cfg")
+    candidate = resources.files("flmrac").joinpath("scenarios").joinpath(f"{name}.cfg")
     try:
-        if candidate.is_file():
-            return Path(str(candidate))
+        return Path(str(candidate)) if candidate.is_file() else None
     except (OSError, AttributeError):
         return None
-    return None
 
 
 def list_bundled() -> list[str]:
@@ -306,11 +303,18 @@ def write_trajectory_csv(traj: Trajectory, path: Path) -> None:
 
 
 def read_csv_columns(path: Path) -> dict[str, np.ndarray]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [list(map(float, r)) for r in reader if r]
-    data = np.asarray(rows, dtype=float) if rows else np.zeros((0, len(header)))
+    """The columns of a numeric CSV by header name.  A file that cannot be read as
+    text, or has no data row, a row of another length than the header or a cell
+    that is not a finite number, raises ConfigError at --csv."""
+    try:
+        with open(path, newline="") as fh:
+            header, *rows = [r for r in csv.reader(fh) if r] or [[]]
+        # A ragged row is left out here, so that data has fewer rows than the file.
+        data = np.array([list(map(float, row)) for row in rows if len(row) == len(header)])
+    except (OSError, ValueError) as exc:  # ValueError: also bytes that are not UTF-8
+        raise ConfigError("--csv", str(exc)) from None
+    if not rows or data.shape != (len(rows), len(header)) or not np.isfinite(data).all():
+        raise ConfigError("--csv", f"{path} needs a header and rows of one finite number per column")
     return {name: data[:, j] for j, name in enumerate(header)}
 
 
@@ -390,8 +394,10 @@ def _decimate(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x[::step], y[::step]
 
 
-def _axis_ticks(lo: float, hi: float) -> list[float]:
-    """Five evenly spaced ticks from lo to hi."""
+def _axis_ticks(lo: float, hi: float, logx: bool = False) -> list[float]:
+    """Each power of ten from lo to hi on a log axis, else five evenly spaced ticks."""
+    if logx:
+        return [10.0**d for d in range(math.ceil(math.log10(lo)), math.floor(math.log10(hi)) + 1)]
     if hi <= lo:
         hi = lo + 1.0
     return [lo + (hi - lo) * i / 4 for i in range(5)]
@@ -421,13 +427,7 @@ class _Panel:
         parts.append(
             f'<rect x="{self.x0}" y="{self.y0}" width="{self.w}" height="{self.h}" '
             f'fill="none" stroke="#333" stroke-width="1"/>')
-        if self.logx:
-            lo_d = math.ceil(math.log10(self.xlim[0]))
-            hi_d = math.floor(math.log10(self.xlim[1]))
-            xticks = [10.0**d for d in range(lo_d, hi_d + 1)]
-        else:
-            xticks = _axis_ticks(*self.xlim)
-        for xv in xticks:
+        for xv in _axis_ticks(*self.xlim, self.logx):
             px = self.px(xv)
             parts.append(f'<line x1="{px:.2f}" y1="{self.y0 + self.h}" x2="{px:.2f}" '
                          f'y2="{self.y0 + self.h + 5}" stroke="#333"/>')
@@ -462,51 +462,30 @@ def _finish_svg(parts: list, width: int, height: int, path: Path) -> None:
     path.write_text(doc)
 
 
-def _series_limits(series) -> tuple[tuple[float, float], tuple[float, float]]:
-    xs = np.concatenate([np.asarray(s[1], dtype=float) for s in series])
-    ys = np.concatenate([np.asarray(s[2], dtype=float) for s in series])
-    pad = 0.05 * (float(np.max(ys)) - float(np.min(ys)) or 1.0)
-    return ((float(np.min(xs)), float(np.max(xs))),
-            (float(np.min(ys)) - pad, float(np.max(ys)) + pad))
-
-
-def svg_timeseries(series, path: Path, xlabel: str = "t [s]", title: str = "") -> None:
-    """series: list of (label, x array, y array) tuples."""
-    width, height = 860, 480
-    xlim, ylim = _series_limits(series)
-    panel = _Panel(70, 45, width - 95, height - 105, xlim, ylim)
+def svg_panels(rows, path: Path, xlabel: str, title: str = "", logx: bool = False) -> None:
+    """Panels stacked over one x axis; rows: list of (ylabel, [(label, x, y), ...])."""
+    width, height = 860, 40 + 300 * len(rows)
     parts: list[str] = []
     if title:
         parts.append(f'<text x="{width / 2}" y="24" font-size="14" '
                      f'text-anchor="middle">{title}</text>')
-    panel.frame(parts, xlabel, "")
-    for i, (label, xs, ys) in enumerate(series):
-        color = _PALETTE[i % len(_PALETTE)]
-        panel.polyline(parts, xs, ys, color)
-        ly = 58 + 16 * i
-        parts.append(f'<line x1="{width - 180}" y1="{ly - 4}" x2="{width - 155}" '
-                     f'y2="{ly - 4}" stroke="{color}" stroke-width="2"/>')
-        parts.append(f'<text x="{width - 150}" y="{ly}" font-size="11">{label}</text>')
-    _finish_svg(parts, width, height, path)
-
-
-def svg_bode(omega, mag_db, phase_deg, path: Path, title: str = "") -> None:
-    """Dual-panel magnitude/phase plot over a log frequency axis."""
-    width, height = 860, 640
-    omega = np.asarray(omega, dtype=float)
-    xlim = (float(omega[0]), float(omega[-1]))
-    parts: list[str] = []
-    if title:
-        parts.append(f'<text x="{width / 2}" y="22" font-size="14" '
-                     f'text-anchor="middle">{title}</text>')
-    for row, (vals, label) in enumerate(((np.asarray(mag_db, dtype=float), "magnitude [dB]"),
-                                         (np.asarray(phase_deg, dtype=float), "phase [deg]"))):
-        pad = 0.05 * (float(np.max(vals)) - float(np.min(vals)) or 1.0)
-        panel = _Panel(70, 40 + row * 300, width - 95, 250,
-                       xlim, (float(np.min(vals)) - pad, float(np.max(vals)) + pad),
-                       logx=True)
-        panel.frame(parts, "omega [rad/s]" if row == 1 else "", label)
-        panel.polyline(parts, omega, vals, _PALETTE[row])
+    xs = np.concatenate([x for _, series in rows for _, x, _ in series])
+    xlim = (float(np.min(xs)), float(np.max(xs)))
+    color = 0
+    for r, (ylabel, series) in enumerate(rows):
+        ys = np.concatenate([y for _, _, y in series])
+        lo, hi = float(np.min(ys)), float(np.max(ys))
+        pad = 0.05 * (hi - lo or 1.0)
+        panel = _Panel(70, 45 + 300 * r, 765, 250, xlim, (lo - pad, hi + pad), logx=logx)
+        panel.frame(parts, xlabel if r == len(rows) - 1 else "", ylabel)
+        for i, (label, x, y) in enumerate(series):
+            stroke = _PALETTE[color % len(_PALETTE)]
+            color += 1
+            panel.polyline(parts, x, y, stroke)
+            ly = panel.y0 + 13 + 16 * i
+            parts.append(f'<line x1="{width - 180}" y1="{ly - 4}" x2="{width - 155}" '
+                         f'y2="{ly - 4}" stroke="{stroke}" stroke-width="2"/>')
+            parts.append(f'<text x="{width - 150}" y="{ly}" font-size="11">{label}</text>')
     _finish_svg(parts, width, height, path)
 
 
@@ -655,8 +634,6 @@ def cmd_compare(args) -> int:
 def _cell(v) -> str:
     if v is None:
         return "-"
-    if isinstance(v, bool):
-        return str(v)
     if isinstance(v, float):
         return f"{v:.5g}"
     return str(v)
@@ -709,26 +686,27 @@ def cmd_plot(args) -> int:
     if not csv_path.exists():
         raise ConfigError("--csv", f"no such file: {csv_path}")
     data = read_csv_columns(csv_path)
-    out = Path(args.out)
     if args.bode:
         needed = ("omega", "mag_db", "phase_deg")
-        if any(c not in data for c in needed):
-            raise ConfigError("--csv", f"a bode plot needs the columns {needed}")
-        svg_bode(data["omega"], data["mag_db"], data["phase_deg"], out,
-                 title=csv_path.stem)
-        print(f"[flmrac] wrote {out}")
-        return EXIT_OK
-    columns = [c for c in (args.columns or "").split(",") if c]
-    if not columns:
-        raise ConfigError("--columns", "empty column selection")
-    missing = [c for c in columns if c not in data]
-    if missing:
-        raise ConfigError("--columns", f"unknown columns {missing}; available: {sorted(data)}")
-    xcol = args.x
-    if xcol not in data:
-        raise ConfigError("--x", f"unknown column {xcol!r}")
-    series = [(c, data[xcol], data[c]) for c in columns]
-    svg_timeseries(series, out, xlabel=xcol, title=csv_path.stem)
+        if any(c not in data for c in needed) or not np.all(data["omega"] > 0.0):
+            raise ConfigError("--csv", f"a bode plot needs the columns {needed}, omega > 0")
+        rows = [(ylabel, [(c, data["omega"], data[c])])
+                for c, ylabel in (("mag_db", "magnitude [dB]"), ("phase_deg", "phase [deg]"))]
+        xlabel = "omega [rad/s]"
+    else:
+        columns = [c for c in (args.columns or "").split(",") if c]
+        if not columns:
+            raise ConfigError("--columns", "empty column selection")
+        missing = [c for c in columns if c not in data]
+        if missing:
+            raise ConfigError("--columns",
+                              f"unknown columns {missing}; available: {sorted(data)}")
+        xcol = xlabel = args.x
+        if xcol not in data:
+            raise ConfigError("--x", f"unknown column {xcol!r}")
+        rows = [("", [(c, data[xcol], data[c]) for c in columns])]
+    out = Path(args.out)
+    svg_panels(rows, out, xlabel, title=csv_path.stem, logx=args.bode)
     print(f"[flmrac] wrote {out}")
     return EXIT_OK
 

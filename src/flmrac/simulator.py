@@ -51,7 +51,7 @@ class CommandSpec:
 
     kinds: "zero"; "step" (amplitude for t >= 0, plus offset); "square_wave"
     (offset + amplitude * sign(sin(2 pi t / period))); "custom"
-    (zero-order-hold lookup in the given sample arrays).
+    (zero-order-hold lookup in the given samples, at strictly increasing times).
     """
 
     kind: str
@@ -70,6 +70,8 @@ class CommandSpec:
             if len(self.times) != len(self.values) or not self.times:
                 raise ValueError("custom command needs matching, nonempty samples")
             object.__setattr__(self, "times", tuple(float(t) for t in self.times))
+            if not all(a < b for a, b in zip(self.times, self.times[1:])):
+                raise ValueError(f"custom command times must increase, got {self.times}")
             object.__setattr__(self, "values", tuple(float(v) for v in self.values))
 
     def value(self, t: float) -> float:

@@ -79,7 +79,7 @@ def margins_by_search(gamma, kappa, eta, alpha, band=(1e-3, 1e4)):
 
 
 def optimal_xi_by_search(bound_of_xi) -> tuple[float, float]:
-    """The golden-section search that optimal_xi shortcuts: always 200 steps
+    """The golden-section search that optimal_xi memoises: always 200 steps
     over xi in [1e-6, 1 - 1e-6], then (xi_star, bound(xi_star))."""
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = 1e-6, 1.0 - 1e-6

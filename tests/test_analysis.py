@@ -88,6 +88,14 @@ class TestBoundStandardMrac:
         with pytest.raises(ValueError, match="finite and nonnegative"):
             analysis._weighted_fro([[0.0]], [lam])
 
+    @pytest.mark.parametrize("w", [math.inf, -math.inf, math.nan])
+    def test_nonfinite_W_rejected(self, w):
+        # With Lambda = 0, W = inf would be inf * 0 = NaN.
+        with pytest.raises(ValueError, match="W entries must be finite"):
+            analysis._weighted_fro([[w]], [0.0])
+        with pytest.raises(ValueError, match="W entries must be finite"):
+            analysis._weighted_fro([[1.0, w]], [1.0, 1.0])
+
 
 @pytest.fixture(scope="module")
 def wingrock_lyap():
@@ -319,6 +327,11 @@ class TestHfContent:
         t = np.concatenate([np.linspace(0.0, 1.0, 64), [1.5]])
         with pytest.raises(ValueError, match="uniform"):
             analysis.spectrum_fraction_above(t, np.zeros(65), 1.0)
+
+    @pytest.mark.parametrize("t", [np.full(64, 2.0), np.linspace(1.0, 0.0, 64)])
+    def test_rejects_a_time_step_that_is_not_positive(self, t):
+        with pytest.raises(ValueError, match="uniform"):
+            analysis.spectrum_fraction_above(t, np.sin(np.arange(64.0)), 1.0)
 
     def test_trajectory_wrapper(self):
         t = np.linspace(0.0, 4.0 * np.pi, 2049)[:-1]

@@ -204,7 +204,7 @@ class TestAggregateTrueWeights:
     def test_identity_lambda_leaves_gain_block_zero(self):
         W_p = np.array([[1.0], [2.0]])
         K = np.array([[3.0, 4.0, 5.0]])
-        W = pm.aggregate_true_weights(W_p, [1.0], K)
+        W = pm.aggregate_true_weights(pm.UncertaintyTruth(W_p), [1.0], K)
         assert np.allclose(W[:2, 0], [1.0, 2.0])
         assert np.allclose(W[2:, 0], 0.0)
 
@@ -214,12 +214,14 @@ class TestAggregateTrueWeights:
         assert np.allclose(W[6:, 0], [2.0 / 3.0, 2.0 / 3.0, 1.0 / 3.0])
 
     def test_zero_truth_identity_lambda(self):
-        W = pm.aggregate_true_weights(np.zeros((2, 1)), [1.0], np.array([[1.0, 1.0]]))
+        W = pm.aggregate_true_weights(pm.UncertaintyTruth(np.zeros((2, 1))), [1.0],
+                                      np.array([[1.0, 1.0]]))
         assert np.all(W == 0.0)
 
     def test_singular_lambda(self):
         with pytest.raises(ValueError):
-            pm.aggregate_true_weights(np.zeros((2, 1)), [0.0], np.array([[1.0, 1.0]]))
+            pm.aggregate_true_weights(pm.UncertaintyTruth(np.zeros((2, 1))), [0.0],
+                                      np.array([[1.0, 1.0]]))
 
 
 class TestPlantModelValidation:

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import json
 import operator
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -111,6 +112,9 @@ MALFORMED_FIELDS = {
     "command_sample_nan": (lambda r: r["command"].update(kind="custom", times=[0.0, 0.1],
                                                          values=[0.3, float("nan")]),
                            "command.values"),
+    "command_times_not_increasing": (
+        lambda r: r["command"].update(kind="custom", times=[2.0, 0.0, 1.0], values=[5.0, 7.0, 9.0]),
+        "command", "custom command times must increase"),
     "t_final_not_multiple": (lambda r: r.update(t_final=0.2005), "t_final"),
     "unknown_key": (lambda r: r["controller"].update(kapa=r["controller"].pop("kappa")),
                     "controller.kapa", "unknown field"),
@@ -576,6 +580,63 @@ class TestCmdPlot:
                             "--out", str(tmp_path / "newdir" / "p.svg"), *args]) == 2
         assert f"config error: {path}: " in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["b.csv"]
+
+    @pytest.mark.parametrize("text, message", [
+        (b"omega,mag_db\n1.0,0.0\n2.0\n", "rows of one finite number per column"),
+        (b"omega,mag_db\n1.0,0.0\n2.0,abc\n", "could not convert string to float: 'abc'"),
+        (b"", "rows of one finite number per column"),
+        (b"omega,mag_db\n", "rows of one finite number per column"),
+        (b"omega,mag_db\n1.0,nan\n", "rows of one finite number per column"),
+        (b"omega,mag_db\n1.0,\xff\n", "can't decode byte 0xff"),
+        (b"omega,mag_db,phase_deg\n0.0,0.0,-90.0\n1.0,-6.0,-95.0\n", "omega > 0"),
+    ])
+    def test_malformed_csv_rejected(self, tmp_path, capsys, text, message):
+        csv_path = tmp_path / "b.csv"
+        csv_path.write_bytes(text)
+        args = ["--bode"] if b"phase_deg" in text else ["--columns", "mag_db", "--x", "omega"]
+        assert simcli.main(["plot", "--csv", str(csv_path), "--out", str(tmp_path / "p.svg"),
+                            *args]) == 2
+        stderr = capsys.readouterr().err
+        assert "config error: --csv: " in stderr and message in stderr
+        assert "Traceback" not in stderr
+        assert [p.name for p in tmp_path.iterdir()] == ["b.csv"]
+
+    def test_csv_that_is_a_directory_rejected(self, tmp_path, capsys):
+        assert simcli.main(["plot", "--csv", str(tmp_path), "--out", str(tmp_path / "p.svg"),
+                            "--bode"]) == 2
+        stderr = capsys.readouterr().err
+        assert "config error: --csv: " in stderr and "Traceback" not in stderr
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("args", [["--columns", "x_1,c_1"], ["--bode"]])
+    def test_same_csv_gives_the_same_svg(self, tmp_path, args):
+        # 3000 rows, so the polylines are decimated too.
+        t = np.linspace(0.0, 3.0, 3000)
+        table = np.column_stack([t, np.sin(t), np.cos(t), np.logspace(-3, 4, t.size),
+                                 -20.0 * t, -90.0 - 30.0 * t])
+        csv_path = tmp_path / "d.csv"
+        simcli.write_csv(csv_path, ["t", "x_1", "c_1", "omega", "mag_db", "phase_deg"], table)
+        svgs = [tmp_path / "a.svg", tmp_path / "b.svg"]
+        for svg in svgs:
+            assert simcli.main(["plot", "--csv", str(csv_path), "--out", str(svg), *args]) == 0
+        assert svgs[0].read_bytes() == svgs[1].read_bytes()
+
+    def test_bode_axis_has_one_tick_per_decade(self, tmp_path):
+        out = tmp_path / "bode"
+        simcli.main(["bode", "--gamma", "100", "--kappa", "50", "--eta", "10", "--out", str(out)])
+        svg = tmp_path / "bode.svg"
+        assert simcli.main(["plot", "--csv", str(out / "bode_g100_k50_e10.csv"),
+                            "--out", str(svg), "--bode"]) == 0
+        text = svg.read_text()
+        for bottom in (295, 595):  # the lower edge of each panel
+            ticks = re.findall(rf'<line x1="([\d.]+)" y1="{bottom}" x2="\1" '
+                               rf'y2="{bottom + 5}"', text)
+            labels = re.findall(rf'<text x="[\d.]+" y="{bottom + 18}" font-size="11" '
+                                r'text-anchor="middle">([^<]*)</text>', text)
+            assert labels == ["0.001", "0.01", "0.1", "1", "10", "100", "1000", "1e+04"]
+            # Decades evenly spaced across the 765-wide panel at x = 70.
+            assert [float(x) for x in ticks] == pytest.approx(
+                [70 + 765 * k / 7 for k in range(8)], abs=0.006)
 
     def test_timeseries_svg_with_labels(self, tmp_path):
         cfg = short_noisy_config(tmp_path, t_final=2.0)

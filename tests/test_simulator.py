@@ -34,6 +34,11 @@ class TestCommand:
         assert sim.command(spec, 0.2)[0] == 0.5
         assert sim.command(spec, 1.2)[0] == -0.5
 
+    @pytest.mark.parametrize("times", [(2.0, 0.0, 1.0), (0.0, 1.0, 1.0)])
+    def test_custom_times_must_increase(self, times):
+        with pytest.raises(ValueError, match="times must increase"):
+            sim.CommandSpec(kind="custom", times=times, values=(5.0, 7.0, 9.0))
+
     def test_empty_for_stabilization(self):
         assert sim.command(sim.CommandSpec(kind="zero"), 0.0, n_c=0).shape == (0,)
 
