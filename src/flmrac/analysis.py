@@ -21,26 +21,14 @@ from .simulator import Trajectory
 
 
 class UnknownSignalError(KeyError):
-    """The requested signal name is not recorded in the trajectory."""
-
-
-#: Stored trajectory signals plus the derived ones used by the bound checks.
-_DERIVED_SIGNALS = {
-    "x_err_ideal": lambda tr: tr.x - tr.x_ri,  # x - x_ri, the transient-bound subject
-    "x_tilde": lambda tr: tr.x_r - tr.x_ri,    # deviation of the modified reference
-}
-_STORED_SIGNALS = ("x", "x_r", "x_ri", "e", "e_L", "e_H", "u", "c")
+    """The requested signal name is not in Trajectory.SIGNALS."""
 
 
 def signal(traj: Trajectory, name: str) -> np.ndarray:
-    """(N, d) array of one stored or derived trajectory signal."""
-    if name in _STORED_SIGNALS:
-        arr = getattr(traj, name)
-    elif name in _DERIVED_SIGNALS:
-        arr = _DERIVED_SIGNALS[name](traj)
-    else:
+    """(N, d) array of one of Trajectory.SIGNALS."""
+    if name not in Trajectory.SIGNALS:
         raise UnknownSignalError(name)
-    return arr.reshape(len(traj), -1)
+    return getattr(traj, name).reshape(len(traj), -1)
 
 
 def linf_norm(traj: Trajectory, name: str) -> float:
@@ -184,12 +172,8 @@ def _weighted_fro(W, Lam) -> float:
     with np.errstate(over="ignore"):
         x = (W * np.sqrt(lam)[np.newaxis, :]).ravel(order="K")
         ss = x.dot(x)
-    big = max(map(abs, x.tolist()))
-    # The plain sum, unless finite entries overflowed it: then one scaled by the largest.
-    if ss < math.inf or not big < math.inf:
-        return math.sqrt(ss)
-    x = x / big
-    return big * math.sqrt(x.dot(x))
+    # The plain sum, unless finite entries overflowed it: then math.hypot, which does not.
+    return math.sqrt(ss) if ss < math.inf else math.hypot(*x.tolist())
 
 
 def _check_xi(xi: float) -> None:
@@ -235,16 +219,14 @@ def composite_lyapunov(traj: Trajectory, lyap: LyapunovPair, gamma: float,
     ex = lyap.extremes()
     w_coeff = 2.0 * xi * ex["lam_min_R"] / (kappa * ex["lam_max_P"])
     W_true = np.atleast_2d(np.asarray(W_true, dtype=float))
-    x_tilde = traj.x_r - traj.x_ri
+    e, e_L, x_tilde = traj.e, traj.e_L, traj.x_tilde
 
     out = np.empty(len(traj))
     for i in range(len(traj)):
-        e = traj.e[i]
-        e_L = traj.e_L[i]
         out[i] = (
-            e @ P @ e
+            e[i] @ P @ e[i]
             + _weighted_fro(traj.W_hat[i] - W_true, Lam) ** 2 / gamma
-            + kappa / eta * (e_L @ P @ e_L)
+            + kappa / eta * (e_L[i] @ P @ e_L[i])
             + w_coeff * (x_tilde[i] @ P @ x_tilde[i])
         )
     return out
@@ -397,12 +379,17 @@ def spectrum_fraction_above(t, values, cutoff: float) -> float:
     """Fraction of non-DC discrete-spectrum energy above `cutoff` rad/s.
 
     The signal must be uniformly sampled at a positive step, with MIN_SPECTRUM_SAMPLES
-    or more samples; the whole record is transformed, and channel energies summed.
+    or more samples, one per time; the whole record is transformed, and channel
+    energies summed.  The cutoff must be finite and nonnegative.
     """
+    if not 0.0 <= cutoff < math.inf:
+        raise ValueError(f"cutoff must be finite and nonnegative, got {cutoff}")
     t = np.asarray(t, dtype=float)
     v = np.asarray(values, dtype=float)
     if v.ndim == 1:
         v = v[:, np.newaxis]
+    if v.shape[0] != t.size:
+        raise ValueError(f"{t.size} times but {v.shape[0]} samples")
     if t.size < MIN_SPECTRUM_SAMPLES:
         raise ValueError(f"need at least {MIN_SPECTRUM_SAMPLES} samples for a spectral estimate")
     dts = np.diff(t)
@@ -416,7 +403,7 @@ def spectrum_fraction_above(t, values, cutoff: float) -> float:
     for j in range(v.shape[1]):
         spec = np.abs(np.fft.fft(v[:, j])) ** 2
         energy_all += float(np.sum(spec[1:]))
-        energy_hi += float(np.sum(spec[(omega > cutoff) & (np.arange(spec.size) > 0)]))
+        energy_hi += float(np.sum(spec[omega > cutoff]))  # cutoff >= 0 leaves out DC
     if energy_all == 0.0:
         return 0.0
     return energy_hi / energy_all

@@ -304,8 +304,8 @@ def write_trajectory_csv(traj: Trajectory, path: Path) -> None:
 
 def read_csv_columns(path: Path) -> dict[str, np.ndarray]:
     """The columns of a numeric CSV by header name.  A file that cannot be read as
-    text, or has no data row, a row of another length than the header or a cell
-    that is not a finite number, raises ConfigError at --csv."""
+    text, or has a repeated header, no data row, a row of another length than the
+    header or a cell that is not a finite number, raises ConfigError at --csv."""
     try:
         with open(path, newline="") as fh:
             header, *rows = [r for r in csv.reader(fh) if r] or [[]]
@@ -315,6 +315,9 @@ def read_csv_columns(path: Path) -> dict[str, np.ndarray]:
         raise ConfigError("--csv", str(exc)) from None
     if not rows or data.shape != (len(rows), len(header)) or not np.isfinite(data).all():
         raise ConfigError("--csv", f"{path} needs a header and rows of one finite number per column")
+    repeated = [name for j, name in enumerate(header) if name in header[:j]]
+    if repeated:
+        raise ConfigError("--csv", f"{path} repeats the header {repeated[0]!r}")
     return {name: data[:, j] for j, name in enumerate(header)}
 
 
@@ -365,17 +368,15 @@ def bound_report_for(scn: ScenarioConfig, traj: Trajectory) -> BoundReport:
         inputs.update({"w_tilde_max": wt_max, "w_dot_max": wd_max})
         value = analysis.bound_time_varying_ultimate(cfg.gamma, cfg.kappa, cfg.eta, BOUND_XI,
                                                      lyap, lam, wt_max, wd_max)
-        observed = analysis.linf_norm(traj, "x_err_ideal")
         kind = "time_varying_ultimate"
     else:
         value = analysis.bound_modified_transient(cfg.gamma, cfg.kappa, BOUND_XI, lyap,
                                                   W_tilde0, lam, e0)
-        observed = analysis.linf_norm(traj, "x_err_ideal")
         kind = "modified_transient"
         tightest = analysis.bound_modified_transient(cfg.gamma, cfg.kappa, analysis.XI_MAX,
                                                      lyap, W_tilde0, lam, e0)
         inputs.update({"xi_star": analysis.XI_MAX, "bound_at_xi_star": tightest})
-    return BoundReport.make(kind, value, observed, inputs)
+    return BoundReport.make(kind, value, analysis.linf_norm(traj, "x_err_ideal"), inputs)
 
 
 # ---------------------------------------------------------------------------
@@ -603,6 +604,8 @@ def run_metrics(scn: ScenarioConfig, traj: Trajectory, cutoff: float) -> dict:
 
 
 def cmd_compare(args) -> int:
+    if not 0.0 <= args.cutoff < math.inf:
+        raise ConfigError("--cutoff", f"must be finite and nonnegative, got {args.cutoff}")
     scenarios = [load_config(c)[0] for c in args.configs]
     if len({_compare_key(scn) for scn in scenarios}) != 1:
         raise ConfigError("configs", "compare requires identical plant, command and noise seed")

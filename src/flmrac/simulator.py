@@ -190,24 +190,38 @@ class ScenarioConfig:
 
 @dataclass
 class Trajectory:
-    """Time-indexed record of one run.
-
-    Per sample: true state x, modified reference x_r, ideal reference x_ri,
-    system error e = x - x_r, filtered error e_L, high-frequency error
-    e_H = e - e_L, applied control u (computed from the measured state), the
-    weight estimate and the command.
+    """Time-indexed record of one run: per sample, the integrated blocks x, x_r,
+    x_ri, e_L and W_hat, the applied control u (from the measured state) and the
+    command c.  The error signals are properties derived from them.
     """
+
+    #: The one list of signal names, stored and derived, that analysis.signal accepts.
+    SIGNALS = ("x", "x_r", "x_ri", "e", "e_L", "e_H", "u", "c", "x_err_ideal", "x_tilde")
 
     t: np.ndarray
     x: np.ndarray
     x_r: np.ndarray
     x_ri: np.ndarray
-    e: np.ndarray
     e_L: np.ndarray
-    e_H: np.ndarray
     u: np.ndarray
     W_hat: np.ndarray  # (N, s+n, m)
     c: np.ndarray
+
+    @property
+    def e(self) -> np.ndarray:
+        return self.x - self.x_r
+
+    @property
+    def e_H(self) -> np.ndarray:
+        return self.e - self.e_L
+
+    @property
+    def x_err_ideal(self) -> np.ndarray:  # the transient bound's subject
+        return self.x - self.x_ri
+
+    @property
+    def x_tilde(self) -> np.ndarray:
+        return self.x_r - self.x_ri
 
     def __len__(self) -> int:
         return self.t.size
@@ -360,12 +374,12 @@ def assemble(scenario: ScenarioConfig) -> ClosedLoopSystem:
     return ClosedLoopSystem(scenario)
 
 
-def rk4_step(f, state: np.ndarray, t: float, h: float) -> np.ndarray:
-    """One classical 4th-order Runge-Kutta step of y' = f(t, y)."""
-    k1 = f(t, state)
-    k2 = f(t + 0.5 * h, state + (0.5 * h) * k1)
-    k3 = f(t + 0.5 * h, state + (0.5 * h) * k2)
-    k4 = f(t + h, state + h * k3)
+def rk4_step(f, state: np.ndarray, t: float, h: float, *args) -> np.ndarray:
+    """One classical 4th-order Runge-Kutta step of y' = f(t, y, *args)."""
+    k1 = f(t, state, *args)
+    k2 = f(t + 0.5 * h, state + (0.5 * h) * k1, *args)
+    k3 = f(t + 0.5 * h, state + (0.5 * h) * k2, *args)
+    k4 = f(t + h, state + h * k3, *args)
     out = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     # Written as "not <=", the guard also catches NaN.
     if not np.abs(out).max() <= DIVERGENCE_LIMIT:
@@ -383,16 +397,11 @@ def run(scenario: ScenarioConfig) -> Trajectory:
     sys = assemble(scenario)
     h = scenario.h
     n_steps = scenario.steps
-    stride = scenario.record_stride
 
     rng = np.random.default_rng(scenario.noise.seed)
     noise_std = np.asarray(scenario.noise.std)
     noise_on = scenario.noise.enabled and np.any(noise_std > 0)
-
-    def draw_noise(t: float) -> np.ndarray | None:
-        if noise_on and t >= scenario.noise.start_time:
-            return rng.standard_normal(sys.n) * noise_std
-        return None
+    noise_from = scenario.noise.start_time if noise_on else math.inf
 
     y = sys.initial_state()
     N = scenario.samples
@@ -400,44 +409,35 @@ def run(scenario: ScenarioConfig) -> Trajectory:
     rec_y = np.empty((N, sys.state_dim))
     rec_u = np.empty((N, sys.m))
     rec_c = np.empty((N, sys.n_c))
-
-    def record(i: int, t: float, y: np.ndarray, noise: np.ndarray | None) -> None:
-        rec_t[i] = t
-        rec_y[i] = y
-        rec_u[i] = sys.control_at(t, y, noise)
-        rec_c[i] = sys.command_spec.value(t)
+    i = 0
 
     # A blow-up overflows inside a step before rk4_step's guard catches it;
     # it is reported as a DivergenceError, not as numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n_steps):
+        for k in range(n_steps + 1):
             t = k * h
-            noise = draw_noise(t)
-            if k % stride == 0:
-                record(k // stride, t, y, noise)
-            f = lambda tt, yy: sys.deriv(tt, yy, noise)
-            try:
-                y = rk4_step(f, y, t, h)
-            except DivergenceError as exc:
-                raise DivergenceError(
-                    f"simulation diverged at t={(k + 1) * h:.6g} (signal: "
-                    f"{sys.diverged_block(exc.state)}); consider a smaller step size",
-                    exc.state) from None
-    t_end = n_steps * h
-    record(N - 1, t_end, y, draw_noise(t_end))
+            noise = rng.standard_normal(sys.n) * noise_std if t >= noise_from else None
+            if k % scenario.record_stride == 0 or k == n_steps:
+                rec_t[i] = t
+                rec_y[i] = y
+                rec_u[i] = sys.control_at(t, y, noise)
+                rec_c[i] = sys.command_spec.value(t)
+                i += 1
+            if k < n_steps:
+                try:
+                    y = rk4_step(sys.deriv, y, t, h, noise)
+                except DivergenceError as exc:
+                    raise DivergenceError(
+                        f"simulation diverged at t={(k + 1) * h:.6g} (signal: "
+                        f"{sys.diverged_block(exc.state)}); consider a smaller step size",
+                        exc.state) from None
 
-    x = rec_y[:, sys.sl_x]
-    x_r = rec_y[:, sys.sl_xr]
-    e = x - x_r
-    e_L = rec_y[:, sys.sl_eL]
     return Trajectory(
         t=rec_t,
-        x=x,
-        x_r=x_r,
+        x=rec_y[:, sys.sl_x],
+        x_r=rec_y[:, sys.sl_xr],
         x_ri=rec_y[:, sys.sl_xri],
-        e=e,
-        e_L=e_L,
-        e_H=e - e_L,
+        e_L=rec_y[:, sys.sl_eL],
         u=rec_u,
         W_hat=rec_y[:, sys.sl_W].reshape(N, sys.s + sys.n, sys.m),
         c=rec_c,

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 
 from flmrac import analysis
 from flmrac.matrixcore import LyapunovPair
-from flmrac.simulator import Trajectory
+from flmrac.simcli import load_config
+from flmrac.simulator import Trajectory, run
 
 from oracles import (bound_transient_modified, bound_ultimate_time_varying,
                      loop_transfer_rational)
@@ -17,8 +19,8 @@ def synthetic_traj(t, n=1, m=1, sn=2, **signals) -> Trajectory:
     N = len(t)
     fields = dict(
         x=np.zeros((N, n)), x_r=np.zeros((N, n)), x_ri=np.zeros((N, n)),
-        e=np.zeros((N, n)), e_L=np.zeros((N, n)), e_H=np.zeros((N, n)),
-        u=np.zeros((N, m)), W_hat=np.zeros((N, sn, m)), c=np.zeros((N, 0)),
+        e_L=np.zeros((N, n)), u=np.zeros((N, m)), W_hat=np.zeros((N, sn, m)),
+        c=np.zeros((N, 0)),
     )
     fields.update(signals)
     return Trajectory(t=np.asarray(t, dtype=float), **fields)
@@ -50,6 +52,31 @@ class TestLinfNorm:
         traj = synthetic_traj(np.linspace(0.0, 1.0, 5))
         with pytest.raises(analysis.UnknownSignalError):
             analysis.linf_norm(traj, "bogus")
+
+
+class TestSignal:
+    @pytest.fixture(scope="class")
+    def noisy_traj(self):
+        scn, _ = load_config("wingrock_proposed")
+        noise = dataclasses.replace(scn.noise, start_time=0.0)
+        return run(dataclasses.replace(scn, t_final=0.5, record_stride=3, noise=noise))
+
+    def test_accepts_exactly_the_trajectory_signals(self, noisy_traj):
+        for name in Trajectory.SIGNALS:
+            arr = analysis.signal(noisy_traj, name)
+            assert arr.ndim == 2 and arr.shape[0] == len(noisy_traj), name
+        for name in set(dir(noisy_traj)) - set(Trajectory.SIGNALS):  # t, W_hat, methods
+            with pytest.raises(analysis.UnknownSignalError):
+                analysis.signal(noisy_traj, name)
+
+    def test_derived_signals_match_their_definitions_exactly(self, noisy_traj):
+        tr = noisy_traj
+        x, x_r, x_ri, e_L = tr.x, tr.x_r, tr.x_ri, tr.e_L
+        assert np.array_equal(analysis.signal(tr, "e"), x - x_r)
+        assert np.array_equal(analysis.signal(tr, "e_H"), x - x_r - e_L)
+        assert np.array_equal(analysis.signal(tr, "x_err_ideal"), x - x_ri)
+        assert np.array_equal(analysis.signal(tr, "x_tilde"), x_r - x_ri)
+        assert np.any(tr.x_r != tr.x_ri) and np.any(tr.e_L != 0.0)
 
 
 class TestBoundStandardMrac:
@@ -203,7 +230,7 @@ class TestDecayFit:
         kappa = 137.0
         t = np.arange(0.0, 0.1, 1e-5)
         eh = np.exp(-kappa * t)[:, None] * np.array([0.4])
-        traj = synthetic_traj(t, e_H=eh)
+        traj = synthetic_traj(t, x=eh)  # x_r = e_L = 0, so e_H = x
         rate, floor = analysis.decay_fit(traj, t_window=1.0 / kappa)
         assert rate == pytest.approx(kappa, rel=1e-6)
         assert floor == pytest.approx(0.4 * np.exp(-kappa * t[t >= 5.0 / kappa][0]),
@@ -217,7 +244,7 @@ class TestDecayFit:
 
     def test_requires_enough_samples(self):
         t = np.linspace(0.0, 1.0, 100)
-        traj = synthetic_traj(t, e_H=np.exp(-t)[:, None])
+        traj = synthetic_traj(t, x=np.exp(-t)[:, None])
         with pytest.raises(ValueError, match="window"):
             analysis.decay_fit(traj, 0.05)
 
@@ -333,6 +360,22 @@ class TestHfContent:
         with pytest.raises(ValueError, match="uniform"):
             analysis.spectrum_fraction_above(t, np.sin(np.arange(64.0)), 1.0)
 
+    @pytest.mark.parametrize("n_t, n_v", [(64, 1000), (1000, 64)])
+    def test_rejects_times_and_values_of_different_lengths(self, n_t, n_v):
+        t = np.arange(float(n_t))
+        with pytest.raises(ValueError, match=f"{n_t} times but {n_v} samples"):
+            analysis.spectrum_fraction_above(t, np.sin(np.arange(float(n_v))), 0.1)
+
+    @pytest.mark.parametrize("cutoff", [math.nan, math.inf, -1.0, -math.inf])
+    def test_rejects_a_cutoff_that_is_not_finite_and_nonnegative(self, cutoff):
+        t = np.linspace(0.0, 10.0, 128)
+        with pytest.raises(ValueError, match="cutoff"):
+            analysis.spectrum_fraction_above(t, np.sin(t), cutoff)
+
+    def test_zero_cutoff_counts_all_but_dc(self):
+        t = np.linspace(0.0, 10.0, 128)
+        assert analysis.spectrum_fraction_above(t, 3.0 + np.sin(t), 0.0) == 1.0
+
     def test_trajectory_wrapper(self):
         t = np.linspace(0.0, 4.0 * np.pi, 2049)[:-1]
         traj = synthetic_traj(t, u=np.sin(100.0 * t)[:, None])
@@ -350,9 +393,7 @@ class TestCompositeLyapunov:
         x_ri = rng.standard_normal((N, 3))
         e_L = rng.standard_normal((N, 3))
         W_hat = rng.standard_normal((N, 9, 1))
-        traj = synthetic_traj(t, n=3, sn=9, x=x, x_r=x_r, x_ri=x_ri,
-                              e=x - x_r, e_L=e_L, e_H=x - x_r - e_L,
-                              W_hat=W_hat)
+        traj = synthetic_traj(t, n=3, sn=9, x=x, x_r=x_r, x_ri=x_ri, e_L=e_L, W_hat=W_hat)
         W_true = rng.standard_normal((9, 1))
         gamma, kappa, eta, xi, lam = 500.0, 100.0, 5.0, 0.5, [0.75]
         V = analysis.composite_lyapunov(traj, lyap, gamma, kappa, eta, xi, lam, W_true)

@@ -188,6 +188,26 @@ def test_run_identities_and_projection(scn):
         assert np.all(col_norms <= scn.controller.projection.theta_max)
 
 
+_NOISY_FROM_ZERO = dataclasses.replace(
+    _PROPOSED, noise=dataclasses.replace(_PROPOSED.noise, start_time=0.0))
+
+
+@settings(deadline=None, max_examples=60)
+@given(steps=st.integers(0, 40), stride=st.integers(1, 12))
+@example(steps=0, stride=3)
+@example(steps=12, stride=4)
+@example(steps=13, stride=4)
+def test_run_records_each_stride_and_the_end(steps, stride):
+    h = _PROPOSED.h
+    dense = run(dataclasses.replace(_NOISY_FROM_ZERO, t_final=steps * h, record_stride=1))
+    traj = run(dataclasses.replace(_NOISY_FROM_ZERO, t_final=steps * h, record_stride=stride))
+    assert traj.t.tolist() == [k * h for k in range(0, steps, stride)] + [steps * h]
+    # The recorded rows are the stride-1 run's: recording never moves the noise stream.
+    rows = [*range(0, steps, stride), steps]
+    for name in ("x", "x_r", "x_ri", "e_L", "u", "W_hat", "c"):
+        assert np.array_equal(getattr(traj, name), getattr(dense, name)[rows]), name
+
+
 @settings(deadline=None, max_examples=200)
 @given(gamma=st.floats(1e-2, 1e4), kappa=st.floats(0.0, 1e3), eta=st.floats(0.0, 1e3),
        alpha=st.floats(1e-2, 10.0))

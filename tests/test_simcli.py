@@ -276,9 +276,8 @@ def _synthetic_trajectory(rng, N, n, m, s, n_c) -> Trajectory:
         return vals
 
     x, x_r, e_L = block(N, n), block(N, n), block(N, n)
-    return Trajectory(t=np.linspace(0.0, 1.0, N), x=x, x_r=x_r, x_ri=block(N, n),
-                      e=x - x_r, e_L=e_L, e_H=x - x_r - e_L, u=block(N, m),
-                      W_hat=block(N, s + n, m), c=block(N, n_c))
+    return Trajectory(t=np.linspace(0.0, 1.0, N), x=x, x_r=x_r, x_ri=block(N, n), e_L=e_L,
+                      u=block(N, m), W_hat=block(N, s + n, m), c=block(N, n_c))
 
 
 class TestBulkWriters:
@@ -421,6 +420,16 @@ class TestCmdCompare:
         out = tmp_path / "cmp"
         assert simcli.main(["compare", *map(str, paths), "--out", str(out)]) == 0
         assert len(json.loads((out / "compare_report.json").read_text())["runs"]) == 2
+
+    @pytest.mark.parametrize("cutoff", ["nan", "inf", "-1"])
+    def test_cutoff_outside_the_domain_exits_2(self, tmp_path, capsys, cutoff):
+        cfg = short_noisy_config(tmp_path, t_final=1.0)
+        out = tmp_path / "cmp"
+        assert simcli.main(["compare", str(cfg), str(cfg), "--out", str(out),
+                            "--cutoff", cutoff]) == 2
+        stderr = capsys.readouterr().err
+        assert "config error: --cutoff: must be finite and nonnegative" in stderr
+        assert "Traceback" not in stderr and not out.exists()
 
     def test_mismatched_plants_rejected(self, tmp_path):
         cfg1 = short_noisy_config(tmp_path, name="one")
@@ -589,6 +598,7 @@ class TestCmdPlot:
         (b"omega,mag_db\n1.0,nan\n", "rows of one finite number per column"),
         (b"omega,mag_db\n1.0,\xff\n", "can't decode byte 0xff"),
         (b"omega,mag_db,phase_deg\n0.0,0.0,-90.0\n1.0,-6.0,-95.0\n", "omega > 0"),
+        (b"omega,mag_db,mag_db\n1.0,0.0,1.0\n2.0,-6.0,-5.0\n", "repeats the header 'mag_db'"),
     ])
     def test_malformed_csv_rejected(self, tmp_path, capsys, text, message):
         csv_path = tmp_path / "b.csv"

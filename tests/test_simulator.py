@@ -73,6 +73,12 @@ class TestRk4Step:
         err_h2 = np.linalg.norm(integrate(0.05) - ref)
         assert 12.0 <= err_h / err_h2 <= 20.0
 
+    def test_passes_extra_arguments_to_the_field(self):
+        y = np.array([1.0, -2.0])
+        with_args = sim.rk4_step(lambda t, yy, a, b: a * yy + b * t, y, 0.3, 0.1, -2.0, 0.5)
+        closure = sim.rk4_step(lambda t, yy: -2.0 * yy + 0.5 * t, y, 0.3, 0.1)
+        assert np.array_equal(with_args, closure)
+
     def test_nonfinite_derivative_raises(self):
         with pytest.raises(sim.DivergenceError):
             sim.rk4_step(lambda t, y: np.array([np.nan]), np.array([1.0]), 0.0, 0.1)
