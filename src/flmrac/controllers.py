@@ -24,7 +24,7 @@ class ProjectionSpec:
     eps_theta: float
 
     def __post_init__(self):
-        if self.theta_max <= 0 or self.eps_theta <= 0:
+        if not (0.0 < self.theta_max < np.inf and 0.0 < self.eps_theta < np.inf):
             raise ValueError("theta_max and eps_theta must be positive")
 
 

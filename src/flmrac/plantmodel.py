@@ -200,6 +200,8 @@ class PlantModel:
         object.__setattr__(self, "A_p", A_p)
         object.__setattr__(self, "B_p", B_p)
         object.__setattr__(self, "Lambda", lam)
+        if not (np.all(np.isfinite(A_p)) and np.all(np.isfinite(B_p))):
+            raise ValueError("A_p and B_p must be finite")
         n_p = A_p.shape[0]
         if A_p.shape != (n_p, n_p):
             raise DimensionError(f"A_p must be square, got {A_p.shape}")

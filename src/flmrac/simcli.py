@@ -56,66 +56,48 @@ _FILE_KEYS = {"W_p_base": "W_p", "lyap": "R"}
 _VECTOR_FIELDS = {"Lambda", "x0", "x_r0"}
 
 
-class _Section:
-    """Cursor over a nested config dict that reports dotted field paths."""
+def _at(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
 
-    def __init__(self, data: dict, path: str = ""):
-        if not isinstance(data, dict):
-            raise ConfigError(path or "<root>", "expected an object")
-        self.data = data
-        self.path = path
 
-    def _join(self, key: str) -> str:
-        return f"{self.path}.{key}" if self.path else key
+def _object(raw, path: str, keys) -> dict:
+    """raw, checked to be a JSON object whose keys are all in keys."""
+    if not isinstance(raw, dict):
+        raise ConfigError(path or "<root>", "expected an object")
+    unknown = raw.keys() - set(keys)
+    if unknown:
+        raise ConfigError(_at(path, min(unknown)), "unknown field")
+    return raw
 
-    def child(self, key: str) -> "_Section":
-        return _Section(self.require(key), self._join(key))
 
-    def require(self, key: str):
-        if key not in self.data or self.data[key] is None:
-            raise ConfigError(self._join(key), "missing required field")
-        return self.data[key]
+def _list(raw, path: str) -> list:
+    if not isinstance(raw, list):
+        raise ConfigError(path, "expected a list")
+    return raw
 
-    def read(self, key: str, kind: type):
-        """The value at key as kind, one of float (finite), int, bool and str."""
-        value = self.require(key)
-        json_types, name = _SCALARS[kind]
-        if isinstance(value, bool) != (kind is bool) or not isinstance(value, json_types):
-            raise ConfigError(self._join(key), f"expected {name}, got {value!r}")
-        return float(self._numbers(key, [value])[0]) if kind is float else value
 
-    def _numbers(self, key: str, values: list) -> np.ndarray:
-        """values as a float array, each a finite number (JSON parsing also
-        accepts NaN and Infinity)."""
-        try:
-            arr = np.array([float(v) for v in values], dtype=float)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(self._join(key), str(exc)) from None
-        if not np.all(np.isfinite(arr)):
-            raise ConfigError(self._join(key), "NaN and infinity are not allowed")
-        return arr
+def _numbers(values: list, path: str) -> np.ndarray:
+    """values as a float array, each a finite number (JSON parsing also accepts
+    NaN and Infinity)."""
+    try:
+        arr = np.array([float(v) for v in values], dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(path, str(exc)) from None
+    if not np.all(np.isfinite(arr)):
+        raise ConfigError(path, "NaN and infinity are not allowed")
+    return arr
 
-    def reject_unknown(self, keys) -> None:
-        """Fail at the first key of this section that is not in keys."""
-        unknown = self.data.keys() - set(keys)
-        if unknown:
-            raise ConfigError(self._join(min(unknown)), "unknown field")
 
-    def sequence(self, key: str) -> list:
-        raw = self.require(key)
-        if not isinstance(raw, list):
-            raise ConfigError(self._join(key), "expected a list")
-        return raw
-
-    def matrix(self, key: str) -> np.ndarray:
-        sub = self.child(key)
-        sub.reject_unknown(("rows", "cols", "data"))
-        rows = sub.read("rows", int)
-        cols = sub.read("cols", int)
-        data = sub.require("data")
-        if not isinstance(data, list) or len(data) != rows * cols:
-            raise ConfigError(sub._join("data"), f"expected {rows * cols} entries")
-        return sub._numbers("data", data).reshape(rows, cols)
+def _matrix(raw, path: str) -> np.ndarray:
+    """A {rows, cols, data} object as a rows x cols array."""
+    raw = _object(raw, path, ("rows", "cols", "data"))
+    rows, cols = (_parse(raw.get(key), f"{path}.{key}", int) for key in ("rows", "cols"))
+    data = raw.get("data")
+    if data is None:
+        raise ConfigError(f"{path}.data", "missing required field")
+    if not isinstance(data, list) or len(data) != rows * cols:
+        raise ConfigError(f"{path}.data", f"expected {rows * cols} entries")
+    return _numbers(data, f"{path}.data").reshape(rows, cols)
 
 
 def _matrix_dict(arr: np.ndarray) -> dict:
@@ -148,55 +130,58 @@ def _file_fields(cls) -> tuple:
                  for f in dataclasses.fields(cls) if f.init)
 
 
-def _value(sec: _Section, key: str, kind):
-    """The value at sec's key, read as the field type kind."""
+def _parse(raw, path: str, kind, **known):
+    """The JSON value raw at path read as the field type kind: the mirror of
+    `_plain`.  A dataclass takes the fields in known as given."""
+    if raw is None:
+        raise ConfigError(path, "missing required field")
     if kind in _SCALARS:
-        return sec.read(key, kind)
+        json_types, name = _SCALARS[kind]
+        if isinstance(raw, bool) != (kind is bool) or not isinstance(raw, json_types):
+            raise ConfigError(path, f"expected {name}, got {raw!r}")
+        return float(_numbers([raw], path)[0]) if kind is float else raw
     if kind is np.ndarray:
-        return sec._numbers(key, sec.sequence(key)) if key in _VECTOR_FIELDS else sec.matrix(key)
+        if path.rpartition(".")[2] in _VECTOR_FIELDS:
+            return _numbers(_list(raw, path), path)
+        return _matrix(raw, path)
     if dataclasses.is_dataclass(kind):
-        return _read(kind, sec.child(key))
+        fields = _file_fields(kind)
+        if len(fields) == 1:  # written as its one field's value
+            return _build(path, kind, _parse(raw, path, fields[0][2]))
+        return _build(path, kind, **_fields(kind, raw, path, **known))
     item = typing.get_args(kind)[0]  # of tuple[item, ...] or item | None
     if typing.get_origin(kind) is not tuple:
-        return _value(sec, key, item)
+        return _parse(raw, path, item)
     if item is float:
-        return tuple(sec._numbers(key, sec.sequence(key)))
-    entries = _Section({f"{key}[{i}]": v for i, v in enumerate(sec.sequence(key))}, sec.path)
-    return tuple(_value(entries, k, item) for k in entries.data)
+        return tuple(_numbers(_list(raw, path), path))
+    return tuple(_parse(v, f"{path}[{i}]", item) for i, v in enumerate(_list(raw, path)))
 
 
-def _read_fields(cls, sec: _Section, **known) -> dict:
-    """cls's init fields from sec, apart from those given in known; a missing or
-    null key leaves out a field that has a default, and a key no field has fails."""
+def _fields(cls, raw, path: str, **known) -> dict:
+    """cls's init fields from the JSON object raw at path, apart from those given in
+    known; a missing or null key leaves out a field that has a default."""
     fields = _file_fields(cls)
-    sec.reject_unknown(key for _, key, _, _ in fields)
+    raw = _object(raw, path, [key for _, key, _, _ in fields])
     for name, key, kind, required in fields:
-        if name not in known and (required or sec.data.get(key) is not None):
-            known[name] = _value(sec, key, kind)
+        if name not in known and (required or raw.get(key) is not None):
+            known[name] = _parse(raw.get(key), _at(path, key), kind)
     return known
 
 
-def _read(cls, sec: _Section, **known):
-    return _build(sec.path or "<root>", cls, **_read_fields(cls, sec, **known))
-
-
 def dict_to_scenario(raw: dict) -> ScenarioConfig:
-    """Build a ScenarioConfig from a parsed config dict, section by section from
-    the model's fields; a malformed field raises ConfigError naming it."""
-    root = _Section(raw)
-    plant_sec = root.child("plant")
-    names = _value(plant_sec, "basis", typing.get_type_hints(BasisSpec)["names"])
-    basis = _build(f"{plant_sec.path}.basis", BasisSpec, names)
-    plant = _read(PlantModel, plant_sec, basis=basis)
-    E_p = root.matrix("E_p") if raw.get("E_p") is not None else np.zeros((0, plant.n_p))
-    # The file gives R; P solves the Lyapunov equation of A - B K.
-    ctrl_sec = root.child("controller")
-    ctrl = _read_fields(ControllerConfig, ctrl_sec, lyap=None)
-    _, A_r = closed_loop(plant, E_p, ctrl["K"])
-    ctrl["lyap"] = _build(f"{ctrl_sec.path}.R", LyapunovPair.for_closed_loop, A_r,
-                          ctrl_sec.matrix("R"))
-    controller = _build(ctrl_sec.path, ControllerConfig, **ctrl)
-    return _read(ScenarioConfig, root, plant=plant, E_p=E_p, controller=controller)
+    """Build a ScenarioConfig from a parsed config dict by the walk of the model's
+    fields; a malformed field raises ConfigError naming it.  The file adds two
+    things: E_p null is an empty E_p, and the controller gives R, not its Lyapunov
+    pair, whose P solves the equation of A - B K once K is read."""
+    fields = _fields(ScenarioConfig, raw, "", E_p=None, controller=None)
+    plant = fields["plant"]
+    E_p = _matrix(raw["E_p"], "E_p") if raw.get("E_p") is not None else np.zeros((0, plant.n_p))
+    controller = _parse(raw.get("controller"), "controller", ControllerConfig, lyap=None)
+    _, A_r = closed_loop(plant, E_p, controller.K)
+    R = _parse(raw["controller"].get("R"), "controller.R", np.ndarray)
+    lyap = _build("controller.R", LyapunovPair.for_closed_loop, A_r, R)
+    fields.update(E_p=E_p, controller=dataclasses.replace(controller, lyap=lyap))
+    return _build("<root>", ScenarioConfig, **fields)
 
 
 def _plain(value):
@@ -204,8 +189,10 @@ def _plain(value):
     2-D array as a matrix dict, a 1-D array as a float list and a tuple or list as
     a list."""
     if dataclasses.is_dataclass(value):
-        return {_FILE_KEYS.get(f.name, f.name): _plain(getattr(value, f.name))
-                for f in dataclasses.fields(value) if f.init}
+        fields = _file_fields(type(value))
+        if len(fields) == 1:  # written as its one field's value
+            return _plain(getattr(value, fields[0][0]))
+        return {key: _plain(getattr(value, name)) for name, key, _, _ in fields}
     if isinstance(value, np.ndarray):
         return _matrix_dict(value) if value.ndim == 2 else [float(v) for v in value]
     if isinstance(value, (tuple, list)):
@@ -217,8 +204,7 @@ def scenario_to_dict(scn: ScenarioConfig) -> dict:
     """Normalized dict form of a scenario (the canonical-serialization input):
     the model's fields, apart from the places where the file format differs."""
     out = _plain(scn)
-    plant, controller, command = out["plant"], out["controller"], out["command"]
-    plant["basis"] = plant["basis"]["names"]
+    controller, command = out["controller"], out["command"]
     controller["R"] = controller["R"]["R"]  # P is solved from R at load
     out["E_p"] = _matrix_dict(scn.E_p) if scn.E_p.size else None
     if scn.command.kind != "custom":
@@ -236,18 +222,19 @@ def serialize_scenario(scn: ScenarioConfig) -> str:
 
 
 def load_config(path: str) -> tuple[ScenarioConfig, dict]:
-    """Parse a config file (or bundled scenario name) into a scenario."""
+    """Parse a config file, or a bundled scenario named without directory or
+    suffix, into a scenario; a file that cannot be read raises ConfigError."""
     p = Path(path)
-    if not p.exists():
-        bundled = bundled_scenario_path(p.stem)
-        if bundled is not None:
-            p = bundled
-        else:
-            raise ConfigError("<file>", f"no such config file: {path}")
+    if p.name == path and not p.suffix and not p.exists():
+        p = bundled_scenario_path(path) or p
     try:
-        raw = json.loads(p.read_text())
+        raw = json.loads(p.read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise ConfigError("<file>", f"no such config file: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError("<file>", f"invalid JSON in {p}: {exc}") from None
+    except (OSError, ValueError) as exc:  # ValueError: bytes not UTF-8, a null byte in the path
+        raise ConfigError("<file>", f"cannot read {p}: {exc}") from None
     return dict_to_scenario(raw), raw
 
 

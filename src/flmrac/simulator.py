@@ -154,10 +154,16 @@ class ScenarioConfig:
             raise ConfigError("record_stride", "must be >= 1")
         if self.name in ("", ".", "..") or "/" in self.name or "\\" in self.name:
             raise ConfigError("name", f"{self.name!r} must be a nonempty file-name component")
-        cfg = self.controller
-        for key in ("K", "gamma", "kappa", "eta"):
-            if not np.all(np.isfinite(getattr(cfg, key))):
-                raise ConfigError(f"controller.{key}", "NaN and infinity are not allowed")
+        cfg, cmd = self.controller, self.command
+        numbers = {**{f"controller.{key}": getattr(cfg, key)
+                      for key in ("K", "gamma", "kappa", "eta", "W_hat0")},
+                   **{f"command.{key}": getattr(cmd, key)
+                      for key in ("amplitude", "period", "offset", "times", "values")},
+                   "plant.truth.W_p": self.plant.truth.W_p_base,
+                   "noise.start_time": self.noise.start_time, "x0": self.x0, "x_r0": self.x_r0}
+        for path, value in numbers.items():
+            if value is not None and not np.all(np.isfinite(value)):
+                raise ConfigError(path, "NaN and infinity are not allowed")
         aug, A_r = closed_loop(self.plant, self.E_p, cfg.K)
         n, m = aug.n, aug.m
         if not is_hurwitz(A_r):

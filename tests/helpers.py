@@ -9,7 +9,8 @@ import numpy as np
 from flmrac.controllers import ControllerConfig
 from flmrac.matrixcore import LyapunovPair
 from flmrac.plantmodel import BasisSpec, PlantModel, UncertaintyTruth, augment, resolve_feature
-from flmrac.simulator import CommandSpec, NoiseSpec, ScenarioConfig
+from flmrac.simcli import read_csv_columns, write_trajectory_csv
+from flmrac.simulator import CommandSpec, NoiseSpec, ScenarioConfig, Trajectory
 
 from oracles import PlainMracSimulator
 
@@ -129,6 +130,17 @@ def decay_scenario(kappa: float, eta: float = 2.0, h: float = 5e-5,
         x0=np.array([0.0, 0.0]), x_r0=np.array([0.25, 0.0]),
         name=f"decay_k{kappa:g}",
     )
+
+
+def assert_csv_errors_exact(traj: Trajectory, path) -> None:
+    """The e_i and eH_i columns of traj's CSV at path equal x_i - xr_i and
+    e_i - eL_i of the same file bit for bit."""
+    write_trajectory_csv(traj, path)
+    cols = read_csv_columns(path)
+    for i in range(1, traj.x.shape[1] + 1):
+        e = cols[f"x_{i}"] - cols[f"xr_{i}"]
+        assert cols[f"e_{i}"].tobytes() == e.tobytes(), f"e_{i}"
+        assert cols[f"eH_{i}"].tobytes() == (e - cols[f"eL_{i}"]).tobytes(), f"eH_{i}"
 
 
 def random_hurwitz(rng: np.random.Generator, n: int, margin: float = 0.5) -> np.ndarray:

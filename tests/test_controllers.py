@@ -74,6 +74,13 @@ class TestPhi:
         with pytest.raises(ValueError):
             ctl.ProjectionSpec(theta_max=0.0, eps_theta=0.5)
 
+    # A NaN or infinite ball would switch projection off without a word.
+    @pytest.mark.parametrize("theta_max, eps_theta", [
+        (np.nan, 0.1), (np.inf, 0.1), (30.0, np.nan), (30.0, np.inf)])
+    def test_nonfinite_spec(self, theta_max, eps_theta):
+        with pytest.raises(ValueError, match="theta_max and eps_theta must be positive"):
+            ctl.ProjectionSpec(theta_max=theta_max, eps_theta=eps_theta)
+
 
 class TestProj:
     def test_passthrough_inside(self):

@@ -238,6 +238,13 @@ class TestPlantModelValidation:
                               truth=pm.UncertaintyTruth(W_p_base=np.zeros((1, 1))),
                               basis=pm.BasisSpec(("x1",)))
 
+    @pytest.mark.parametrize("A_p, B_p", [([[math.nan]], [[1.0]]), ([[-1.0]], [[math.inf]])])
+    def test_nonfinite_matrices_rejected(self, A_p, B_p):
+        with pytest.raises(ValueError, match="A_p and B_p must be finite"):
+            pm.PlantModel(A_p=A_p, B_p=B_p, Lambda=[1.0],
+                          truth=pm.UncertaintyTruth(W_p_base=np.zeros((1, 1))),
+                          basis=pm.BasisSpec(("x1",)))
+
 
 class TestClosedLoopConsistency:
     def test_raw_and_aggregated_paths_agree(self):

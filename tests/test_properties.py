@@ -9,6 +9,8 @@ import cmath
 import dataclasses
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from flmrac import controllers as ctl
 from flmrac.simcli import dict_to_scenario, load_config, serialize_scenario
 from flmrac.simulator import assemble, rk4_step, run
 
-from helpers import scalar_loop_scenario
+from helpers import assert_csv_errors_exact, scalar_loop_scenario
 from oracles import loop_transfer_rational, margins_by_search, optimal_xi_by_search
 
 finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
@@ -181,8 +183,8 @@ def short_run(draw):
 def test_run_identities_and_projection(scn):
     traj = run(scn)
     assert len(traj) == scn.samples
-    assert np.array_equal(traj.e, traj.x - traj.x_r)
-    assert np.array_equal(traj.e_H, traj.e - traj.e_L)
+    with tempfile.TemporaryDirectory() as tmp:
+        assert_csv_errors_exact(traj, Path(tmp) / "run.csv")
     if scn.controller.projection is not None:
         col_norms = np.linalg.norm(traj.W_hat, axis=1)
         assert np.all(col_norms <= scn.controller.projection.theta_max)

@@ -69,6 +69,26 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             load_config("/nonexistent/path.cfg")
 
+    # Only a bare name, with no directory part and no suffix, names a bundled scenario.
+    @pytest.mark.parametrize("arg", ["/nonexistent/dir/wingrock_standard.cfg",
+                                     "wingrock_standard.json", "./wingrock_standard"])
+    def test_missing_path_is_not_a_bundled_name(self, tmp_path, monkeypatch, arg):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ConfigError) as err:
+            load_config(arg)
+        assert str(err.value) == f"<file>: no such config file: {arg}"
+
+    @pytest.mark.parametrize("make", [lambda p: p.mkdir(), lambda p: p.write_bytes(b"\xff{}")],
+                             ids=["directory", "not_utf8"])
+    def test_unreadable_file_exits_2(self, tmp_path, capsys, make):
+        cfg = tmp_path / "bad.cfg"
+        make(cfg)
+        assert simcli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        stderr = capsys.readouterr().err
+        assert f"config error: <file>: cannot read {cfg}: " in stderr
+        assert "Traceback" not in stderr
+        assert not (tmp_path / "o").exists()
+
     def test_understated_truth_bound_rejected(self):
         _, raw = load_config("wingrock_proposed")
         raw["plant"]["truth"]["w_p_max"] = 1.0  # actual ~12.3
@@ -129,6 +149,17 @@ MALFORMED_FIELDS = {
                                 "expected a string, got 1"),
     "basis_entry_not_string": (lambda r: r["plant"]["basis"].__setitem__(2, 2),
                                "plant.basis[2]", "expected a string, got 2"),
+    "plant_missing": (lambda r: r.pop("plant"), "plant", "missing required field"),
+    "plant_not_object": (lambda r: r.update(plant=[1.0]), "plant", "expected an object"),
+    "matrix_without_data": (lambda r: r["controller"]["K"].pop("data"), "controller.K.data",
+                            "missing required field"),
+    "matrix_rows_string": (lambda r: r["plant"]["A_p"].update(rows="2"), "plant.A_p.rows",
+                           "expected an integer, got '2'"),
+    "basis_not_list": (lambda r: r["plant"].update(basis="bias"), "plant.basis",
+                       "expected a list"),
+    "modulations_not_list": (lambda r: r["plant"]["truth"].update(modulations={"row": 0}),
+                             "plant.truth.modulations", "expected a list"),
+    "unknown_root_key": (lambda r: r.update(horizon=1.0), "horizon", "unknown field"),
 }
 
 # (command-line override, field path the error names)

@@ -10,7 +10,7 @@ from flmrac.plantmodel import BasisSpec, PlantModel, UncertaintyTruth, augment
 from flmrac.controllers import ControllerConfig, ProjectionSpec
 from flmrac.simcli import load_config
 
-from helpers import oracle_for, quiet_wingrock, scalar_scenario
+from helpers import assert_csv_errors_exact, oracle_for, quiet_wingrock, scalar_scenario
 
 WINGROCK_AR = np.array([[0.0, 1.0, 0.0], [-2.0, -2.0, -1.0], [1.0, 0.0, 0.0]])
 
@@ -112,6 +112,12 @@ def _no_uncertainty_scenario(**kw):
     return sim.ScenarioConfig(**defaults)
 
 
+def _nan_truth_plant():
+    truth = UncertaintyTruth(W_p_base=np.full((1, 1), np.nan))
+    return PlantModel(A_p=[[-1.0]], B_p=[[1.0]], Lambda=[1.0], truth=truth,
+                      basis=BasisSpec(("x1",)))
+
+
 class TestAssemble:
     def test_equilibrium_has_zero_derivative(self):
         scn = _no_uncertainty_scenario()
@@ -154,11 +160,9 @@ class TestRun:
         traj = sim.run(_no_uncertainty_scenario(t_final=1.0, record_stride=7))
         assert traj.t[-1] == pytest.approx(1.0)
 
-    def test_trajectory_identities(self):
+    def test_trajectory_identities(self, tmp_path):
         scn = quiet_wingrock(load_config("wingrock_proposed")[0], t_final=2.0)
-        traj = sim.run(scn)
-        assert np.max(np.abs(traj.e - (traj.x - traj.x_r))) <= 1e-12
-        assert np.max(np.abs(traj.e_H - (traj.e - traj.e_L))) <= 1e-12
+        assert_csv_errors_exact(sim.run(scn), tmp_path / "quiet.csv")
 
     def test_reference_decoupling_at_kappa_zero(self):
         scn = quiet_wingrock(load_config("wingrock_proposed")[0],
@@ -185,13 +189,12 @@ class TestRun:
             scn, noise=dataclasses.replace(scn.noise, seed=1))
         assert not np.array_equal(sim.run(scn).x, sim.run(other).x)
 
-    def test_noise_leaves_recorded_identities_exact(self):
+    def test_noise_leaves_recorded_identities_exact(self, tmp_path):
         scn, _ = load_config("wingrock_proposed")
         scn = dataclasses.replace(
             scn, t_final=1.0,
             noise=dataclasses.replace(scn.noise, start_time=0.0))
-        traj = sim.run(scn)
-        assert np.max(np.abs(traj.e - (traj.x - traj.x_r))) <= 1e-12
+        assert_csv_errors_exact(sim.run(scn), tmp_path / "noisy.csv")
 
     def test_divergence_detected(self):
         # kappa h = 5 puts the fast mode far outside the RK4 stability region
@@ -322,6 +325,16 @@ class TestScenarioValidation:
         (dict(h=float("nan")), "h"),
         (dict(t_final=float("inf")), "t_final"),
         (dict(name="runs/clean"), "name"),
+        (dict(x0=np.array([np.nan, 0.0])), "x0"),
+        (dict(x_r0=np.array([0.0, np.inf])), "x_r0"),
+        (dict(plant=_nan_truth_plant()), "plant.truth.W_p"),
+        (dict(noise=sim.NoiseSpec(enabled=True, std=(1e-3, 0.0), start_time=np.nan)),
+         "noise.start_time"),
+        (dict(command=sim.CommandSpec(kind="step", amplitude=np.inf)), "command.amplitude"),
+        (dict(command=sim.CommandSpec(kind="square_wave", amplitude=1.0, period=np.inf)),
+         "command.period"),
+        (dict(command=sim.CommandSpec(kind="custom", times=(0.0, 0.5), values=(1.0, np.nan))),
+         "command.values"),
     ])
     def test_library_errors_name_the_field(self, change, path):
         # Built in code, a scenario fails as a config file would.
@@ -346,6 +359,7 @@ class TestScenarioValidation:
         (dict(gamma=np.inf), "controller.gamma"),
         (dict(kappa=np.nan), "controller.kappa"),
         (dict(eta=np.inf), "controller.eta"),
+        (dict(W_hat0=np.full((3, 1), np.nan)), "controller.W_hat0"),
     ])
     def test_library_controller_errors_name_the_field(self, controller, path):
         scn = _no_uncertainty_scenario()
