@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -23,42 +24,41 @@ from .matrixcore import DimensionError, frobenius_norms
 CTRB_RANK_TOL = 1e-8
 
 
-def _bias(t, x_p):
-    return 1.0
-
-
-def _abs_x1_x2(t, x_p):
-    return abs(x_p[0]) * x_p[1]
-
-
-def _abs_x2_x2(t, x_p):
-    return abs(x_p[1]) * x_p[1]
-
-
-def _x1_cubed(t, x_p):
-    return x_p[0] ** 3
-
-
-#: Named scalar features of (t, x_p).  Scenario files reference these by name;
-#: "x<k>" resolves to the k-th plant state component for any k.
-BASIS_FEATURES = {
-    "bias": _bias,
-    "abs_x1_x2": _abs_x1_x2,
-    "abs_x2_x2": _abs_x2_x2,
-    "x1_cubed": _x1_cubed,
+#: Named scalar features of (t, x_p), as Python expressions in t and x_p.
+#: Scenario files reference these by name; "x<k>" resolves to the k-th plant
+#: state component for any k.  This one table builds each feature's callable
+#: (`resolve_feature`) and each basis's evaluation function (`BasisSpec.features`).
+FEATURE_EXPRESSIONS = {
+    "bias": "1.0",
+    "abs_x1_x2": "abs(x_p[0]) * x_p[1]",
+    "abs_x2_x2": "abs(x_p[1]) * x_p[1]",
+    "x1_cubed": "x_p[0] ** 3",
 }
 
 _COMPONENT_RE = re.compile(r"^x(\d+)$")
 
 
-def resolve_feature(name: str):
-    """Look up a feature by name, accepting the generic component pattern x<k>."""
-    if name in BASIS_FEATURES:
-        return BASIS_FEATURES[name]
+def _expression(name: str) -> str:
+    """The expression of a feature, accepting the generic component pattern x<k>."""
+    if name in FEATURE_EXPRESSIONS:
+        return FEATURE_EXPRESSIONS[name]
     m = _COMPONENT_RE.match(name)
     if m and int(m.group(1)) > 0:
-        return lambda t, x_p, _k=int(m.group(1)) - 1: float(x_p[_k])
+        return f"float(x_p[{int(m.group(1)) - 1}])"
     raise KeyError(f"unknown basis feature {name!r}")
+
+
+def _function(body: str):
+    """`lambda t, x_p: body`; body is built from FEATURE_EXPRESSIONS and integers only."""
+    return eval(f"lambda t, x_p: {body}", {"__builtins__": {}, "abs": abs, "float": float})
+
+
+def resolve_feature(name: str):
+    """The callable of one feature, f(t, x_p) -> float."""
+    return _function(_expression(name))
+
+
+BASIS_FEATURES = {name: resolve_feature(name) for name in FEATURE_EXPRESSIONS}
 
 
 @dataclass(frozen=True)
@@ -66,19 +66,18 @@ class BasisSpec:
     """Ordered list of named scalar features of (t, x_p)."""
 
     names: tuple[str, ...]
-    _funcs: tuple = field(init=False, repr=False, compare=False)
+    #: sigma_p(t, x_p) as a list, unvalidated (a list x_p is fastest), from one function
+    #: built from the names' expressions: each entry is its `resolve_feature` value.
+    features: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "names", tuple(self.names))
-        object.__setattr__(self, "_funcs", tuple(resolve_feature(n) for n in self.names))
+        body = ", ".join(_expression(n) for n in self.names)
+        object.__setattr__(self, "features", _function(f"[{body}]"))
 
     @property
     def dim(self) -> int:
         return len(self.names)
-
-    def features(self, t: float, x_p) -> list:
-        """sigma_p(x_p) as a list, unvalidated; a list x_p is fastest."""
-        return [f(t, x_p) for f in self._funcs]
 
     def eval_plant(self, t: float, x_p) -> np.ndarray:
         """sigma_p(x_p), the plant-basis part only."""
@@ -101,6 +100,8 @@ class Modulation:
     def __post_init__(self):
         if self.kind not in ("step", "sin"):
             raise ValueError(f"unknown modulation kind {self.kind!r}")
+        if not math.isfinite(self.start):
+            raise ValueError(f"modulation start must be finite, got {self.start}")
 
     def factor(self, t: float) -> float:
         if t < self.start:
@@ -131,17 +132,19 @@ class UncertaintyTruth:
         for mod in self.modulations:
             if not (0 <= mod.row < s and 0 <= mod.col < m):
                 raise DimensionError(f"modulation index ({mod.row},{mod.col}) outside {base.shape}")
-        if self.w_p_max < 0 or self.w_p_dot_max < 0:
-            raise ValueError("truth norm bounds must be nonnegative")
+        if not (0.0 <= self.w_p_max < math.inf and 0.0 <= self.w_p_dot_max < math.inf):
+            raise ValueError("truth norm bounds must be finite and nonnegative")
 
     @property
     def is_constant(self) -> bool:
         return not self.modulations
 
-    def W_p(self, t: float) -> np.ndarray:
-        if not self.modulations:
-            return self.W_p_base
-        W = self.W_p_base.copy()
+    def W_p(self, t: float, out: np.ndarray | None = None) -> np.ndarray:
+        """W_p(t) as a fresh array, or written into `out`, a buffer that holds
+        W_p_base wherever no modulation acts (a copy of W_p_base does)."""
+        W = self.W_p_base.copy() if out is None else out
+        for mod in self.modulations:  # reset first: two modulations may share an entry
+            W[mod.row, mod.col] = self.W_p_base[mod.row, mod.col]
         for mod in self.modulations:
             W[mod.row, mod.col] *= mod.factor(t)
         return W

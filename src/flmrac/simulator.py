@@ -240,19 +240,20 @@ class ClosedLoopSystem:
     vec(W_hat) ((s+n)*m, row-major)].
 
     The laws of the first four blocks are linear apart from the uncertainty
-    and the adaptive control, so they are fused at assembly into constant
-    block operators over z = y[:4n]:
+    and the adaptive control, so they are fused at assembly into one constant
+    operator over z = y[:4n] and the inputs:
 
-        z' = M z + G nu + E (delta - Lambda W_hat' sigma_m) + b_c c(t)
+        z' = M z + E (delta - Lambda W_hat' sigma_m) + G nu + b_c c(t)
+           = [M | E | G | b_c] [z; delta - Lambda W_hat' sigma_m; nu; c(t)]
 
-    with nu the measurement noise, sigma_m the basis of the measured state
-    x + nu, delta = W_p(t)' sigma_p(x) the uncertainty at the true state and
-    c(t) the scalar command.  M holds the nominal control -B Lambda K x, the
-    modified reference's kappa (e - e_L) mismatch, the ideal reference and the
-    eta (e - e_L) filter; G = [-B Lambda K; kappa I; 0; eta I] injects the
-    noise those laws see; E = [B; 0; 0; 0]; b_c stacks B_r 1 for the plant
-    and both references.  This is the one definition of the law; its test
-    reference is tests/oracles.py's PlainMracSimulator, coded from the equations.
+    with nu the measurement noise (zero when off), sigma_m the basis of the
+    measured state x + nu, delta = W_p(t)' sigma_p(x) the uncertainty at the
+    true state and c(t) the scalar command.  M holds the nominal control
+    -B Lambda K x, the modified reference's kappa (e - e_L) mismatch, the
+    ideal reference and the eta (e - e_L) filter; G = [-B Lambda K; kappa I;
+    0; eta I] injects the noise those laws see; E = [B; 0; 0; 0]; b_c stacks
+    B_r 1 for the plant and both references.  This is the one definition of
+    the law; its test reference is tests/oracles.py's PlainMracSimulator.
     """
 
     def __init__(self, scenario: ScenarioConfig):
@@ -287,22 +288,29 @@ class ClosedLoopSystem:
         self.block_names = ("x", "x_r", "x_ri", "e_L", "W_hat")
         self.blocks = (self.sl_x, self.sl_xr, self.sl_xri, self.sl_eL, self.sl_W)
 
-        # Fused linear part of [x; x_r; x_ri; e_L]' (see the class docstring).
-        I, Z = np.eye(n), np.zeros((n, n))
+        # Fused linear part of [x; x_r; x_ri; e_L]', [M | E | G | b_c] (see the class docstring).
+        I, Z, ZB = np.eye(n), np.zeros((n, n)), np.zeros((n, m))
         BLK = aug.B @ (self.Lam[:, np.newaxis] * cfg.K)
         k, eta = cfg.kappa, cfg.eta
-        self.M = np.block([
-            [aug.A - BLK, Z, Z, Z],
-            [k * I, A_r - k * I, Z, -k * I],
-            [Z, Z, A_r, Z],
-            [eta * I, -eta * I, Z, A_r - eta * I],
+        Br1 = aug.B_r.sum(axis=1, keepdims=True)
+        self._L = np.block([
+            [aug.A - BLK, Z, Z, Z, aug.B, -BLK, Br1],
+            [k * I, A_r - k * I, Z, -k * I, ZB, k * I, Br1],
+            [Z, Z, A_r, Z, ZB, Z, Br1],
+            [eta * I, -eta * I, Z, A_r - eta * I, ZB, eta * I, np.zeros((n, 1))],
         ])
-        self.G = np.vstack([-BLK, k * I, Z, eta * I])
-        self.E = np.vstack([aug.B, np.zeros((3 * n, m))])
-        Br1 = aug.B_r.sum(axis=1)
-        self.b_c = np.concatenate([Br1, Br1, Br1, np.zeros(n)])
-        self._has_command = self.n_c > 0 and scenario.command.kind != "zero"
+        # Its input [z; delta - Lambda W_hat' sigma_m; nu; c], and the slots deriv writes.
+        self._v = np.zeros(self._L.shape[1])
+        self._sl_u = slice(4 * n, 4 * n + m)
+        self._sl_nu = slice(4 * n + m, 5 * n + m)
+        self._gamma_PB = cfg.gamma * self.PB
         self._sigma = np.empty(self.s + n)
+        self._W_p = plant.truth.W_p_base.copy()
+        # Projection acts only on a column with phi >= 0, ||theta||^2 >= theta_max^2 / (1 + eps):
+        # squared column norms are (w * w) S, and the margin covers their rounding.
+        self._col_of = np.tile(np.eye(m), (self.s + n, 1))
+        spec = cfg.projection
+        self._proj_from = spec and (1.0 - 1e-9) * spec.theta_max**2 / (1.0 + spec.eps_theta)
 
     def initial_state(self) -> np.ndarray:
         n = self.n
@@ -322,49 +330,59 @@ class ClosedLoopSystem:
         """sigma(x_m) = [sigma_p(x_m[:n_p]); x_m], written into a buffer that
         the next call overwrites."""
         sigma = self._sigma
-        s = self.s
-        sigma[:s] = self.basis.features(t, x_m.tolist()[: self.n_p])
-        sigma[s:] = x_m
+        sigma[: self.s] = self.basis.features(t, x_m[: self.n_p].tolist())
+        sigma[self.s:] = x_m
         return sigma
 
-    def deriv(self, t: float, y: np.ndarray, noise: np.ndarray | None = None) -> np.ndarray:
-        """y' at time t; noise (length n, or None for none) perturbs only what
-        the controller measures."""
+    def deriv(self, t: float, y: np.ndarray, noise: np.ndarray | None = None,
+              out: np.ndarray | None = None) -> np.ndarray:
+        """y' at time t, written into `out` (a new array when None) and returned;
+        noise (length n, or None for none) perturbs only what the controller
+        measures."""
+        if out is None:
+            out = np.empty_like(y)
         n4 = 4 * self.n
-        z = y[:n4]
         x = y[: self.n]
         W_hat = y[n4:].reshape(-1, self.m)
+        v = self._v
+        v[:n4] = y[:n4]
         if noise is None:
             x_m = x
             sigma = self.measured_basis(t, x)
             sigma_p = sigma[: self.s]
+            v[self._sl_nu] = 0.0
         else:
             x_m = x + noise
             sigma = self.measured_basis(t, x_m)
             # The plant integrates truth: its uncertainty needs the basis at x.
-            sigma_p = self.basis.eval_plant(t, x.tolist()[: self.n_p])
+            sigma_p = self.basis.eval_plant(t, x[: self.n_p].tolist())
+            v[self._sl_nu] = noise
         # ndarray.dot: same BLAS products as @, with less call overhead.
-        delta = sigma_p.dot(self.truth.W_p(t))
+        v[self._sl_u] = sigma_p.dot(self.truth.W_p(t, self._W_p)) - self.Lam * sigma.dot(W_hat)
+        v[-1] = self.command_spec.value(t)
+        self._L.dot(v, out=out[:n4])
 
-        lin = self.M.dot(z) + self.E.dot(delta - self.Lam * sigma.dot(W_hat))
-        if noise is not None:
-            lin += self.G.dot(noise)
-        if self._has_command:
-            lin += self.b_c * self.command_spec.value(t)
-
-        Y = sigma[:, np.newaxis] * (x_m - y[self.sl_xr]).dot(self.PB)
-        if self.projection is not None:
-            Y = controllers.proj_matrix(W_hat, Y, self.projection)
-        out = np.empty_like(y)
-        out[:n4] = lin
-        out[n4:] = (self.gamma * Y).ravel()
+        W_dot = out[n4:].reshape(-1, self.m)
+        np.multiply(sigma[:, np.newaxis], (x_m - y[self.sl_xr]).dot(self._gamma_PB), out=W_dot)
+        w = y[n4:]
+        if (self.projection is not None
+                and max((w * w).dot(self._col_of).tolist()) >= self._proj_from):
+            W_dot[...] = controllers.proj_matrix(W_hat, W_dot, self.projection)
         return out
 
-    def control_at(self, t: float, y: np.ndarray, noise: np.ndarray | None) -> np.ndarray:
-        """Applied control at a sample instant, from the measured state."""
-        x_m = y[self.sl_x] if noise is None else y[self.sl_x] + noise
-        W_hat = y[self.sl_W].reshape(self.s + self.n, self.m)
-        return -(self.K @ x_m) - W_hat.T @ self.measured_basis(t, x_m)
+    def control_at(self, t, y: np.ndarray, noise: np.ndarray | None) -> np.ndarray:
+        """Applied control u = -K x_m - W_hat' sigma(x_m) from the measured state
+        x_m = x + noise (noise None for none): at one sample (t a float, y and
+        noise vectors), or at each of N samples (t of length N, y and noise
+        with N rows, u with N rows)."""
+        Y = np.atleast_2d(y)
+        x_m = Y[:, self.sl_x] if noise is None else Y[:, self.sl_x] + noise
+        W_hat = Y[:, self.sl_W].reshape(len(Y), self.s + self.n, self.m)
+        sigma = np.empty((len(Y), self.s + self.n))
+        for i, t_i in enumerate(np.broadcast_to(t, len(Y)).tolist()):
+            sigma[i] = self.measured_basis(t_i, x_m[i])
+        u = -(x_m @ self.K.T) - np.einsum("ij,ijk->ik", sigma, W_hat)
+        return u.reshape(np.shape(y)[:-1] + (self.m,))
 
     def diverged_block(self, y: np.ndarray) -> str:
         """Name of the block that diverged: the first with a non-finite entry,
@@ -380,13 +398,26 @@ def assemble(scenario: ScenarioConfig) -> ClosedLoopSystem:
     return ClosedLoopSystem(scenario)
 
 
-def rk4_step(f, state: np.ndarray, t: float, h: float, *args) -> np.ndarray:
-    """One classical 4th-order Runge-Kutta step of y' = f(t, y, *args)."""
-    k1 = f(t, state, *args)
-    k2 = f(t + 0.5 * h, state + (0.5 * h) * k1, *args)
-    k3 = f(t + 0.5 * h, state + (0.5 * h) * k2, *args)
-    k4 = f(t + h, state + h * k3, *args)
-    out = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+#: Classical RK4 weights of the four stage derivatives, before the factor h / 6.
+RK4_WEIGHTS = np.array([1.0, 2.0, 2.0, 1.0])
+
+
+def rk4_step(f, state: np.ndarray, t: float, h: float, *args,
+             stages: np.ndarray | None = None) -> np.ndarray:
+    """One classical 4th-order Runge-Kutta step of y' = f(t, y, *args).
+
+    f writes y' into its `out` keyword argument.  `stages` is a (5, d) scratch
+    buffer for the four stage derivatives and the stage state, allocated here
+    when None; a caller that steps many times passes one in.
+    """
+    if stages is None:
+        stages = np.empty((5, state.size))
+    k, y = stages[:4], stages[4]
+    f(t, state, *args, out=k[0])
+    for i, c in ((1, 0.5 * h), (2, 0.5 * h), (3, h)):  # stage i at t + c, y = state + c k[i-1]
+        np.add(state, np.multiply(c, k[i - 1], out=y), out=y)
+        f(t + c, y, *args, out=k[i])
+    out = state + ((h / 6.0) * RK4_WEIGHTS).dot(k)
     # Written as "not <=", the guard also catches NaN.
     if not np.abs(out).max() <= DIVERGENCE_LIMIT:
         raise DivergenceError(f"state above {DIVERGENCE_LIMIT:g} or not finite at t={t:.6g}", out)
@@ -398,7 +429,9 @@ def run(scenario: ScenarioConfig) -> Trajectory:
 
     The sample at t_final is always included.  Noise is drawn once per step
     (zero-order hold across the RK4 substeps) from a generator seeded by the
-    scenario, so identical seeds give bit-identical trajectories.
+    scenario, so identical seeds give bit-identical trajectories.  The loop
+    records the state and the noise of each sample; the control and the
+    command are computed for all samples at once after it.
     """
     sys = assemble(scenario)
     h = scenario.h
@@ -413,8 +446,8 @@ def run(scenario: ScenarioConfig) -> Trajectory:
     N = scenario.samples
     rec_t = np.empty(N)
     rec_y = np.empty((N, sys.state_dim))
-    rec_u = np.empty((N, sys.m))
-    rec_c = np.empty((N, sys.n_c))
+    rec_noise = np.zeros((N, sys.n))
+    stages = np.empty((5, sys.state_dim))
     i = 0
 
     # A blow-up overflows inside a step before rk4_step's guard catches it;
@@ -426,25 +459,29 @@ def run(scenario: ScenarioConfig) -> Trajectory:
             if k % scenario.record_stride == 0 or k == n_steps:
                 rec_t[i] = t
                 rec_y[i] = y
-                rec_u[i] = sys.control_at(t, y, noise)
-                rec_c[i] = sys.command_spec.value(t)
+                if noise is not None:
+                    rec_noise[i] = noise
                 i += 1
             if k < n_steps:
                 try:
-                    y = rk4_step(sys.deriv, y, t, h, noise)
+                    y = rk4_step(sys.deriv, y, t, h, noise, stages=stages)
                 except DivergenceError as exc:
                     raise DivergenceError(
                         f"simulation diverged at t={(k + 1) * h:.6g} (signal: "
                         f"{sys.diverged_block(exc.state)}); consider a smaller step size",
                         exc.state) from None
 
+    # A quiet sample of a noisy run measures x + 0, which equals x.
+    u = sys.control_at(rec_t, rec_y, rec_noise if noise_on else None)
+    c = np.empty((N, sys.n_c))
+    c[:] = [[sys.command_spec.value(t)] for t in rec_t.tolist()]
     return Trajectory(
         t=rec_t,
         x=rec_y[:, sys.sl_x],
         x_r=rec_y[:, sys.sl_xr],
         x_ri=rec_y[:, sys.sl_xri],
         e_L=rec_y[:, sys.sl_eL],
-        u=rec_u,
+        u=u,
         W_hat=rec_y[:, sys.sl_W].reshape(N, sys.s + sys.n, sys.m),
-        c=rec_c,
+        c=c,
     )

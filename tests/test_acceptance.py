@@ -220,7 +220,7 @@ def test_criterion_08_noisy_fourway_comparison(sec8_runs):
 def test_criterion_09_integrator_order():
     t0 = time.monotonic()
     x0 = np.array([1.0, -1.0, 0.5])
-    f = lambda t, y: WINGROCK_AR @ y
+    f = lambda t, y, out: np.matmul(WINGROCK_AR, y, out=out)
 
     def integrate(h):
         y = x0.copy()

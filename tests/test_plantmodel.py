@@ -90,6 +90,19 @@ class TestTruthBounds:
     def test_declared_bounds_hold_on_grid(self):
         wingrock_truth().check_bounds(np.linspace(0.0, 90.0, 2001))
 
+    @pytest.mark.parametrize("bound", ["w_p_max", "w_p_dot_max"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+    def test_bounds_must_be_finite_and_nonnegative(self, bound, value):
+        # A NaN bound would pass every comparison in check_bounds.
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            pm.UncertaintyTruth(W_p_base=np.array([[1.0]]), **{bound: value})
+
+    @pytest.mark.parametrize("start", [float("nan"), float("inf"), float("-inf")])
+    def test_modulation_start_must_be_finite(self, start):
+        # A NaN start fails "t < start" at every t, which switched the entry on from t = 0.
+        with pytest.raises(ValueError, match="start must be finite"):
+            pm.Modulation(row=0, col=0, kind="sin", start=start)
+
     def test_violated_norm_bound_detected(self):
         truth = pm.UncertaintyTruth(W_p_base=np.array([[3.0]]), w_p_max=1.0)
         with pytest.raises(ValueError):
@@ -169,6 +182,25 @@ class TestTruthGrid:
 
     def test_empty_grid(self):
         assert wingrock_truth().W_p_grid([]).shape == (0, 6, 1)
+
+    def test_buffer_reused_across_times_equals_fresh(self):
+        # deriv's form: one buffer, rewritten at each time, including an entry
+        # that two modulations act on and times before and after each switch.
+        mods = (pm.Modulation(row=0, col=1, kind="sin", start=0.0),
+                pm.Modulation(row=0, col=1, kind="step", start=2.5),
+                pm.Modulation(row=2, col=0, kind="sin", start=7.0))
+        truth = pm.UncertaintyTruth(W_p_base=np.random.default_rng(5).standard_normal((6, 2)),
+                                    modulations=mods)
+        buf = truth.W_p_base.copy()
+        for t in (9.0, 0.0, 3.0, 1.0, 45.0, 2.5, -1.0):
+            assert truth.W_p(t, buf) is buf
+            assert np.array_equal(buf, truth.W_p(t))
+
+    @pytest.mark.parametrize("mods", [(), (pm.Modulation(row=0, col=0, kind="sin"),)])
+    def test_public_W_p_is_a_fresh_array(self, mods):
+        truth = pm.UncertaintyTruth(W_p_base=np.ones((2, 1)), modulations=mods)
+        truth.W_p(0.5)[:] = 7.0
+        assert np.array_equal(truth.W_p_base, np.ones((2, 1)))
 
 
 class TestAugment:

@@ -1,6 +1,8 @@
 """Property tests: projection invariants over random shapes, the config
 serialize -> parse -> serialize round trip, the recorded identities of
-short random runs, the closed-form loop margins and the shortened xi search
+short random runs, deriv's guarded projection, output buffer and one-pass
+control against their definitions, the built basis function against its
+per-feature callables, the closed-form loop margins and the shortened xi search
 against the searches they replaced, and the scalar loop's linearized closed
 loop against its loop transfer function and, with a delayed control, against
 its delay margin."""
@@ -19,8 +21,12 @@ from hypothesis import strategies as st
 
 from flmrac import analysis
 from flmrac import controllers as ctl
+from flmrac.matrixcore import LyapunovPair
+from flmrac.plantmodel import (FEATURE_EXPRESSIONS, BasisSpec, PlantModel, UncertaintyTruth,
+                               resolve_feature)
 from flmrac.simcli import dict_to_scenario, load_config, serialize_scenario
-from flmrac.simulator import assemble, rk4_step, run
+from flmrac.simulator import (CommandSpec, NoiseSpec, ScenarioConfig, assemble, rk4_step,
+                              run)
 
 from helpers import assert_csv_errors_exact, scalar_loop_scenario
 from oracles import loop_transfer_rational, margins_by_search, optimal_xi_by_search
@@ -281,10 +287,10 @@ def _bias_error_with_delayed_control(scn, tau_steps: int, t_final=10.0):
         t = k * h
         old, new = history[max(k - tau_steps, 0)], history[max(k - tau_steps + 1, 0)]
 
-        def f(tt, yy):
+        def f(tt, yy, out):
             lagged = yy.copy()
             lagged[system.sl_W] = old + (new - old) * ((tt - t) / h)
-            return system.deriv(tt, lagged)
+            return system.deriv(tt, lagged, out=out)
 
         y = rk4_step(f, y, t, h)
         history.append(y[system.sl_W].copy())
@@ -324,3 +330,101 @@ def test_delay_margin_brackets_simulated_stability(factor):
     rate = np.polyfit([(i + window / 2) * h for i in starts], np.log(peaks), 1)[0]
     assert (peaks[-1] > err[0]) == (factor > 1.0) == (root.real > 0.0)
     assert rate == pytest.approx(root.real, rel=0.25)
+
+
+def _two_input_scenario() -> ScenarioConfig:
+    """A projected double integrator with two inputs, so W_hat has two columns."""
+    plant = PlantModel(A_p=[[0.0, 1.0], [0.0, 0.0]], B_p=np.eye(2), Lambda=[1.0, 0.5],
+                       truth=UncertaintyTruth(W_p_base=np.zeros((2, 2))),
+                       basis=BasisSpec(("bias", "abs_x1_x2")))
+    K = np.array([[1.0, 1.0], [0.0, 1.0]])  # A - B K = -I
+    ctrl = ctl.ControllerConfig(
+        K=K, gamma=50.0, kappa=10.0, eta=2.0,
+        lyap=LyapunovPair.for_closed_loop(-np.eye(2), np.eye(2)),
+        projection=ctl.ProjectionSpec(theta_max=2.0, eps_theta=0.3))
+    return ScenarioConfig(plant=plant, E_p=np.zeros((0, 2)), controller=ctrl,
+                          command=CommandSpec(kind="zero"), noise=NoiseSpec(),
+                          t_final=1.0, h=1e-3, name="two_input")
+
+
+_PROJECTED_SYSTEMS = (assemble(_PROPOSED), assemble(_two_input_scenario()))
+
+
+@st.composite
+def projected_state(draw):
+    """(system, t, y, noise or None) with each column of W_hat inside the inner
+    ball, in the boundary layer or on theta_max."""
+    system = draw(st.sampled_from(_PROJECTED_SYSTEMS))
+    spec, n = system.projection, system.n
+    inner = spec.theta_max / math.sqrt(1.0 + spec.eps_theta)
+    radius = st.one_of(st.floats(0.0, 0.999 * inner), st.floats(inner, spec.theta_max),
+                       st.just(spec.theta_max))
+    W_hat = np.column_stack([_column(draw, system.s + n, draw(radius))
+                             for _ in range(system.m)])
+    z = draw(st.lists(st.floats(-2.0, 2.0), min_size=4 * n, max_size=4 * n))
+    noise = draw(st.none() | st.lists(st.floats(-0.1, 0.1), min_size=n, max_size=n))
+    y = np.concatenate([z, W_hat.ravel()])
+    return system, draw(st.floats(0.0, 90.0)), y, None if noise is None else np.array(noise)
+
+
+@settings(deadline=None, max_examples=200)
+@given(projected_state())
+def test_guarded_projection_equals_proj_matrix(case):
+    # deriv calls proj_matrix only near the ball; its W block is still
+    # gamma proj(W_hat, sigma e' P B) everywhere.
+    system, t, y, noise = case
+    W_hat = y[system.sl_W].reshape(system.s + system.n, system.m)
+    x_m = y[system.sl_x] if noise is None else y[system.sl_x] + noise
+    Y = np.outer(system.measured_basis(t, x_m), (x_m - y[system.sl_xr]) @ system.PB)
+    want = system.gamma * ctl.proj_matrix(W_hat, Y, system.projection)
+    got = system.deriv(t, y, noise)[system.sl_W].reshape(W_hat.shape)
+    assert np.max(np.abs(got - want)) <= 1e-12 * system.gamma * np.max(np.abs(Y))
+
+
+@settings(deadline=None, max_examples=100)
+@given(projected_state())
+def test_deriv_writes_into_the_given_buffer(case):
+    # The result owes nothing to earlier calls: the shared system's buffers
+    # last held another state's evaluation, noisy where this one is quiet.
+    system, t, y, noise = case
+    want = assemble(system.scenario).deriv(t, y, noise)
+    system.deriv(t + 1.0, -y, np.full(system.n, 0.05) if noise is None else None)
+    buf = np.full(system.state_dim, np.nan)
+    assert system.deriv(t, y, noise, out=buf) is buf
+    assert np.array_equal(buf, want)
+
+
+@settings(deadline=None, max_examples=40)
+@given(steps=st.integers(1, 40), stride=st.integers(1, 9), onset=st.integers(0, 41),
+       seed=st.integers(0, 2**32 - 1))
+@example(steps=5, stride=2, onset=3, seed=0)
+def test_one_pass_control_equals_single_sample(steps, stride, onset, seed):
+    h = _PROPOSED.h
+    noise = dataclasses.replace(_PROPOSED.noise, start_time=onset * h, seed=seed)
+    scn = dataclasses.replace(_PROPOSED, noise=noise, t_final=steps * h, record_stride=stride)
+    traj = run(scn)
+    system = assemble(scn)
+    # NoiseSpec's stream: one draw per step, from the first step at or after the onset.
+    rng = np.random.default_rng(seed)
+    draws = {k: rng.standard_normal(system.n) * np.asarray(noise.std)
+             for k in range(steps + 1) if k * h >= noise.start_time}
+    assert traj.t[-1] == steps * h
+    for i, t in enumerate(traj.t.tolist()):
+        y = np.concatenate([traj.x[i], traj.x_r[i], traj.x_ri[i], traj.e_L[i],
+                            traj.W_hat[i].ravel()])
+        u = system.control_at(t, y, draws.get(round(t / h)))
+        assert u.shape == (system.m,)
+        assert np.max(np.abs(traj.u[i] - u)) <= 1e-12 * max(1.0, float(np.max(np.abs(u))))
+
+
+@settings(deadline=None, max_examples=300)
+@given(names=st.lists(st.sampled_from(sorted(FEATURE_EXPRESSIONS) + ["x1", "x2", "x3", "x4"]),
+                      min_size=1, max_size=8),
+       x_p=st.lists(st.floats(-1e100, 1e100), min_size=4, max_size=4),
+       t=st.floats(0.0, 100.0))
+def test_built_basis_equals_feature_callables(names, x_p, t):
+    basis = BasisSpec(tuple(names))
+    for arg in (x_p, np.array(x_p)):
+        got = np.array(basis.features(t, arg), dtype=float)
+        want = np.array([resolve_feature(name)(t, arg) for name in names], dtype=float)
+        assert got.tobytes() == want.tobytes()

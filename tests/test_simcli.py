@@ -120,6 +120,13 @@ MALFORMED_FIELDS = {
     "name_backslash": (lambda r: r.update(name="sub\\escaped"), "name"),
     "modulation_kind": (lambda r: r["plant"]["truth"]["modulations"][0].update(kind="cos"),
                         "plant.truth.modulations[0]"),
+    "modulation_start_nan": (
+        lambda r: r["plant"]["truth"]["modulations"][0].update(start=float("nan")),
+        "plant.truth.modulations[0].start"),
+    "w_p_max_nan": (lambda r: r["plant"]["truth"].update(w_p_max=float("nan")),
+                    "plant.truth.w_p_max"),
+    "w_p_dot_max_infinite": (lambda r: r["plant"]["truth"].update(w_p_dot_max=float("inf")),
+                             "plant.truth.w_p_dot_max"),
     "theta_max_negative": (lambda r: r["controller"]["projection"].update(theta_max=-1.0),
                            "controller.projection"),
     "noise_seed_negative": (lambda r: r["noise"].update(seed=-3), "noise.seed"),

@@ -8,7 +8,7 @@ from flmrac import simulator as sim
 from flmrac.matrixcore import LyapunovPair
 from flmrac.plantmodel import BasisSpec, PlantModel, UncertaintyTruth, augment
 from flmrac.controllers import ControllerConfig, ProjectionSpec
-from flmrac.simcli import load_config
+from flmrac.simcli import load_config, write_trajectory_csv
 
 from helpers import assert_csv_errors_exact, oracle_for, quiet_wingrock, scalar_scenario
 
@@ -50,17 +50,17 @@ class TestCommand:
 class TestRk4Step:
     def test_zero_field_fixes_state(self):
         y = np.array([1.0, -2.0])
-        out = sim.rk4_step(lambda t, yy: np.zeros(2), y, 0.0, 0.1)
+        out = sim.rk4_step(lambda t, yy, out: out.fill(0.0), y, 0.0, 0.1)
         assert np.array_equal(out, y)
 
     def test_scalar_exponential_one_step(self):
-        out = sim.rk4_step(lambda t, yy: -yy, np.array([1.0]), 0.0, 0.1)
+        out = sim.rk4_step(lambda t, yy, out: np.negative(yy, out=out), np.array([1.0]), 0.0, 0.1)
         assert out[0] == pytest.approx(0.9048375, abs=1e-9)
         assert abs(out[0] - np.exp(-0.1)) < 1e-7
 
     def test_fourth_order_on_linear_system(self):
         x0 = np.array([1.0, -1.0, 0.5])
-        f = lambda t, y: WINGROCK_AR @ y
+        f = lambda t, y, out: np.matmul(WINGROCK_AR, y, out=out)
 
         def integrate(h):
             y = x0.copy()
@@ -75,23 +75,26 @@ class TestRk4Step:
 
     def test_passes_extra_arguments_to_the_field(self):
         y = np.array([1.0, -2.0])
-        with_args = sim.rk4_step(lambda t, yy, a, b: a * yy + b * t, y, 0.3, 0.1, -2.0, 0.5)
-        closure = sim.rk4_step(lambda t, yy: -2.0 * yy + 0.5 * t, y, 0.3, 0.1)
+        with_args = sim.rk4_step(
+            lambda t, yy, a, b, out: np.copyto(out, a * yy + b * t), y, 0.3, 0.1, -2.0, 0.5)
+        closure = sim.rk4_step(
+            lambda t, yy, out: np.copyto(out, -2.0 * yy + 0.5 * t), y, 0.3, 0.1)
         assert np.array_equal(with_args, closure)
 
     def test_nonfinite_derivative_raises(self):
         with pytest.raises(sim.DivergenceError):
-            sim.rk4_step(lambda t, y: np.array([np.nan]), np.array([1.0]), 0.0, 0.1)
+            sim.rk4_step(lambda t, y, out: out.fill(np.nan), np.array([1.0]), 0.0, 0.1)
 
     def test_finite_state_above_limit_raises(self):
         y = np.array([1.0, 2.0 * sim.DIVERGENCE_LIMIT])
         with pytest.raises(sim.DivergenceError) as err:
-            sim.rk4_step(lambda t, yy: np.zeros(2), y, 0.0, 0.1)
+            sim.rk4_step(lambda t, yy, out: out.fill(0.0), y, 0.0, 0.1)
         assert np.array_equal(err.value.state, y)
 
     def test_nonfinite_error_carries_state(self):
         with pytest.raises(sim.DivergenceError) as err:
-            sim.rk4_step(lambda t, y: np.array([0.0, np.inf]), np.array([1.0, 2.0]), 0.0, 0.1)
+            sim.rk4_step(lambda t, y, out: np.copyto(out, [0.0, np.inf]),
+                         np.array([1.0, 2.0]), 0.0, 0.1)
         assert err.value.state[0] == 1.0 and np.isinf(err.value.state[1])
 
 
@@ -294,6 +297,43 @@ class TestFusedVectorField:
         scn = _projected_scalar()
         assert sim.assemble(scn).n_c == 0
         assert self._check(scn, 0.5 * (3.0 / np.sqrt(1.2) + 3.0), noisy) > 0
+
+
+class TestStepContract:
+    """What the benchmark's traced pass counts, through the same module and
+    class attributes: one rk4_step per step and four deriv calls per step."""
+
+    def test_four_derivs_per_step_and_none_per_sample(self, wingrock_proposed, monkeypatch):
+        calls = {"rk4_step": 0, "deriv": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(sim, "rk4_step", counted("rk4_step", sim.rk4_step))
+        monkeypatch.setattr(sim.ClosedLoopSystem, "deriv",
+                            counted("deriv", sim.ClosedLoopSystem.deriv))
+        # Every step recorded, noisy from the middle: quiet and noisy samples.
+        scn = dataclasses.replace(
+            wingrock_proposed, t_final=0.05, record_stride=1,
+            noise=dataclasses.replace(wingrock_proposed.noise, start_time=0.025))
+        assert len(sim.run(scn)) == scn.steps + 1
+        assert calls == {"rk4_step": scn.steps, "deriv": 4 * scn.steps}
+
+
+def test_runs_reusing_buffers_stay_byte_deterministic(wingrock_proposed, tmp_path):
+    # A noisy run, a quiet one and the noisy one again in one process.
+    noisy = dataclasses.replace(
+        wingrock_proposed, t_final=1.0, record_stride=1,
+        noise=dataclasses.replace(wingrock_proposed.noise, start_time=0.5))
+    csvs = []
+    for i, scn in enumerate((noisy, quiet_wingrock(wingrock_proposed, t_final=1.0), noisy)):
+        write_trajectory_csv(sim.run(scn), tmp_path / f"{i}.csv")
+        csvs.append((tmp_path / f"{i}.csv").read_bytes())
+    assert csvs[2] == csvs[0]
+    assert csvs[1] != csvs[0]
 
 
 class TestOracleTrajectory:
