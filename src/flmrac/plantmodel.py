@@ -25,9 +25,9 @@ CTRB_RANK_TOL = 1e-8
 
 
 #: Named scalar features of (t, x_p), as Python expressions in t and x_p.
-#: Scenario files reference these by name; "x<k>" resolves to the k-th plant
-#: state component for any k.  This one table builds each feature's callable
-#: (`resolve_feature`) and each basis's evaluation function (`BasisSpec.features`).
+#: Scenario files reference these by name; "x<k>" is the k-th plant state
+#: component (PlantModel requires k <= n_p).  This one table builds each feature's
+#: callable (`resolve_feature`) and each basis's function (`BasisSpec.features`).
 FEATURE_EXPRESSIONS = {
     "bias": "1.0",
     "abs_x1_x2": "abs(x_p[0]) * x_p[1]",
@@ -219,6 +219,11 @@ class PlantModel:
             raise DimensionError(
                 f"truth W_p is {self.truth.W_p_base.shape}, expected ({self.basis.dim}, {m})"
             )
+        for name in self.basis.names:  # the x_p[k] each feature's expression indexes
+            reads = max([int(k) + 1 for k in re.findall(r"x_p\[(\d+)\]", _expression(name))] + [0])
+            if reads > n_p:
+                raise ValueError(f"basis feature {name!r} reads plant state {reads}, "
+                                 f"but the plant has {n_p}")
         if not self._controllable():
             raise ValueError("(A_p, B_p) is not controllable")
 

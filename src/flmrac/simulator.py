@@ -11,6 +11,7 @@ truth.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -239,12 +240,11 @@ class ClosedLoopSystem:
     Layout of the stacked state y: [x (n); x_r (n); x_ri (n); e_L (n);
     vec(W_hat) ((s+n)*m, row-major)].
 
-    The laws of the first four blocks are linear apart from the uncertainty
-    and the adaptive control, so they are fused at assembly into one constant
-    operator over z = y[:4n] and the inputs:
+    The linear parts of the first four blocks' laws and the update law's
+    error gain r are fused at assembly into one constant operator over
+    z = y[:4n] and the inputs, and W_hat' = sigma_m r', projected near the ball:
 
-        z' = M z + E (delta - Lambda W_hat' sigma_m) + G nu + b_c c(t)
-           = [M | E | G | b_c] [z; delta - Lambda W_hat' sigma_m; nu; c(t)]
+        [z'; r] = [M | E | -E Lambda | G | b_c] [z; delta; W_hat' sigma_m; nu; c(t)]
 
     with nu the measurement noise (zero when off), sigma_m the basis of the
     measured state x + nu, delta = W_p(t)' sigma_p(x) the uncertainty at the
@@ -252,8 +252,9 @@ class ClosedLoopSystem:
     -B Lambda K x, the modified reference's kappa (e - e_L) mismatch, the
     ideal reference and the eta (e - e_L) filter; G = [-B Lambda K; kappa I;
     0; eta I] injects the noise those laws see; E = [B; 0; 0; 0]; b_c stacks
-    B_r 1 for the plant and both references.  This is the one definition of
-    the law; its test reference is tests/oracles.py's PlainMracSimulator.
+    B_r 1 for the plant and both references.  The last m rows give
+    r = gamma (P B)' (x + nu - x_r).  This is the one definition of the law;
+    its test reference is tests/oracles.py's PlainMracSimulator.
     """
 
     def __init__(self, scenario: ScenarioConfig):
@@ -288,27 +289,31 @@ class ClosedLoopSystem:
         self.block_names = ("x", "x_r", "x_ri", "e_L", "W_hat")
         self.blocks = (self.sl_x, self.sl_xr, self.sl_xri, self.sl_eL, self.sl_W)
 
-        # Fused linear part of [x; x_r; x_ri; e_L]', [M | E | G | b_c] (see the class docstring).
+        # Fused linear part of [z'; r], [M | E | -E Lambda | G | b_c] (see the class docstring).
         I, Z, ZB = np.eye(n), np.zeros((n, n)), np.zeros((n, m))
         BLK = aug.B @ (self.Lam[:, np.newaxis] * cfg.K)
         k, eta = cfg.kappa, cfg.eta
         Br1 = aug.B_r.sum(axis=1, keepdims=True)
+        gPB, Zm, Zmm = cfg.gamma * self.PB.T, np.zeros((m, n)), np.zeros((m, m))
         self._L = np.block([
-            [aug.A - BLK, Z, Z, Z, aug.B, -BLK, Br1],
-            [k * I, A_r - k * I, Z, -k * I, ZB, k * I, Br1],
-            [Z, Z, A_r, Z, ZB, Z, Br1],
-            [eta * I, -eta * I, Z, A_r - eta * I, ZB, eta * I, np.zeros((n, 1))],
+            [aug.A - BLK, Z, Z, Z, aug.B, -aug.B * self.Lam, -BLK, Br1],
+            [k * I, A_r - k * I, Z, -k * I, ZB, ZB, k * I, Br1],
+            [Z, Z, A_r, Z, ZB, ZB, Z, Br1],
+            [eta * I, -eta * I, Z, A_r - eta * I, ZB, ZB, eta * I, np.zeros((n, 1))],
+            [gPB, -gPB, Zm, Zm, Zmm, Zmm, gPB, np.zeros((m, 1))],
         ])
-        # Its input [z; delta - Lambda W_hat' sigma_m; nu; c], and the slots deriv writes.
+        # Its input [z; delta; W_hat' sigma_m; nu; c] and output [z'; r], with views of
+        # the slots deriv writes and reads.
         self._v = np.zeros(self._L.shape[1])
-        self._sl_u = slice(4 * n, 4 * n + m)
-        self._sl_nu = slice(4 * n + m, 5 * n + m)
-        self._gamma_PB = cfg.gamma * self.PB
+        self._v_z, self._v_delta, self._v_Wsigma, self._v_nu = np.split(
+            self._v[:-1], [4 * n, 4 * n + m, 4 * n + 2 * m])
+        self._zr = np.empty(4 * n + m)
+        self._z_dot, self._r = self._zr[: 4 * n], self._zr[4 * n:]
         self._sigma = np.empty(self.s + n)
+        self._sigma_p, self._sigma_col = self._sigma[: self.s], self._sigma[:, np.newaxis]
         self._W_p = plant.truth.W_p_base.copy()
-        # Projection acts only on a column with phi >= 0, ||theta||^2 >= theta_max^2 / (1 + eps):
-        # squared column norms are (w * w) S, and the margin covers their rounding.
-        self._col_of = np.tile(np.eye(m), (self.s + n, 1))
+        # A column has phi >= 0 only if ||theta||^2 >= theta_max^2 / (1 + eps), so only if
+        # ||W_hat||_F^2 is; the margin covers the rounding of the sums.
         spec = cfg.projection
         self._proj_from = spec and (1.0 - 1e-9) * spec.theta_max**2 / (1.0 + spec.eps_theta)
 
@@ -328,11 +333,11 @@ class ClosedLoopSystem:
 
     def measured_basis(self, t: float, x_m: np.ndarray) -> np.ndarray:
         """sigma(x_m) = [sigma_p(x_m[:n_p]); x_m], written into a buffer that
-        the next call overwrites."""
-        sigma = self._sigma
-        sigma[: self.s] = self.basis.features(t, x_m[: self.n_p].tolist())
-        sigma[self.s:] = x_m
-        return sigma
+        the next call overwrites.  The features get all of x_m: PlantModel
+        rejects a basis that reads past the plant state."""
+        xl = x_m.tolist()
+        self._sigma[...] = self.basis.features(t, xl) + xl
+        return self._sigma
 
     def deriv(self, t: float, y: np.ndarray, noise: np.ndarray | None = None,
               out: np.ndarray | None = None) -> np.ndarray:
@@ -342,31 +347,27 @@ class ClosedLoopSystem:
         if out is None:
             out = np.empty_like(y)
         n4 = 4 * self.n
-        x = y[: self.n]
-        W_hat = y[n4:].reshape(-1, self.m)
-        v = self._v
-        v[:n4] = y[:n4]
+        x, w = y[: self.n], y[n4:]
+        W_hat = w.reshape(-1, self.m)
+        self._v_z[...] = y[:n4]
         if noise is None:
-            x_m = x
             sigma = self.measured_basis(t, x)
-            sigma_p = sigma[: self.s]
-            v[self._sl_nu] = 0.0
+            sigma_p = self._sigma_p
+            self._v_nu.fill(0.0)
         else:
-            x_m = x + noise
-            sigma = self.measured_basis(t, x_m)
+            sigma = self.measured_basis(t, x + noise)
             # The plant integrates truth: its uncertainty needs the basis at x.
             sigma_p = self.basis.eval_plant(t, x[: self.n_p].tolist())
-            v[self._sl_nu] = noise
+            self._v_nu[...] = noise
         # ndarray.dot: same BLAS products as @, with less call overhead.
-        v[self._sl_u] = sigma_p.dot(self.truth.W_p(t, self._W_p)) - self.Lam * sigma.dot(W_hat)
-        v[-1] = self.command_spec.value(t)
-        self._L.dot(v, out=out[:n4])
-
+        sigma_p.dot(self.truth.W_p(t, self._W_p), out=self._v_delta)
+        sigma.dot(W_hat, out=self._v_Wsigma)
+        self._v[-1] = self.command_spec.value(t)
+        self._L.dot(self._v, out=self._zr)
+        out[:n4] = self._z_dot
         W_dot = out[n4:].reshape(-1, self.m)
-        np.multiply(sigma[:, np.newaxis], (x_m - y[self.sl_xr]).dot(self._gamma_PB), out=W_dot)
-        w = y[n4:]
-        if (self.projection is not None
-                and max((w * w).dot(self._col_of).tolist()) >= self._proj_from):
+        np.multiply(self._sigma_col, self._r, out=W_dot)
+        if self.projection is not None and w.dot(w) >= self._proj_from:
             W_dot[...] = controllers.proj_matrix(W_hat, W_dot, self.projection)
         return out
 
@@ -398,28 +399,37 @@ def assemble(scenario: ScenarioConfig) -> ClosedLoopSystem:
     return ClosedLoopSystem(scenario)
 
 
-#: Classical RK4 weights of the four stage derivatives, before the factor h / 6.
-RK4_WEIGHTS = np.array([1.0, 2.0, 2.0, 1.0])
+@functools.lru_cache(maxsize=8)
+def _rk4_coefficients(h: float) -> tuple:
+    """RK4 with step h: (time offset, coefficients over [state, k_{i-1}]) of each
+    stage i = 2, 3, 4, and the step's coefficients over [state, k1..k4]."""
+    half, w = (0.5 * h, np.array([1.0, 0.5 * h])), h / 6.0
+    return (half, half, (h, np.array([1.0, h]))), np.array([1.0, w, 2.0 * w, 2.0 * w, w])
 
 
 def rk4_step(f, state: np.ndarray, t: float, h: float, *args,
              stages: np.ndarray | None = None) -> np.ndarray:
     """One classical 4th-order Runge-Kutta step of y' = f(t, y, *args).
 
-    f writes y' into its `out` keyword argument.  `stages` is a (5, d) scratch
-    buffer for the four stage derivatives and the stage state, allocated here
-    when None; a caller that steps many times passes one in.
+    f writes y' into its `out` keyword argument.  `stages` is a (6, d) scratch
+    buffer, allocated here when None; a caller that steps many times passes
+    one in.  Row 0 holds the state, rows 1-4 the stage derivatives k1..k4 and
+    row 5 the stage state.  Each stage state is one product over the row pair
+    [state, k_{i-1}], and the step one product over rows 0-4: no product reads
+    a row this step has not written, so what the buffer held never shows.
     """
     if stages is None:
-        stages = np.empty((5, state.size))
-    k, y = stages[:4], stages[4]
-    f(t, state, *args, out=k[0])
-    for i, c in ((1, 0.5 * h), (2, 0.5 * h), (3, h)):  # stage i at t + c, y = state + c k[i-1]
-        np.add(state, np.multiply(c, k[i - 1], out=y), out=y)
-        f(t + c, y, *args, out=k[i])
-    out = state + ((h / 6.0) * RK4_WEIGHTS).dot(k)
-    # Written as "not <=", the guard also catches NaN.
-    if not np.abs(out).max() <= DIVERGENCE_LIMIT:
+        stages = np.empty((6, state.size))
+    stage_coefficients, step = _rk4_coefficients(h)
+    y = stages[5]
+    stages[0] = state
+    f(t, state, *args, out=stages[1])
+    for i, (c, coefficients) in enumerate(stage_coefficients, 2):
+        coefficients.dot(stages[0:i:i - 1], out=y)  # state + c k_{i-1}
+        f(t + c, y, *args, out=stages[i])
+    out = step.dot(stages[:5])
+    # Written as "not <=", the guard also catches NaN, which maximum propagates.
+    if not np.maximum.reduce(np.abs(out)) <= DIVERGENCE_LIMIT:
         raise DivergenceError(f"state above {DIVERGENCE_LIMIT:g} or not finite at t={t:.6g}", out)
     return out
 
@@ -447,7 +457,7 @@ def run(scenario: ScenarioConfig) -> Trajectory:
     rec_t = np.empty(N)
     rec_y = np.empty((N, sys.state_dim))
     rec_noise = np.zeros((N, sys.n))
-    stages = np.empty((5, sys.state_dim))
+    stages = np.empty((6, sys.state_dim))
     i = 0
 
     # A blow-up overflows inside a step before rk4_step's guard catches it;

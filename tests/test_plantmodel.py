@@ -277,6 +277,20 @@ class TestPlantModelValidation:
                           truth=pm.UncertaintyTruth(W_p_base=np.zeros((1, 1))),
                           basis=pm.BasisSpec(("x1",)))
 
+    @pytest.mark.parametrize("A_p, B_p, names, message", [
+        ([[0.0, 1.0], [0.0, 0.0]], [[0.0], [1.0]], ("bias", "x3"),
+         "basis feature 'x3' reads plant state 3, but the plant has 2"),
+        ([[-1.0]], [[1.0]], ("x1", "abs_x2_x2"),
+         "basis feature 'abs_x2_x2' reads plant state 2, but the plant has 1"),
+    ])
+    def test_basis_reading_past_the_plant_state_rejected(self, A_p, B_p, names, message):
+        # The measured basis is evaluated on the whole augmented state, where
+        # such a feature would read the integrator state.
+        with pytest.raises(ValueError) as err:
+            pm.PlantModel(A_p=A_p, B_p=B_p, Lambda=[1.0], basis=pm.BasisSpec(names),
+                          truth=pm.UncertaintyTruth(W_p_base=np.zeros((2, 1))))
+        assert str(err.value) == message
+
 
 class TestClosedLoopConsistency:
     def test_raw_and_aggregated_paths_agree(self):

@@ -348,6 +348,16 @@ def _two_input_scenario() -> ScenarioConfig:
 
 
 _PROJECTED_SYSTEMS = (assemble(_PROPOSED), assemble(_two_input_scenario()))
+#: Each projected system's law with projection off.
+_UNPROJECTED = {system: assemble(dataclasses.replace(
+    system.scenario, controller=dataclasses.replace(system.scenario.controller, projection=None)))
+    for system in _PROJECTED_SYSTEMS}
+
+
+def _two_input_case(*columns):
+    """A quiet two-input case whose W_hat has the given columns; x - x_r != 0."""
+    z = [0.5, -0.5, 0.1, 0.2, 0.0, 0.0, 0.05, -0.05]
+    return _PROJECTED_SYSTEMS[1], 1.0, np.concatenate([z, np.column_stack(columns).ravel()]), None
 
 
 @st.composite
@@ -369,6 +379,10 @@ def projected_state(draw):
 
 @settings(deadline=None, max_examples=200)
 @given(projected_state())
+# ||W_hat||_F^2 passes the pre-test, but both columns lie inside the inner ball.
+@example(_two_input_case([1.5, 0.0, 0.0, 0.0], [0.0, 0.0, 1.5, 0.0]))
+# One column in the boundary layer, pushed outward; the other zero.
+@example(_two_input_case([1.9, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]))
 def test_guarded_projection_equals_proj_matrix(case):
     # deriv calls proj_matrix only near the ball; its W block is still
     # gamma proj(W_hat, sigma e' P B) everywhere.
@@ -379,6 +393,11 @@ def test_guarded_projection_equals_proj_matrix(case):
     want = system.gamma * ctl.proj_matrix(W_hat, Y, system.projection)
     got = system.deriv(t, y, noise)[system.sl_W].reshape(W_hat.shape)
     assert np.max(np.abs(got - want)) <= 1e-12 * system.gamma * np.max(np.abs(Y))
+    # A column inside the inner ball, clear of rounding at its edge, keeps
+    # the bits of the law without projection.
+    free = _UNPROJECTED[system].deriv(t, y, noise)[system.sl_W].reshape(W_hat.shape)
+    inside = [ctl.phi(col, system.projection) < -1e-9 for col in W_hat.T]
+    assert np.array_equal(got[:, inside], free[:, inside])
 
 
 @settings(deadline=None, max_examples=100)

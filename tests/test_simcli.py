@@ -2,7 +2,11 @@ import dataclasses
 import functools
 import json
 import operator
+import os
+import pathlib
 import re
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -114,6 +118,9 @@ MALFORMED_FIELDS = {
                       "unknown basis feature 'x1_squared'"),
     "basis_component_zero": (lambda r: r["plant"]["basis"].__setitem__(5, "x0"), "plant.basis",
                              "unknown basis feature 'x0'"),
+    "basis_component_beyond_plant": (
+        lambda r: r["plant"]["basis"].__setitem__(5, "x3"), "plant",
+        "basis feature 'x3' reads plant state 3, but the plant has 2"),
     "name_empty": (lambda r: r.update(name=""), "name"),
     "name_parent_dir": (lambda r: r.update(name="../escaped"), "name"),
     "name_dot_dot": (lambda r: r.update(name=".."), "name"),
@@ -399,9 +406,10 @@ class TestCmdRun:
         assert simcli.main(["run", "--config", str(bad),
                             "--out", str(tmp_path / "o")]) == 2
 
-    def test_divergence_exit_code(self, tmp_path, capsys):
-        # kappa h stays far outside the RK4 stability region even after all
-        # three step halvings, so the retries exhaust and the run exits 3
+    @staticmethod
+    def _stiff_config(tmp_path):
+        """kappa h stays far outside the RK4 stability region even after all
+        three step halvings, so the retries exhaust and the run exits 3."""
         _, raw = load_config("wingrock_proposed")
         raw["name"] = "stiff"
         raw["controller"]["kappa"] = 5e4
@@ -409,10 +417,28 @@ class TestCmdRun:
         raw["t_final"] = 5.0
         cfg = tmp_path / "stiff.cfg"
         cfg.write_text(json.dumps(raw))
+        return cfg
+
+    def test_divergence_exit_code(self, tmp_path, capsys):
+        cfg = self._stiff_config(tmp_path)
         assert simcli.main(["run", "--config", str(cfg),
                             "--out", str(tmp_path / "o")]) == 3
         # Each announced retry is made: none is announced after the last one.
         assert capsys.readouterr().err.count("retrying") == simcli.MAX_STEP_HALVINGS
+
+    def test_run_after_a_divergence_writes_a_clean_process_csv(self, tmp_path):
+        # The diverged runs leave NaN and infinity in memory that numpy hands
+        # out again; the next run in the process must not read any of it.
+        assert simcli.main(["run", "--config", str(self._stiff_config(tmp_path)),
+                            "--out", str(tmp_path / "o")]) == 3
+        cfg = short_noisy_config(tmp_path, t_final=0.5)
+        assert simcli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "after")]) == 0
+        env = {**os.environ, "PYTHONPATH": str(pathlib.Path(simcli.__file__).parents[1])}
+        subprocess.run([sys.executable, "-m", "flmrac.simcli", "run", "--config", str(cfg),
+                        "--out", str(tmp_path / "clean")], env=env, check=True,
+                       capture_output=True)
+        after = (tmp_path / "after" / "short.csv").read_bytes()
+        assert after == (tmp_path / "clean" / "short.csv").read_bytes()
 
 
 class TestCmdCompare:

@@ -81,6 +81,17 @@ class TestRk4Step:
             lambda t, yy, out: np.copyto(out, -2.0 * yy + 0.5 * t), y, 0.3, 0.1)
         assert np.array_equal(with_args, closure)
 
+    @pytest.mark.parametrize("noise", [None, np.array([0.01, -0.02, 0.005])])
+    def test_step_owes_nothing_to_the_stage_buffer(self, wingrock_proposed, noise):
+        # The caller's buffer may hold anything, here NaN and both infinities.
+        system = sim.assemble(wingrock_proposed)
+        y = np.linspace(-0.5, 0.5, system.state_dim)
+        fresh = sim.rk4_step(system.deriv, y, 50.0, 1e-3, noise)
+        dirty = np.full((6, system.state_dim), np.nan)
+        dirty[1::2], dirty[2::3] = np.inf, -np.inf
+        got = sim.rk4_step(system.deriv, y, 50.0, 1e-3, noise, stages=dirty)
+        assert got.tobytes() == fresh.tobytes()
+
     def test_nonfinite_derivative_raises(self):
         with pytest.raises(sim.DivergenceError):
             sim.rk4_step(lambda t, y, out: out.fill(np.nan), np.array([1.0]), 0.0, 0.1)
