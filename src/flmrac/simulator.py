@@ -11,6 +11,7 @@ truth.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -83,7 +84,7 @@ class CommandSpec:
         if self.kind == "square_wave":
             wave = math.sin(2.0 * math.pi * t / self.period)
             return self.offset + self.amplitude * ((wave > 0.0) - (wave < 0.0))
-        idx = int(np.searchsorted(self.times, t, side="right")) - 1
+        idx = bisect.bisect_right(self.times, t) - 1
         return self.values[max(idx, 0)]
 
 
@@ -244,17 +245,18 @@ class ClosedLoopSystem:
     error gain r are fused at assembly into one constant operator over
     z = y[:4n] and the inputs, and W_hat' = sigma_m r', projected near the ball:
 
-        [z'; r] = [M | E | -E Lambda | G | b_c] [z; delta; W_hat' sigma_m; nu; c(t)]
+        [z'; r] = [M | E | -E Lambda | G | b_c] [z; delta; W_hat' sigma_m; e_m; c(t)]
 
-    with nu the measurement noise (zero when off), sigma_m the basis of the
-    measured state x + nu, delta = W_p(t)' sigma_p(x) the uncertainty at the
-    true state and c(t) the scalar command.  M holds the nominal control
-    -B Lambda K x, the modified reference's kappa (e - e_L) mismatch, the
-    ideal reference and the eta (e - e_L) filter; G = [-B Lambda K; kappa I;
-    0; eta I] injects the noise those laws see; E = [B; 0; 0; 0]; b_c stacks
-    B_r 1 for the plant and both references.  The last m rows give
-    r = gamma (P B)' (x + nu - x_r).  This is the one definition of the law;
-    its test reference is tests/oracles.py's PlainMracSimulator.
+    with e_m = x_m - x_r the measured error, x_m = x + nu the measured state
+    (nu the measurement noise, zero when off), sigma_m the basis of x_m,
+    delta = W_p(t)' sigma_p(x) the uncertainty at the true state and c(t) the
+    scalar command.  G = [-B Lambda K; kappa I; 0; eta I; gamma (P B)'] holds
+    each gain once: the laws -B Lambda K (x_r + e_m), kappa (e_m - e_L),
+    eta (e_m - e_L) and r = gamma (P B)' e_m read x_m only through e_m, so r is
+    never a difference of terms the size of x.  M holds the rest (only the
+    plant row reads x), E = [B; 0; 0; 0; 0] and b_c stacks B_r 1 for the plant
+    and both references.  This is the one definition of the law; its test
+    reference is tests/oracles.py's PlainMracSimulator.
     """
 
     def __init__(self, scenario: ScenarioConfig):
@@ -292,21 +294,20 @@ class ClosedLoopSystem:
         # Fused linear part of [z'; r], [M | E | -E Lambda | G | b_c] (see the class docstring).
         I, Z, ZB = np.eye(n), np.zeros((n, n)), np.zeros((n, m))
         BLK = aug.B @ (self.Lam[:, np.newaxis] * cfg.K)
-        k, eta = cfg.kappa, cfg.eta
         Br1 = aug.B_r.sum(axis=1, keepdims=True)
-        gPB, Zm, Zmm = cfg.gamma * self.PB.T, np.zeros((m, n)), np.zeros((m, m))
         self._L = np.block([
-            [aug.A - BLK, Z, Z, Z, aug.B, -aug.B * self.Lam, -BLK, Br1],
-            [k * I, A_r - k * I, Z, -k * I, ZB, ZB, k * I, Br1],
+            [aug.A, -BLK, Z, Z, aug.B, -aug.B * self.Lam, -BLK, Br1],
+            [Z, A_r, Z, -cfg.kappa * I, ZB, ZB, cfg.kappa * I, Br1],
             [Z, Z, A_r, Z, ZB, ZB, Z, Br1],
-            [eta * I, -eta * I, Z, A_r - eta * I, ZB, ZB, eta * I, np.zeros((n, 1))],
-            [gPB, -gPB, Zm, Zm, Zmm, Zmm, gPB, np.zeros((m, 1))],
+            [Z, Z, Z, A_r - cfg.eta * I, ZB, ZB, cfg.eta * I, np.zeros((n, 1))],
+            [np.zeros((m, 4 * n + 2 * m)), cfg.gamma * self.PB.T, np.zeros((m, 1))],
         ])
-        # Its input [z; delta; W_hat' sigma_m; nu; c] and output [z'; r], with views of
+        # Its input [z; delta; W_hat' sigma_m; e_m; c] and output [z'; r], with views of
         # the slots deriv writes and reads.
         self._v = np.zeros(self._L.shape[1])
-        self._v_z, self._v_delta, self._v_Wsigma, self._v_nu = np.split(
+        self._v_z, self._v_delta, self._v_Wsigma, self._v_em = np.split(
             self._v[:-1], [4 * n, 4 * n + m, 4 * n + 2 * m])
+        self._v_x, self._v_xr = self._v_z[:n], self._v_z[n: 2 * n]
         self._zr = np.empty(4 * n + m)
         self._z_dot, self._r = self._zr[: 4 * n], self._zr[4 * n:]
         self._sigma = np.empty(self.s + n)
@@ -351,14 +352,13 @@ class ClosedLoopSystem:
         W_hat = w.reshape(-1, self.m)
         self._v_z[...] = y[:n4]
         if noise is None:
-            sigma = self.measured_basis(t, x)
-            sigma_p = self._sigma_p
-            self._v_nu.fill(0.0)
+            x_m, sigma_p = self._v_x, self._sigma_p
         else:
-            sigma = self.measured_basis(t, x + noise)
+            x_m = x + noise
             # The plant integrates truth: its uncertainty needs the basis at x.
             sigma_p = self.basis.eval_plant(t, x[: self.n_p].tolist())
-            self._v_nu[...] = noise
+        sigma = self.measured_basis(t, x_m)
+        np.subtract(x_m, self._v_xr, out=self._v_em)
         # ndarray.dot: same BLAS products as @, with less call overhead.
         sigma_p.dot(self.truth.W_p(t, self._W_p), out=self._v_delta)
         sigma.dot(W_hat, out=self._v_Wsigma)

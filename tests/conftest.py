@@ -24,8 +24,9 @@ def wingrock_proposed():
 def sec8_runs():
     """The four bundled noisy wing-rock runs under the shared seed.
 
-    Expensive (about 90 s total); shared between the projection-containment
-    and qualitative-reproduction acceptance criteria.
+    Expensive (20-30 s of setup on a 2-vCPU guest, the suite's largest
+    single cost); shared between the projection-containment and
+    qualitative-reproduction acceptance criteria.
     """
     out = {}
     t0 = time.time()

@@ -1,11 +1,12 @@
 """Property tests: projection invariants over random shapes, the config
 serialize -> parse -> serialize round trip, the recorded identities of
 short random runs, deriv's guarded projection, output buffer and one-pass
-control against their definitions, the built basis function against its
-per-feature callables, the closed-form loop margins and the shortened xi search
-against the searches they replaced, and the scalar loop's linearized closed
-loop against its loop transfer function and, with a delayed control, against
-its delay margin."""
+control against their definitions, every block of deriv against the
+from-scratch oracle at a measured error far below the state, the built basis
+function against its per-feature callables, the closed-form loop margins and
+the shortened xi search against the searches they replaced, and the scalar
+loop's linearized closed loop against its loop transfer function and, with a
+delayed control, against its delay margin."""
 
 import cmath
 import dataclasses
@@ -28,11 +29,12 @@ from flmrac.simcli import dict_to_scenario, load_config, serialize_scenario
 from flmrac.simulator import (CommandSpec, NoiseSpec, ScenarioConfig, assemble, rk4_step,
                               run)
 
-from helpers import assert_csv_errors_exact, scalar_loop_scenario
+from helpers import assert_csv_errors_exact, oracle_for, scalar_loop_scenario
 from oracles import loop_transfer_rational, margins_by_search, optimal_xi_by_search
 
 finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 SUBNORMAL = float(np.finfo(float).smallest_subnormal)
+EPS, TINY = float(np.finfo(float).eps), float(np.finfo(float).tiny)
 
 
 def _column(draw, s, radius):
@@ -360,6 +362,12 @@ def _two_input_case(*columns):
     return _PROJECTED_SYSTEMS[1], 1.0, np.concatenate([z, np.column_stack(columns).ravel()]), None
 
 
+#: x - x_r = [0, 0, 1.33e-277] next to x = [1, 0, 1.33e-277], quiet: an update
+#: law that sums gamma (P B)' x and -gamma (P B)' x_r loses all of it.
+_CANCELLING_CASE = (_PROJECTED_SYSTEMS[0], 0.0, np.concatenate(
+    [[1.0, 0.0, 1.33e-277, 1.0], np.zeros(_PROJECTED_SYSTEMS[0].state_dim - 4)]), None)
+
+
 @st.composite
 def projected_state(draw):
     """(system, t, y, noise or None) with each column of W_hat inside the inner
@@ -383,21 +391,95 @@ def projected_state(draw):
 @example(_two_input_case([1.5, 0.0, 0.0, 0.0], [0.0, 0.0, 1.5, 0.0]))
 # One column in the boundary layer, pushed outward; the other zero.
 @example(_two_input_case([1.9, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]))
+@example(_CANCELLING_CASE)
 def test_guarded_projection_equals_proj_matrix(case):
     # deriv calls proj_matrix only near the ball; its W block is still
     # gamma proj(W_hat, sigma e' P B) everywhere.
     system, t, y, noise = case
     W_hat = y[system.sl_W].reshape(system.s + system.n, system.m)
     x_m = y[system.sl_x] if noise is None else y[system.sl_x] + noise
-    Y = np.outer(system.measured_basis(t, x_m), (x_m - y[system.sl_xr]) @ system.PB)
+    sigma = system.measured_basis(t, x_m)
+    Y = np.outer(sigma, (x_m - y[system.sl_xr]) @ system.PB)
+    # Below the normal range, e @ P B errs by up to n subnormal units, which gamma sigma scales.
+    tol = system.gamma * (1e-12 * np.max(np.abs(Y))
+                          + system.n * np.max(np.abs(sigma)) * SUBNORMAL)
     want = system.gamma * ctl.proj_matrix(W_hat, Y, system.projection)
     got = system.deriv(t, y, noise)[system.sl_W].reshape(W_hat.shape)
-    assert np.max(np.abs(got - want)) <= 1e-12 * system.gamma * np.max(np.abs(Y))
+    assert np.max(np.abs(got - want)) <= tol
     # A column inside the inner ball, clear of rounding at its edge, keeps
     # the bits of the law without projection.
     free = _UNPROJECTED[system].deriv(t, y, noise)[system.sl_W].reshape(W_hat.shape)
     inside = [ctl.phi(col, system.projection) < -1e-9 for col in W_hat.T]
     assert np.array_equal(got[:, inside], free[:, inside])
+
+
+#: The oracle of each projected system and of its law with projection off.
+_ORACLES = {system: oracle_for(system.scenario)
+            for system in _PROJECTED_SYSTEMS + tuple(_UNPROJECTED.values())}
+
+
+@st.composite
+def small_error_state(draw):
+    """(system, t, y, noise or None) whose measured error e = x_m - x_r and
+    filter state e_L are down to 1e-300 of the measured state x_m, for a
+    projected system or its law with projection off.  A component of x_m may
+    be as small as e, so that rounding x_m - e does not lose e."""
+    system, t, y, noise = draw(projected_state())
+    system = draw(st.sampled_from([system, _UNPROJECTED[system]]))
+    n = system.n
+    shrink = np.array([10.0 ** draw(st.just(0.0) | st.floats(-300.0, 0.0)) for _ in range(n)])
+    x = y[system.sl_x] * shrink
+    noise = None if noise is None else noise * shrink
+    x_m = x if noise is None else x + noise
+    scale = 10.0 ** draw(st.floats(-300.0, 0.0)) * float(np.max(np.abs(x_m)))
+    e, e_L = (scale * np.array(draw(st.lists(finite, min_size=n, max_size=n)))
+              for _ in range(2))
+    y[system.sl_x], y[system.sl_xr], y[system.sl_eL] = x, x_m - e, e_L
+    return system, t, y, noise
+
+
+def _term_sizes(oracle, t, y, noise) -> list[float]:
+    """Per block of the oracle's rhs, the largest sum of the magnitudes of the
+    terms one entry adds up, in either form of the law (the nominal control on
+    x_m or on x_r + e): the block's rounding is a few ulps of this, however
+    small the block is next to the state."""
+    o, n = oracle, oracle.n
+    x, x_r, x_ri, e_L = (np.abs(y[i * n:(i + 1) * n]) for i in range(4))
+    W_hat = np.abs(y[4 * n:]).reshape(o.s + n, o.m)
+    x_m = y[:n] if noise is None else y[:n] + noise
+    e = np.abs(x_m - y[n:2 * n])
+    sigma = np.abs(o.sigma(t, x_m))
+    c = np.abs(o.B_r) @ np.full(o.n_c, abs(o.command_func(t)))
+    A_r, K = np.abs(o.A_r), np.abs(o.K)
+    u = K @ (np.abs(x_m) + x_r + e) + W_hat.T @ sigma
+    delta = np.abs(o.W_p(t)).T @ np.abs(o.sigma_p(t, y[:n]))
+    # Projection removes phi <= 1 times a column's 2-norm, and phi errs by
+    # (1 + eps_theta) / eps_theta ulps of 1.
+    projection = 1.0 if o.projection is None else 2.0 + 1.0 / o.projection[1]
+    sizes = (np.abs(o.A) @ x + np.abs(o.B) @ (np.abs(o.lam) * u + delta) + c,
+             A_r @ x_r + o.kappa * (e + e_L) + c,
+             A_r @ x_ri + c,
+             A_r @ e_L + o.eta * (e + e_L),
+             # Below the normal range a product errs by a subnormal unit before the
+             # gains multiply it.
+             o.gamma * np.linalg.norm(sigma) * (e @ np.abs(o.PB) + TINY) * projection)
+    return [float(np.max(size)) for size in sizes]
+
+
+@settings(deadline=None, max_examples=200)
+@given(small_error_state())
+@example(_CANCELLING_CASE)
+def test_deriv_equals_oracle_at_small_error(case):
+    # Each block is within a few ulps of its own terms, not of the state: the
+    # update law, the mismatch and the filter read e = x_m - x_r, however small.
+    system, t, y, noise = case
+    oracle = _ORACLES[system]
+    got, want = system.deriv(t, y, noise), oracle.rhs(t, y, noise)
+    bound = [16.0 * (EPS * size + SUBNORMAL) for size in _term_sizes(oracle, t, y, noise)]
+    errors = [float(np.max(np.abs(got[sl] - want[sl]))) for sl in system.blocks]
+    bad = [(name, err, b) for name, err, b in zip(system.block_names, errors, bound)
+           if not err <= b]
+    assert not bad
 
 
 @settings(deadline=None, max_examples=100)

@@ -30,8 +30,11 @@ class TestCommand:
         assert sim.command(spec, 10.0)[0] == pytest.approx(0.3)
 
     def test_custom_hold(self):
-        spec = sim.CommandSpec(kind="custom", times=(0.0, 1.0), values=(0.5, -0.5))
-        assert sim.command(spec, 0.2)[0] == 0.5
+        spec = sim.CommandSpec(kind="custom", times=(0.5, 1.0, 2.5), values=(0.5, -0.5, 2.0))
+        # Each sample holds from its own time on; before the first, the first value holds.
+        want = {-1.0: 0.5, 0.0: 0.5, 0.5: 0.5, 0.7: 0.5, 1.0: -0.5, 1.2: -0.5,
+                2.5: 2.0, 99.0: 2.0}
+        assert {t: spec.value(t) for t in want} == want
         assert sim.command(spec, 1.2)[0] == -0.5
 
     @pytest.mark.parametrize("times", [(2.0, 0.0, 1.0), (0.0, 1.0, 1.0)])
@@ -283,6 +286,17 @@ class TestFusedVectorField:
                 assert np.max(np.abs(got[sl] - want[sl])) <= 1e-12 * scale, (name, t)
             projected += bool((want != unprojected.rhs(t, y, noise)).any())
         return projected
+
+    def test_laws_read_the_measured_state_only_through_e_m(self, wingrock_proposed):
+        # [z'; r] = L [z; delta; W_hat' sigma_m; e_m; c]: no row but the plant's
+        # reads x, and the update law's rows read e_m alone, with the gain gamma (P B)'.
+        system = sim.assemble(wingrock_proposed)
+        n, m = system.n, system.m
+        e_m = np.arange(4 * n + 2 * m, 5 * n + 2 * m)
+        r_rows = system._L[4 * n:]
+        assert np.array_equal(r_rows[:, e_m], system.gamma * system.PB.T)
+        assert not np.delete(r_rows, e_m, axis=1).any()
+        assert not system._L[n:, system.sl_x].any()
 
     @pytest.mark.parametrize("noisy", [False, True])
     def test_projected_inside_ball(self, wingrock_proposed, noisy):
