@@ -105,6 +105,8 @@ def _matrix(rows, cols, data):
     return {"rows": rows, "cols": cols, "data": data}
 
 
+BEYOND_GUARD = "an entry is beyond the divergence limit 1e+09"
+
 # (edit of the bundled wingrock_proposed config, field path the error names[,
 # the message that follows the path])
 MALFORMED_FIELDS = {
@@ -174,6 +176,17 @@ MALFORMED_FIELDS = {
     "modulations_not_list": (lambda r: r["plant"]["truth"].update(modulations={"row": 0}),
                              "plant.truth.modulations", "expected a list"),
     "unknown_root_key": (lambda r: r.update(horizon=1.0), "horizon", "unknown field"),
+    # Start values beyond the divergence guard: 1e120 would overflow x1_cubed in the first
+    # step, and 1e10 would only diverge through every step halving.
+    "x0_beyond_overflow": (lambda r: r.update(x0=[1e120, 0.0, 0.0]), "x0", BEYOND_GUARD),
+    "x0_beyond_guard": (lambda r: r.update(x0=[1e10, 0.0, 0.0]), "x0", BEYOND_GUARD),
+    "x_r0_beyond_guard": (lambda r: r.update(x_r0=[1e120, 0.0, 0.0]), "x_r0", BEYOND_GUARD),
+    "W_hat0_beyond_guard": (
+        lambda r: r["controller"].update(projection=None,
+                                         W_hat0=_matrix(9, 1, [1e200] + [0.0] * 8)),
+        "controller.W_hat0", BEYOND_GUARD),
+    "noise_std_beyond_guard": (lambda r: r["noise"].update(std=[1e120, 0.0, 0.0]), "noise.std",
+                               BEYOND_GUARD),
 }
 
 # (command-line override, field path the error names)
