@@ -139,12 +139,9 @@ class UncertaintyTruth:
     def is_constant(self) -> bool:
         return not self.modulations
 
-    def W_p(self, t: float, out: np.ndarray | None = None) -> np.ndarray:
-        """W_p(t) as a fresh array, or written into `out`, a buffer that holds
-        W_p_base wherever no modulation acts (a copy of W_p_base does)."""
-        W = self.W_p_base.copy() if out is None else out
-        for mod in self.modulations:  # reset first: two modulations may share an entry
-            W[mod.row, mod.col] = self.W_p_base[mod.row, mod.col]
+    def W_p(self, t: float) -> np.ndarray:
+        """W_p(t), as a fresh array."""
+        W = self.W_p_base.copy()
         for mod in self.modulations:
             W[mod.row, mod.col] *= mod.factor(t)
         return W

@@ -481,12 +481,15 @@ def svg_panels(rows, path: Path, xlabel: str, title: str = "", logx: bool = Fals
 # Manifest
 # ---------------------------------------------------------------------------
 
-def make_manifest(scn: ScenarioConfig, outputs: list[str], overrides: dict) -> dict:
+def make_manifest(scn: ScenarioConfig, outputs: list[str], overrides: dict,
+                  halvings: int) -> dict:
     canon = serialize_scenario(scn)
     return {
         "scenario": scn.name,
         "scenario_hash": hashlib.sha256(canon.encode()).hexdigest(),
         "seed": scn.noise.seed,
+        "h": scn.h,
+        "step_halvings": halvings,
         "overrides": overrides,
         "versions": {
             "flmrac": __version__,
@@ -524,12 +527,12 @@ def _warn_gain_window(scn: ScenarioConfig) -> None:
               "eta well below kappa", file=sys.stderr)
 
 
-def _run_with_retries(scn: ScenarioConfig) -> tuple[Trajectory, ScenarioConfig]:
-    """Run the scenario, halving h after each divergence, up to the retry cap."""
+def _run_with_retries(scn: ScenarioConfig) -> tuple[Trajectory, ScenarioConfig, int]:
+    """Run the scenario, halving h after each divergence up to the cap; count the halvings."""
     _warn_gain_window(scn)
     for attempt in range(MAX_STEP_HALVINGS + 1):
         try:
-            return run(scn), scn
+            return run(scn), scn, attempt
         except DivergenceError as exc:
             if attempt == MAX_STEP_HALVINGS:
                 raise
@@ -544,14 +547,14 @@ def cmd_run(args) -> int:
     scn, overrides = _apply_overrides(scn, args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    traj, scn = _run_with_retries(scn)
+    traj, scn, halvings = _run_with_retries(scn)
 
     csv_path = out_dir / f"{scn.name}.csv"
     write_trajectory_csv(traj, csv_path)
     report = bound_report_for(scn, traj)
     bounds_path = out_dir / f"{scn.name}_bounds.json"
     bounds_path.write_text(canonical_text(dataclasses.asdict(report)))
-    manifest = make_manifest(scn, [str(csv_path), str(bounds_path)], overrides)
+    manifest = make_manifest(scn, [str(csv_path), str(bounds_path)], overrides, halvings)
     manifest_path = out_dir / f"{scn.name}_manifest.json"
     manifest_path.write_text(canonical_text(manifest))
 
@@ -606,7 +609,7 @@ def cmd_compare(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     for scn in scenarios:
-        traj, scn = _run_with_retries(scn)
+        traj, scn, _ = _run_with_retries(scn)
         rows.append(run_metrics(scn, traj, args.cutoff))
 
     report_path = out_dir / "compare_report.json"

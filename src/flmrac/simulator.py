@@ -26,6 +26,8 @@ from .plantmodel import AugmentedSystem, PlantModel, augment
 # Bound on every stacked-state entry: run stops at a step that passes it, and
 # no start value may lie beyond it.
 DIVERGENCE_LIMIT = 1e9
+#: Steps per chunk of run's input tables, so that their memory does not grow with the horizon.
+CHUNK_STEPS = 1024
 
 
 class ConfigError(ValueError):
@@ -96,6 +98,7 @@ class NoiseSpec:
     step, from the first step at or after start_time, as a pure function of
     (seed, step index): a shared seed gives different controllers an
     identical noise stream, but the stream depends on the step size h.
+    `run` draws a chunk's samples in one call, which gives the same stream.
     """
 
     enabled: bool = False
@@ -244,18 +247,19 @@ class ClosedLoopSystem:
     error gain r are fused at assembly into one constant operator over
     z = y[:4n] and the inputs, and W_hat' = sigma_m r', projected near the ball:
 
-        [z'; r] = [M | E | -E Lambda | G | b_c] [z; delta; W_hat' sigma_m; e_m; c(t)]
+        [z'; r] = [M | E | -E Lambda | G | b_c] [z; delta; W_hat' sigma_m; e_m; c]
 
     with e_m = x_m - x_r the measured error, x_m = x + nu the measured state
     (nu the measurement noise, zero when off), sigma_m the basis of x_m,
-    delta = W_p(t)' sigma_p(x) the uncertainty at the true state and c(t) the
-    scalar command.  G = [-B Lambda K; kappa I; 0; eta I; gamma (P B)'] holds
-    each gain once: the laws -B Lambda K (x_r + e_m), kappa (e_m - e_L),
-    eta (e_m - e_L) and r = gamma (P B)' e_m read x_m only through e_m, so r is
-    never a difference of terms the size of x.  M holds the rest (only the
-    plant row reads x), E = [B; 0; 0; 0; 0] and b_c stacks B_r 1 for the plant
-    and both references.  This is the one definition of the law; its test
-    reference is tests/oracles.py's PlainMracSimulator.
+    delta = W_p' sigma_p(x) the uncertainty at the true state and c the
+    scalar command, read with nu from one input row (`inputs_at`).
+    G = [-B Lambda K; kappa I; 0; eta I; gamma (P B)'] holds each gain once:
+    the laws -B Lambda K (x_r + e_m), kappa (e_m - e_L), eta (e_m - e_L) and
+    r = gamma (P B)' e_m read x_m only through e_m, so r is never a difference
+    of terms the size of x.  M holds the rest (only the plant row reads x),
+    E = [B; 0; 0; 0; 0] and b_c stacks B_r 1 for the plant and both references.
+    This is the one definition of the law; its test reference is
+    tests/oracles.py's PlainMracSimulator.
     """
 
     def __init__(self, scenario: ScenarioConfig):
@@ -308,10 +312,10 @@ class ClosedLoopSystem:
             self._v[:-1], [4 * n, 4 * n + m, 4 * n + 2 * m])
         self._v_x, self._v_xr = self._v_z[:n], self._v_z[n: 2 * n]
         self._zr = np.empty(4 * n + m)
-        self._z_dot, self._r = self._zr[: 4 * n], self._zr[4 * n:]
+        self._z_dot, self._r_row = self._zr[: 4 * n], self._zr[np.newaxis, 4 * n:]
         self._sigma = np.empty(self.s + n)
         self._sigma_p, self._sigma_col = self._sigma[: self.s], self._sigma[:, np.newaxis]
-        self._W_p = plant.truth.W_p_base.copy()
+        self._x_m, self._sigma_x = np.empty(n), np.empty(self.s)
         # A column has phi >= 0 only if ||theta||^2 >= theta_max^2 / (1 + eps), so only if
         # ||W_hat||_F^2 is; the margin covers the rounding of the sums.
         spec = cfg.projection
@@ -339,13 +343,24 @@ class ClosedLoopSystem:
         self._sigma[...] = self.basis.features(t, xl) + xl
         return self._sigma
 
-    def deriv(self, t: float, y: np.ndarray, noise: np.ndarray | None = None,
-              out: np.ndarray | None = None) -> np.ndarray:
-        """y' at time t, written into `out` (a new array when None) and returned;
-        noise (length n, or None for none) perturbs only what the controller
-        measures."""
+    def inputs_at(self, t: float, noise: np.ndarray | None = None) -> tuple:
+        """deriv's input row at time t: (t, W_p(t), c(t), noise), noise None for none."""
+        return t, self.truth.W_p(t), self.command_spec.value(t), noise
+
+    def stage_inputs(self, t: np.ndarray, h: float, noise: list) -> zip:
+        """Iterate the steps of size h from the times t, step k measuring noise[k]: each
+        yields its rows at t[k], t[k] + h/2 and t[k] + h, as inputs_at gives them."""
+        times = np.stack([t, t + 0.5 * h, t + h], axis=1)
+        W = self.truth.W_p_grid(times.ravel()).reshape(times.shape + (self.s, self.m))
+        c = [self.command_spec.value(tt) for tt in times.ravel().tolist()]
+        return zip(*(zip(times[:, j].tolist(), W[:, j], c[j::3], noise) for j in range(3)))
+
+    def deriv(self, row: tuple, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """y' with `row`'s inputs (see `inputs_at`), written into `out` (a new array
+        when None) and returned; the noise perturbs only what the controller measures."""
         if out is None:
             out = np.empty_like(y)
+        t, W_p, c, noise = row
         n4 = 4 * self.n
         x, w = y[: self.n], y[n4:]
         W_hat = w.reshape(-1, self.m)
@@ -353,19 +368,19 @@ class ClosedLoopSystem:
         if noise is None:
             x_m, sigma_p = self._v_x, self._sigma_p
         else:
-            x_m = x + noise
+            x_m, sigma_p = np.add(x, noise, out=self._x_m), self._sigma_x
             # The plant integrates truth: its uncertainty needs the basis at x.
-            sigma_p = self.basis.eval_plant(t, x[: self.n_p].tolist())
+            sigma_p[...] = self.basis.features(t, x[: self.n_p].tolist())
         sigma = self.measured_basis(t, x_m)
         np.subtract(x_m, self._v_xr, out=self._v_em)
         # ndarray.dot: same BLAS products as @, with less call overhead.
-        sigma_p.dot(self.truth.W_p(t, self._W_p), out=self._v_delta)
+        sigma_p.dot(W_p, out=self._v_delta)
         sigma.dot(W_hat, out=self._v_Wsigma)
-        self._v[-1] = self.command_spec.value(t)
+        self._v[-1] = c
         self._L.dot(self._v, out=self._zr)
         out[:n4] = self._z_dot
         W_dot = out[n4:].reshape(-1, self.m)
-        np.multiply(self._sigma_col, self._r, out=W_dot)
+        self._sigma_col.dot(self._r_row, out=W_dot)  # sigma_m r', one product per entry
         if self.projection is not None and w.dot(w) >= self._proj_from:
             W_dot[...] = controllers.proj_matrix(W_hat, W_dot, self.projection)
         return out
@@ -400,46 +415,48 @@ def assemble(scenario: ScenarioConfig) -> ClosedLoopSystem:
 
 @functools.lru_cache(maxsize=8)
 def _rk4_coefficients(h: float) -> tuple:
-    """RK4 with step h: (time offset, coefficients over [state, k_{i-1}]) of each
+    """RK4 with step h: (input row, coefficients over [state, k_{i-1}]) of each
     stage i = 2, 3, 4, and the step's coefficients over [state, k1..k4]."""
-    half, w = (0.5 * h, np.array([1.0, 0.5 * h])), h / 6.0
-    return (half, half, (h, np.array([1.0, h]))), np.array([1.0, w, 2.0 * w, 2.0 * w, w])
+    half, w = (1, np.array([1.0, 0.5 * h])), h / 6.0
+    return (half, half, (2, np.array([1.0, h]))), np.array([1.0, w, 2.0 * w, 2.0 * w, w])
 
 
-def rk4_step(f, state: np.ndarray, t: float, h: float, *args,
+def rk4_step(f, state: np.ndarray, rows, h: float, *args,
              stages: np.ndarray | None = None) -> np.ndarray:
-    """One classical 4th-order Runge-Kutta step of y' = f(t, y, *args).
+    """One classical 4th-order Runge-Kutta step of y' = f(row, y, *args).
 
-    f writes y' into its `out` keyword argument.  `stages` is a (6, d) scratch
-    buffer, allocated here when None; a caller that steps many times passes
-    one in.  Row 0 holds the state, rows 1-4 the stage derivatives k1..k4 and
-    row 5 the stage state.  Each stage state is one product over the row pair
-    [state, k_{i-1}], and the step one product over rows 0-4: no product reads
-    a row this step has not written, so what the buffer held never shows.
-    The step is arithmetic only and checks nothing: `run` guards the state.
+    Stage 1 reads rows[0], stages 2-3 rows[1] and stage 4 rows[2], the inputs
+    at the step's start, middle and end: (t, t + 0.5*h, t + h) for a field of
+    time alone.  f writes y' into its `out` keyword argument.  `stages` is a
+    (6, d) scratch buffer, allocated here when None; a caller that steps many
+    times passes one in.  Row 0 holds the state, rows 1-4 the stage
+    derivatives k1..k4 and row 5 the stage state.  Each stage state is one
+    product over the row pair [state, k_{i-1}], and the step one product over
+    rows 0-4: no product reads a row this step has not written, so what the
+    buffer held never shows.  The step checks nothing: `run` guards the state.
     """
     if stages is None:
         stages = np.empty((6, state.size))
     stage_coefficients, step = _rk4_coefficients(h)
     y = stages[5]
     stages[0] = state
-    f(t, state, *args, out=stages[1])
-    for i, (c, coefficients) in enumerate(stage_coefficients, 2):
+    f(rows[0], state, *args, out=stages[1])
+    for i, (row, coefficients) in enumerate(stage_coefficients, 2):
         coefficients.dot(stages[0:i:i - 1], out=y)  # state + c k_{i-1}
-        f(t + c, y, *args, out=stages[i])
+        f(rows[row], y, *args, out=stages[i])
     return step.dot(stages[:5])
 
 
 def run(scenario: ScenarioConfig) -> Trajectory:
     """Integrate the scenario and record every record_stride-th step.
 
-    The sample at t_final is always included.  Noise is drawn once per step
-    (zero-order hold across the RK4 substeps) from a generator seeded by the
-    scenario, so identical seeds give bit-identical trajectories.  The loop
-    records the state and the noise of each sample; the control and the
-    command are computed for all samples at once after it.  After each step
-    it checks the new state: a non-finite entry, or one beyond
-    DIVERGENCE_LIMIT, raises DivergenceError naming the time and the block.
+    The sample at t_final is always included.  The loop fills its input
+    tables CHUNK_STEPS steps at a time (`ClosedLoopSystem.stage_inputs`): W_p
+    and c at each step's stage times, and noise drawn once per step from a
+    generator seeded by the scenario, so identical seeds give bit-identical
+    trajectories.  It records the state and noise of each sample, and computes
+    the control and the command for all samples after it.  A new state with a
+    non-finite entry or one beyond DIVERGENCE_LIMIT raises DivergenceError.
     """
     sys = assemble(scenario)
     h = scenario.h
@@ -461,22 +478,23 @@ def run(scenario: ScenarioConfig) -> Trajectory:
     # A blow-up overflows inside a step, before the guard below sees the new
     # state; it is reported as a DivergenceError, not as numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n_steps + 1):
-            t = k * h
-            noise = rng.standard_normal(sys.n) * noise_std if t >= noise_from else None
-            if k % scenario.record_stride == 0 or k == n_steps:
-                rec_t[i] = t
-                rec_y[i] = y
-                if noise is not None:
-                    rec_noise[i] = noise
-                i += 1
-            if k < n_steps:
-                y = rk4_step(sys.deriv, y, t, h, noise, stages=stages)
-                # Written as "not <=", the guard also catches NaN, which maximum propagates.
-                if not np.maximum.reduce(np.abs(y)) <= DIVERGENCE_LIMIT:
-                    raise DivergenceError(
-                        f"simulation diverged at t={(k + 1) * h:.6g} (signal: "
-                        f"{sys.diverged_block(y)}); consider a smaller step size")
+        for k0 in range(0, n_steps + 1, CHUNK_STEPS):
+            t = np.arange(k0, min(k0 + CHUNK_STEPS, n_steps + 1)) * h  # each k * h, bit for bit
+            noisy = int(np.count_nonzero(t >= noise_from))
+            drawn = rng.standard_normal((noisy, sys.n)) * noise_std if noisy else ()
+            noise = [None] * (t.size - noisy) + list(drawn)
+            for k, rows in enumerate(sys.stage_inputs(t, h, noise), k0):
+                if k % scenario.record_stride == 0 or k == n_steps:
+                    rec_t[i], _, _, nu = rows[0]
+                    rec_y[i], rec_noise[i] = y, 0.0 if nu is None else nu
+                    i += 1
+                if k < n_steps:
+                    y = rk4_step(sys.deriv, y, rows, h, stages=stages)
+                    # Written as "not <=", the guard also catches NaN, which maximum propagates.
+                    if not np.maximum.reduce(np.abs(y)) <= DIVERGENCE_LIMIT:
+                        raise DivergenceError(
+                            f"simulation diverged at t={(k + 1) * h:.6g} (signal: "
+                            f"{sys.diverged_block(y)}); consider a smaller step size")
 
     # A quiet sample of a noisy run measures x + 0, which equals x.
     u = sys.control_at(rec_t, rec_y, rec_noise if noise_on else None)

@@ -225,7 +225,7 @@ def test_criterion_09_integrator_order():
     def integrate(h):
         y = x0.copy()
         for k in range(int(round(2.0 / h))):
-            y = rk4_step(f, y, k * h, h)
+            y = rk4_step(f, y, (k * h, k * h + 0.5 * h, k * h + h), h)
         return y
 
     ref = integrate(0.1 / 16.0)

@@ -170,7 +170,8 @@ def _scalar_system(projection=None, gamma=500.0):
 def _w_rate(system, x, x_r, W_hat=None, noise=None):
     """deriv's W_hat block at state (x, x_r, W_hat), shaped like W_hat."""
     y = _state(system, x=[x], x_r=[x_r], W_hat=W_hat)
-    return system.deriv(0.0, y, noise)[system.sl_W].reshape(system.s + system.n, system.m)
+    dy = system.deriv(system.inputs_at(0.0, noise), y)
+    return dy[system.sl_W].reshape(system.s + system.n, system.m)
 
 
 class TestUpdateDeriv:
@@ -217,7 +218,7 @@ class TestNormContainment:
         y = _state(system, x=[1.0], W_hat=[1.2, 0.6])  # admissible start, e = 1
         rng = np.random.default_rng(12)
         for k in range(4000):
-            dy = system.deriv(0.0, y, 0.2 * rng.standard_normal(1))
+            dy = system.deriv(system.inputs_at(0.0, 0.2 * rng.standard_normal(1)), y)
             y[system.sl_W] += h * dy[system.sl_W]
             assert np.linalg.norm(y[system.sl_W]) <= spec.theta_max * (1.0 + 1e-3)
         # The drive reached the boundary layer, where projection acts.

@@ -183,18 +183,21 @@ class TestTruthGrid:
     def test_empty_grid(self):
         assert wingrock_truth().W_p_grid([]).shape == (0, 6, 1)
 
-    def test_buffer_reused_across_times_equals_fresh(self):
-        # deriv's form: one buffer, rewritten at each time, including an entry
-        # that two modulations act on and times before and after each switch.
+    def test_modulations_sharing_an_entry(self):
+        # Two modulations act on entry (0, 1), at times before and after each switch;
+        # the grid (run's input tables) and W_p (one time) apply both.
         mods = (pm.Modulation(row=0, col=1, kind="sin", start=0.0),
                 pm.Modulation(row=0, col=1, kind="step", start=2.5),
                 pm.Modulation(row=2, col=0, kind="sin", start=7.0))
         truth = pm.UncertaintyTruth(W_p_base=np.random.default_rng(5).standard_normal((6, 2)),
                                     modulations=mods)
-        buf = truth.W_p_base.copy()
-        for t in (9.0, 0.0, 3.0, 1.0, 45.0, 2.5, -1.0):
-            assert truth.W_p(t, buf) is buf
-            assert np.array_equal(buf, truth.W_p(t))
+        ts = (9.0, 0.0, 3.0, 1.0, 45.0, 2.5, -1.0)
+        for t, W in zip(ts, truth.W_p_grid(ts)):
+            want = truth.W_p_base.copy()
+            want[0, 1] *= math.sin(t) if t >= 2.5 else 0.0
+            want[2, 0] *= math.sin(t) if t >= 7.0 else 0.0
+            assert np.array_equal(W, want)
+            assert np.array_equal(truth.W_p(t), want)
 
     @pytest.mark.parametrize("mods", [(), (pm.Modulation(row=0, col=0, kind="sin"),)])
     def test_public_W_p_is_a_fresh_array(self, mods):

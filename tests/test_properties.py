@@ -1,12 +1,12 @@
 """Property tests: projection invariants over random shapes, the config
 serialize -> parse -> serialize round trip, the recorded identities of
 short random runs, deriv's guarded projection, output buffer and one-pass
-control against their definitions, every block of deriv against the
-from-scratch oracle at a measured error far below the state, the built basis
-function against its per-feature callables, the closed-form loop margins and
-the shortened xi search against the searches they replaced, and the scalar
-loop's linearized closed loop against its loop transfer function and, with a
-delayed control, against its delay margin."""
+control and run's input-table rows against their definitions, every block
+of deriv against the from-scratch oracle at a measured error far below the
+state, the built basis function against its per-feature callables, the
+closed-form loop margins and the shortened xi search against the searches
+they replaced, and the scalar loop's linearized closed loop against its loop
+transfer function and, with a delayed control, against its delay margin."""
 
 import cmath
 import dataclasses
@@ -23,8 +23,8 @@ from hypothesis import strategies as st
 from flmrac import analysis
 from flmrac import controllers as ctl
 from flmrac.matrixcore import LyapunovPair
-from flmrac.plantmodel import (FEATURE_EXPRESSIONS, BasisSpec, PlantModel, UncertaintyTruth,
-                               resolve_feature)
+from flmrac.plantmodel import (FEATURE_EXPRESSIONS, BasisSpec, Modulation, PlantModel,
+                               UncertaintyTruth, resolve_feature)
 from flmrac.simcli import dict_to_scenario, load_config, serialize_scenario
 from flmrac.simulator import (CommandSpec, NoiseSpec, ScenarioConfig, assemble, rk4_step,
                               run)
@@ -236,11 +236,11 @@ def test_margins_match_crossover_search(gamma, kappa, eta, alpha):
 
 def _central_jacobian(system, y, step=1e-6):
     """Central-difference Jacobian of deriv at y."""
-    J = np.empty((y.size, y.size))
+    J, row = np.empty((y.size, y.size)), system.inputs_at(0.0)
     for i in range(y.size):
         d = np.zeros(y.size)
         d[i] = step
-        J[:, i] = (system.deriv(0.0, y + d) - system.deriv(0.0, y - d)) / (2.0 * step)
+        J[:, i] = (system.deriv(row, y + d) - system.deriv(row, y - d)) / (2.0 * step)
     return J
 
 
@@ -262,7 +262,7 @@ def test_scalar_loop_eigenvalues_are_loop_transfer_poles(gamma, kappa, eta, alph
     system = assemble(scalar_loop_scenario(gamma, kappa, eta, alpha, a=0.3, w=0.7))
     y = np.zeros(system.state_dim)
     y[system.sl_W] = [0.7, 0.0]
-    assert np.array_equal(system.deriv(0.0, y), np.zeros_like(y))
+    assert np.array_equal(system.deriv(system.inputs_at(0.0), y), np.zeros_like(y))
     got = np.poly(np.linalg.eigvals(_central_jacobian(system, y))).real
     loop = [1.0, 2.0 * alpha + kappa + eta, alpha * (alpha + kappa + eta) + gamma * alpha,
             gamma * alpha * (alpha + eta)]
@@ -292,9 +292,9 @@ def _bias_error_with_delayed_control(scn, tau_steps: int, t_final=10.0):
         def f(tt, yy, out):
             lagged = yy.copy()
             lagged[system.sl_W] = old + (new - old) * ((tt - t) / h)
-            return system.deriv(tt, lagged, out=out)
+            return system.deriv(system.inputs_at(tt), lagged, out=out)
 
-        y = rk4_step(f, y, t, h)
+        y = rk4_step(f, y, (t, t + 0.5 * h, t + h), h)
         history.append(y[system.sl_W].copy())
     return np.abs(np.array(history)[:, 0] - w)
 
@@ -404,11 +404,12 @@ def test_guarded_projection_equals_proj_matrix(case):
     tol = system.gamma * (1e-12 * np.max(np.abs(Y))
                           + system.n * np.max(np.abs(sigma)) * SUBNORMAL)
     want = system.gamma * ctl.proj_matrix(W_hat, Y, system.projection)
-    got = system.deriv(t, y, noise)[system.sl_W].reshape(W_hat.shape)
+    got = system.deriv(system.inputs_at(t, noise), y)[system.sl_W].reshape(W_hat.shape)
     assert np.max(np.abs(got - want)) <= tol
     # A column inside the inner ball, clear of rounding at its edge, keeps
     # the bits of the law without projection.
-    free = _UNPROJECTED[system].deriv(t, y, noise)[system.sl_W].reshape(W_hat.shape)
+    free = _UNPROJECTED[system].deriv(system.inputs_at(t, noise), y)
+    free = free[system.sl_W].reshape(W_hat.shape)
     inside = [ctl.phi(col, system.projection) < -1e-9 for col in W_hat.T]
     assert np.array_equal(got[:, inside], free[:, inside])
 
@@ -474,7 +475,7 @@ def test_deriv_equals_oracle_at_small_error(case):
     # update law, the mismatch and the filter read e = x_m - x_r, however small.
     system, t, y, noise = case
     oracle = _ORACLES[system]
-    got, want = system.deriv(t, y, noise), oracle.rhs(t, y, noise)
+    got, want = system.deriv(system.inputs_at(t, noise), y), oracle.rhs(t, y, noise)
     bound = [16.0 * (EPS * size + SUBNORMAL) for size in _term_sizes(oracle, t, y, noise)]
     errors = [float(np.max(np.abs(got[sl] - want[sl]))) for sl in system.blocks]
     bad = [(name, err, b) for name, err, b in zip(system.block_names, errors, bound)
@@ -488,10 +489,11 @@ def test_deriv_writes_into_the_given_buffer(case):
     # The result owes nothing to earlier calls: the shared system's buffers
     # last held another state's evaluation, noisy where this one is quiet.
     system, t, y, noise = case
-    want = assemble(system.scenario).deriv(t, y, noise)
-    system.deriv(t + 1.0, -y, np.full(system.n, 0.05) if noise is None else None)
+    row = system.inputs_at(t, noise)
+    want = assemble(system.scenario).deriv(row, y)
+    system.deriv(system.inputs_at(t + 1.0, np.full(system.n, 0.05) if noise is None else None), -y)
     buf = np.full(system.state_dim, np.nan)
-    assert system.deriv(t, y, noise, out=buf) is buf
+    assert system.deriv(row, y, out=buf) is buf
     assert np.array_equal(buf, want)
 
 
@@ -516,6 +518,52 @@ def test_one_pass_control_equals_single_sample(steps, stride, onset, seed):
         u = system.control_at(t, y, draws.get(round(t / h)))
         assert u.shape == (system.m,)
         assert np.max(np.abs(traj.u[i] - u)) <= 1e-12 * max(1.0, float(np.max(np.abs(u))))
+
+
+@st.composite
+def input_table_case(draw):
+    """(system, h, first step k0, steps): wingrock_proposed with a drawn command
+    of every kind and a drawn modulation of W_p's bias entry.  Square-wave sign
+    changes, custom sample times and the modulation's start lie on the step
+    grid, or half a step off it."""
+    h = draw(st.sampled_from([1e-3, 5e-4, 1.25e-4, 0.01, 0.1 / 3.0]))
+    k0, steps = draw(st.integers(0, 10**7)), draw(st.integers(1, 12))
+    on_grid = st.integers(k0 - 3, k0 + steps + 3).map(lambda k: k * h) | st.integers(
+        2 * k0 - 6, 2 * k0 + 2 * steps + 6).map(lambda j: j * h / 2.0)
+    kind = draw(st.sampled_from(["zero", "step", "square_wave", "custom"]))
+    if kind == "custom":
+        times = sorted(set(draw(st.lists(on_grid, min_size=1, max_size=8))))
+        command = CommandSpec(kind, times=times, values=draw(
+            st.lists(finite, min_size=len(times), max_size=len(times))))
+    else:
+        command = CommandSpec(kind, amplitude=draw(finite), offset=draw(finite),
+                              period=draw(st.integers(1, 6)) * h)
+    mods = tuple(Modulation(row=0, col=0, kind=mod_kind, start=draw(on_grid))
+                 for mod_kind in draw(st.lists(st.sampled_from(["sin", "step"]), max_size=2)))
+    plant = _PROPOSED.plant
+    truth = dataclasses.replace(plant.truth, modulations=mods)
+    scn = dataclasses.replace(_PROPOSED, command=command,
+                              plant=dataclasses.replace(plant, truth=truth))
+    return assemble(scn), h, k0, steps
+
+
+@settings(deadline=None, max_examples=200)
+@given(input_table_case())
+def test_input_table_rows_are_the_inputs_at_the_stage_times(case):
+    # The rows of step k hold W_p and c, bit for bit, at k h, k h + h/2 and k h + h:
+    # the stage times each step of a per-step loop forms.
+    system, h, k0, steps = case
+    noise = [None if k % 2 else np.full(system.n, float(k)) for k in range(steps)]
+    table = list(system.stage_inputs(np.arange(k0, k0 + steps) * h, h, noise))
+    assert len(table) == steps
+    for k, rows, nu in zip(range(k0, k0 + steps), table, noise):
+        assert len(rows) == 3
+        for t, (t_row, W, c, nu_row) in zip((k * h, k * h + 0.5 * h, k * h + h), rows):
+            want = system.truth.W_p(t)
+            assert repr(t_row) == repr(t)
+            assert W.shape == want.shape and W.tobytes() == want.tobytes()
+            assert repr(c) == repr(system.command_spec.value(t))
+            assert nu_row is nu
 
 
 @settings(deadline=None, max_examples=300)

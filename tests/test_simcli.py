@@ -394,6 +394,26 @@ class TestCmdRun:
         assert len(manifest["scenario_hash"]) == 64
         assert manifest["versions"]["flmrac"]
 
+    @pytest.mark.parametrize("kappa, argv, h, halvings, overrides", [
+        (100.0, [], 1e-3, 0, {}),
+        # kappa h = 10 and 5 lie outside RK4's stability region; 2.5 lies inside.
+        (1e4, [], 2.5e-4, 2, {}),
+        (1e4, ["--step-size", "5e-4"], 2.5e-4, 1, {"h": 5e-4}),
+    ])
+    def test_manifest_records_effective_h_and_halvings(self, tmp_path, kappa, argv, h,
+                                                       halvings, overrides):
+        _, raw = load_config("wingrock_proposed")
+        raw.update(name="stiff", t_final=0.5)
+        raw["controller"]["kappa"] = kappa
+        raw["noise"]["enabled"] = False
+        cfg = tmp_path / "stiff.cfg"
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert simcli.main(["run", "--config", str(cfg), "--out", str(out), *argv]) == 0
+        manifest = json.loads((out / "stiff_manifest.json").read_text())
+        assert (manifest["h"], manifest["step_halvings"]) == (h, halvings)
+        assert manifest["overrides"] == overrides
+
     def test_byte_determinism(self, tmp_path):
         cfg = short_noisy_config(tmp_path)
         out1, out2 = tmp_path / "a", tmp_path / "b"

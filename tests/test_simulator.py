@@ -6,7 +6,7 @@ import pytest
 
 from flmrac import simulator as sim
 from flmrac.matrixcore import LyapunovPair
-from flmrac.plantmodel import BasisSpec, PlantModel, UncertaintyTruth, augment
+from flmrac.plantmodel import BasisSpec, Modulation, PlantModel, UncertaintyTruth, augment
 from flmrac.controllers import ControllerConfig, ProjectionSpec
 from flmrac.simcli import load_config, write_trajectory_csv
 
@@ -53,11 +53,12 @@ class TestCommand:
 class TestRk4Step:
     def test_zero_field_fixes_state(self):
         y = np.array([1.0, -2.0])
-        out = sim.rk4_step(lambda t, yy, out: out.fill(0.0), y, 0.0, 0.1)
+        out = sim.rk4_step(lambda t, yy, out: out.fill(0.0), y, (0.0, 0.05, 0.1), 0.1)
         assert np.array_equal(out, y)
 
     def test_scalar_exponential_one_step(self):
-        out = sim.rk4_step(lambda t, yy, out: np.negative(yy, out=out), np.array([1.0]), 0.0, 0.1)
+        out = sim.rk4_step(lambda t, yy, out: np.negative(yy, out=out), np.array([1.0]),
+                           (0.0, 0.05, 0.1), 0.1)
         assert out[0] == pytest.approx(0.9048375, abs=1e-9)
         assert abs(out[0] - np.exp(-0.1)) < 1e-7
 
@@ -68,7 +69,7 @@ class TestRk4Step:
         def integrate(h):
             y = x0.copy()
             for k in range(int(round(2.0 / h))):
-                y = sim.rk4_step(f, y, k * h, h)
+                y = sim.rk4_step(f, y, (k * h, k * h + 0.5 * h, k * h + h), h)
             return y
 
         ref = integrate(0.1 / 16.0)
@@ -76,12 +77,19 @@ class TestRk4Step:
         err_h2 = np.linalg.norm(integrate(0.05) - ref)
         assert 12.0 <= err_h / err_h2 <= 20.0
 
+    def test_stages_read_the_start_middle_and_end_rows(self):
+        seen = []
+        sim.rk4_step(lambda row, yy, out: seen.append(row), np.zeros(1),
+                     ("start", "middle", "end"), 0.1)
+        assert seen == ["start", "middle", "middle", "end"]
+
     def test_passes_extra_arguments_to_the_field(self):
         y = np.array([1.0, -2.0])
+        times = (0.3, 0.3 + 0.05, 0.3 + 0.1)
         with_args = sim.rk4_step(
-            lambda t, yy, a, b, out: np.copyto(out, a * yy + b * t), y, 0.3, 0.1, -2.0, 0.5)
+            lambda t, yy, a, b, out: np.copyto(out, a * yy + b * t), y, times, 0.1, -2.0, 0.5)
         closure = sim.rk4_step(
-            lambda t, yy, out: np.copyto(out, -2.0 * yy + 0.5 * t), y, 0.3, 0.1)
+            lambda t, yy, out: np.copyto(out, -2.0 * yy + 0.5 * t), y, times, 0.1)
         assert np.array_equal(with_args, closure)
 
     @pytest.mark.parametrize("noise", [None, np.array([0.01, -0.02, 0.005])])
@@ -89,17 +97,18 @@ class TestRk4Step:
         # The caller's buffer may hold anything, here NaN and both infinities.
         system = sim.assemble(wingrock_proposed)
         y = np.linspace(-0.5, 0.5, system.state_dim)
-        fresh = sim.rk4_step(system.deriv, y, 50.0, 1e-3, noise)
+        rows, = system.stage_inputs(np.array([50.0]), 1e-3, [noise])
+        fresh = sim.rk4_step(system.deriv, y, rows, 1e-3)
         dirty = np.full((6, system.state_dim), np.nan)
         dirty[1::2], dirty[2::3] = np.inf, -np.inf
-        got = sim.rk4_step(system.deriv, y, 50.0, 1e-3, noise, stages=dirty)
+        got = sim.rk4_step(system.deriv, y, rows, 1e-3, stages=dirty)
         assert got.tobytes() == fresh.tobytes()
 
     @pytest.mark.parametrize("field", [[np.nan, 0.0], [0.0, np.inf]], ids=["nan", "inf"])
     def test_nonfinite_field_passes_through(self, field):
         # The step is arithmetic only; run, not rk4_step, guards the state.
         y, finite = np.array([1.0, 2.0]), np.isfinite(field)
-        out = sim.rk4_step(lambda t, yy, out: np.copyto(out, field), y, 0.0, 0.1)
+        out = sim.rk4_step(lambda t, yy, out: np.copyto(out, field), y, (0.0, 0.05, 0.1), 0.1)
         assert np.array_equal(np.isfinite(out), finite)
         assert np.array_equal(out[finite], y[finite])
 
@@ -132,7 +141,7 @@ class TestAssemble:
         scn = _no_uncertainty_scenario()
         system = sim.assemble(scn)
         y0 = system.initial_state()
-        dy = system.deriv(0.0, y0, np.zeros(system.n))
+        dy = system.deriv(system.inputs_at(0.0, np.zeros(system.n)), y0)
         assert np.array_equal(dy, np.zeros_like(y0))
 
     def test_wingrock_state_dimension(self):
@@ -217,9 +226,9 @@ class TestRun:
         # so only W_hat is non-finite at its end.
         deriv = sim.ClosedLoopSystem.deriv
 
-        def nan_weights_late(self, t, y, noise=None, out=None):
-            out = deriv(self, t, y, noise, out)
-            if t > 0.0105:
+        def nan_weights_late(self, row, y, out=None):
+            out = deriv(self, row, y, out)
+            if row[0] > 0.0105:
                 out[self.sl_W] = np.nan
             return out
 
@@ -231,7 +240,7 @@ class TestRun:
 
     def test_finite_state_first_above_limit_raises(self, monkeypatch):
         # x grows by 0.4 DIVERGENCE_LIMIT per step: 1.2 times the limit after the third.
-        def ramp(self, t, y, noise=None, out=None):
+        def ramp(self, row, y, out=None):
             out.fill(0.0)
             out[0] = 0.4 * sim.DIVERGENCE_LIMIT / self.scenario.h
             return out
@@ -302,7 +311,7 @@ class TestFusedVectorField:
             t = float(rng.uniform(0.0, 90.0))
             y = _random_state(system, rng, radius)
             noise = 0.01 * rng.standard_normal(system.n) if noisy else None
-            got = system.deriv(t, y, noise)
+            got = system.deriv(system.inputs_at(t, noise), y)
             want = oracle.rhs(t, y, noise)
             for name, sl in zip(system.block_names, system.blocks):
                 scale = max(1.0, float(np.max(np.abs(want[sl]))))
@@ -369,6 +378,49 @@ class TestStepContract:
             noise=dataclasses.replace(wingrock_proposed.noise, start_time=0.025))
         assert len(sim.run(scn)) == scn.steps + 1
         assert calls == {"rk4_step": scn.steps, "deriv": 4 * scn.steps}
+
+
+def _mid_chunk_noisy(wingrock_proposed):
+    """wingrock_proposed over 300 steps, each recorded, whose sin modulation
+    (from step 100) and noise (from step 152) start inside chunks of 7 steps."""
+    truth = dataclasses.replace(wingrock_proposed.plant.truth,
+                                modulations=(Modulation(row=0, col=0, kind="sin", start=0.1),))
+    return dataclasses.replace(
+        wingrock_proposed, t_final=0.3, record_stride=1,
+        plant=dataclasses.replace(wingrock_proposed.plant, truth=truth),
+        noise=dataclasses.replace(wingrock_proposed.noise, start_time=0.152))
+
+
+class TestInputTables:
+    """run fills its input tables CHUNK_STEPS steps at a time; the chunk size
+    changes nothing that a run computes."""
+
+    def test_chunk_size_leaves_the_csv_bytes(self, wingrock_proposed, monkeypatch, tmp_path):
+        scn = _mid_chunk_noisy(wingrock_proposed)
+        write_trajectory_csv(sim.run(scn), tmp_path / "default.csv")
+        monkeypatch.setattr(sim, "CHUNK_STEPS", 7)
+        write_trajectory_csv(sim.run(scn), tmp_path / "seven.csv")
+        assert (tmp_path / "seven.csv").read_bytes() == (tmp_path / "default.csv").read_bytes()
+
+    @pytest.mark.parametrize("chunk", [7, sim.CHUNK_STEPS])
+    def test_chunked_noise_is_the_per_step_stream(self, wingrock_proposed, monkeypatch, chunk):
+        scn = _mid_chunk_noisy(wingrock_proposed)
+        seen, stage_inputs = [], sim.ClosedLoopSystem.stage_inputs
+
+        def spy(self, t, h, noise):
+            seen.extend(zip(t.tolist(), noise))
+            return stage_inputs(self, t, h, noise)
+
+        monkeypatch.setattr(sim.ClosedLoopSystem, "stage_inputs", spy)
+        monkeypatch.setattr(sim, "CHUNK_STEPS", chunk)
+        sim.run(scn)
+        # One draw per step from the step at or after the onset, as a per-step loop makes them.
+        rng, std, h = np.random.default_rng(scn.noise.seed), np.asarray(scn.noise.std), scn.h
+        want = [(k * h, rng.standard_normal(3) * std if k * h >= scn.noise.start_time else None)
+                for k in range(scn.steps + 1)]
+        assert [t for t, _ in seen] == [t for t, _ in want]
+        assert [None if nu is None else nu.tobytes() for _, nu in seen] == \
+            [None if nu is None else nu.tobytes() for _, nu in want]
 
 
 def test_runs_reusing_buffers_stay_byte_deterministic(wingrock_proposed, tmp_path):
