@@ -24,10 +24,11 @@ from .matrixcore import DimensionError, frobenius_norms
 CTRB_RANK_TOL = 1e-8
 
 
-#: Named scalar features of (t, x_p), as Python expressions in t and x_p.
-#: Scenario files reference these by name; "x<k>" is the k-th plant state
-#: component (PlantModel requires k <= n_p).  This one table builds each feature's
-#: callable (`resolve_feature`) and each basis's function (`BasisSpec.features`).
+#: Named scalar features of x_p, as Python expressions in x_p: the basis is
+#: sigma_p(x_p), and time enters delta_p through W_p(t) alone.  Scenario files
+#: reference these by name; "x<k>" is the k-th plant state component (PlantModel
+#: requires k <= n_p).  This one table builds each feature's callable
+#: (`resolve_feature`) and each basis's function (`BasisSpec.features`).
 FEATURE_EXPRESSIONS = {
     "bias": "1.0",
     "abs_x1_x2": "abs(x_p[0]) * x_p[1]",
@@ -49,24 +50,21 @@ def _expression(name: str) -> str:
 
 
 def _function(body: str):
-    """`lambda t, x_p: body`; body is built from FEATURE_EXPRESSIONS and integers only."""
-    return eval(f"lambda t, x_p: {body}", {"__builtins__": {}, "abs": abs, "float": float})
+    """`lambda x_p: body`; body is built from FEATURE_EXPRESSIONS and integers only."""
+    return eval(f"lambda x_p: {body}", {"__builtins__": {}, "abs": abs, "float": float})
 
 
 def resolve_feature(name: str):
-    """The callable of one feature, f(t, x_p) -> float."""
+    """The callable of one feature, f(x_p) -> float."""
     return _function(_expression(name))
-
-
-BASIS_FEATURES = {name: resolve_feature(name) for name in FEATURE_EXPRESSIONS}
 
 
 @dataclass(frozen=True)
 class BasisSpec:
-    """Ordered list of named scalar features of (t, x_p)."""
+    """Ordered list of named scalar features of x_p."""
 
     names: tuple[str, ...]
-    #: sigma_p(t, x_p) as a list, unvalidated (a list x_p is fastest), from one function
+    #: sigma_p(x_p) as a list, unvalidated (a list x_p is fastest), from one function
     #: built from the names' expressions: each entry is its `resolve_feature` value.
     features: Callable = field(init=False, repr=False, compare=False)
 
@@ -80,8 +78,9 @@ class BasisSpec:
         return len(self.names)
 
     def eval_plant(self, t: float, x_p) -> np.ndarray:
-        """sigma_p(x_p), the plant-basis part only."""
-        return np.array(self.features(t, x_p), dtype=float)
+        """sigma_p(x_p), the plant-basis part only.  t is unused, since no feature
+        reads time; the argument stays because perfbench/probes.py passes one."""
+        return np.array(self.features(x_p), dtype=float)
 
 
 @dataclass(frozen=True)

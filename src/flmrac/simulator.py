@@ -252,7 +252,8 @@ class ClosedLoopSystem:
     with e_m = x_m - x_r the measured error, x_m = x + nu the measured state
     (nu the measurement noise, zero when off), sigma_m the basis of x_m,
     delta = W_p' sigma_p(x) the uncertainty at the true state and c the
-    scalar command, read with nu from one input row (`inputs_at`).
+    scalar command.  W_p, c and nu form one input row (`inputs_at`); the basis
+    reads no time, so the field is a function of y and the row alone.
     G = [-B Lambda K; kappa I; 0; eta I; gamma (P B)'] holds each gain once:
     the laws -B Lambda K (x_r + e_m), kappa (e_m - e_L), eta (e_m - e_L) and
     r = gamma (P B)' e_m read x_m only through e_m, so r is never a difference
@@ -335,17 +336,17 @@ class ClosedLoopSystem:
         y[self.sl_W] = W0.ravel()
         return y
 
-    def measured_basis(self, t: float, x_m: np.ndarray) -> np.ndarray:
+    def measured_basis(self, x_m: np.ndarray) -> np.ndarray:
         """sigma(x_m) = [sigma_p(x_m[:n_p]); x_m], written into a buffer that
         the next call overwrites.  The features get all of x_m: PlantModel
         rejects a basis that reads past the plant state."""
         xl = x_m.tolist()
-        self._sigma[...] = self.basis.features(t, xl) + xl
+        self._sigma[...] = self.basis.features(xl) + xl
         return self._sigma
 
     def inputs_at(self, t: float, noise: np.ndarray | None = None) -> tuple:
-        """deriv's input row at time t: (t, W_p(t), c(t), noise), noise None for none."""
-        return t, self.truth.W_p(t), self.command_spec.value(t), noise
+        """deriv's input row at time t: (W_p(t), c(t), noise), noise None for none."""
+        return self.truth.W_p(t), self.command_spec.value(t), noise
 
     def stage_inputs(self, t: np.ndarray, h: float, noise: list) -> zip:
         """Iterate the steps of size h from the times t, step k measuring noise[k]: each
@@ -353,14 +354,14 @@ class ClosedLoopSystem:
         times = np.stack([t, t + 0.5 * h, t + h], axis=1)
         W = self.truth.W_p_grid(times.ravel()).reshape(times.shape + (self.s, self.m))
         c = [self.command_spec.value(tt) for tt in times.ravel().tolist()]
-        return zip(*(zip(times[:, j].tolist(), W[:, j], c[j::3], noise) for j in range(3)))
+        return zip(*(zip(W[:, j], c[j::3], noise) for j in range(3)))
 
     def deriv(self, row: tuple, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """y' with `row`'s inputs (see `inputs_at`), written into `out` (a new array
         when None) and returned; the noise perturbs only what the controller measures."""
         if out is None:
             out = np.empty_like(y)
-        t, W_p, c, noise = row
+        W_p, c, noise = row
         n4 = 4 * self.n
         x, w = y[: self.n], y[n4:]
         W_hat = w.reshape(-1, self.m)
@@ -370,8 +371,8 @@ class ClosedLoopSystem:
         else:
             x_m, sigma_p = np.add(x, noise, out=self._x_m), self._sigma_x
             # The plant integrates truth: its uncertainty needs the basis at x.
-            sigma_p[...] = self.basis.features(t, x[: self.n_p].tolist())
-        sigma = self.measured_basis(t, x_m)
+            sigma_p[...] = self.basis.features(x[: self.n_p].tolist())
+        sigma = self.measured_basis(x_m)
         np.subtract(x_m, self._v_xr, out=self._v_em)
         # ndarray.dot: same BLAS products as @, with less call overhead.
         sigma_p.dot(W_p, out=self._v_delta)
@@ -385,17 +386,17 @@ class ClosedLoopSystem:
             W_dot[...] = controllers.proj_matrix(W_hat, W_dot, self.projection)
         return out
 
-    def control_at(self, t, y: np.ndarray, noise: np.ndarray | None) -> np.ndarray:
+    def control_at(self, y: np.ndarray, noise: np.ndarray | None) -> np.ndarray:
         """Applied control u = -K x_m - W_hat' sigma(x_m) from the measured state
-        x_m = x + noise (noise None for none): at one sample (t a float, y and
-        noise vectors), or at each of N samples (t of length N, y and noise
-        with N rows, u with N rows)."""
+        x_m = x + noise (noise None for none): at one sample (y and noise
+        vectors), or at each of N samples (y and noise with N rows, u with N
+        rows).  The law reads no time."""
         Y = np.atleast_2d(y)
         x_m = Y[:, self.sl_x] if noise is None else Y[:, self.sl_x] + noise
         W_hat = Y[:, self.sl_W].reshape(len(Y), self.s + self.n, self.m)
         sigma = np.empty((len(Y), self.s + self.n))
-        for i, t_i in enumerate(np.broadcast_to(t, len(Y)).tolist()):
-            sigma[i] = self.measured_basis(t_i, x_m[i])
+        for i, x_i in enumerate(x_m):
+            sigma[i] = self.measured_basis(x_i)
         u = -(x_m @ self.K.T) - np.einsum("ij,ijk->ik", sigma, W_hat)
         return u.reshape(np.shape(y)[:-1] + (self.m,))
 
@@ -421,9 +422,8 @@ def _rk4_coefficients(h: float) -> tuple:
     return (half, half, (2, np.array([1.0, h]))), np.array([1.0, w, 2.0 * w, 2.0 * w, w])
 
 
-def rk4_step(f, state: np.ndarray, rows, h: float, *args,
-             stages: np.ndarray | None = None) -> np.ndarray:
-    """One classical 4th-order Runge-Kutta step of y' = f(row, y, *args).
+def rk4_step(f, state: np.ndarray, rows, h: float, stages: np.ndarray | None = None) -> np.ndarray:
+    """One classical 4th-order Runge-Kutta step of y' = f(row, y).
 
     Stage 1 reads rows[0], stages 2-3 rows[1] and stage 4 rows[2], the inputs
     at the step's start, middle and end: (t, t + 0.5*h, t + h) for a field of
@@ -440,10 +440,10 @@ def rk4_step(f, state: np.ndarray, rows, h: float, *args,
     stage_coefficients, step = _rk4_coefficients(h)
     y = stages[5]
     stages[0] = state
-    f(rows[0], state, *args, out=stages[1])
+    f(rows[0], state, out=stages[1])
     for i, (row, coefficients) in enumerate(stage_coefficients, 2):
         coefficients.dot(stages[0:i:i - 1], out=y)  # state + c k_{i-1}
-        f(rows[row], y, *args, out=stages[i])
+        f(rows[row], y, out=stages[i])
     return step.dot(stages[:5])
 
 
@@ -454,9 +454,10 @@ def run(scenario: ScenarioConfig) -> Trajectory:
     tables CHUNK_STEPS steps at a time (`ClosedLoopSystem.stage_inputs`): W_p
     and c at each step's stage times, and noise drawn once per step from a
     generator seeded by the scenario, so identical seeds give bit-identical
-    trajectories.  It records the state and noise of each sample, and computes
-    the control and the command for all samples after it.  A new state with a
-    non-finite entry or one beyond DIVERGENCE_LIMIT raises DivergenceError.
+    trajectories.  A sample records the state, the time k * h, and the command
+    and noise of its step's first row; the control of all samples follows the
+    loop.  A new state with a non-finite entry or one beyond DIVERGENCE_LIMIT
+    raises DivergenceError.
     """
     sys = assemble(scenario)
     h = scenario.h
@@ -472,6 +473,7 @@ def run(scenario: ScenarioConfig) -> Trajectory:
     rec_t = np.empty(N)
     rec_y = np.empty((N, sys.state_dim))
     rec_noise = np.zeros((N, sys.n))
+    rec_c = np.empty((N, sys.n_c))
     stages = np.empty((6, sys.state_dim))
     i = 0
 
@@ -485,8 +487,8 @@ def run(scenario: ScenarioConfig) -> Trajectory:
             noise = [None] * (t.size - noisy) + list(drawn)
             for k, rows in enumerate(sys.stage_inputs(t, h, noise), k0):
                 if k % scenario.record_stride == 0 or k == n_steps:
-                    rec_t[i], _, _, nu = rows[0]
-                    rec_y[i], rec_noise[i] = y, 0.0 if nu is None else nu
+                    _, rec_c[i], nu = rows[0]
+                    rec_t[i], rec_y[i], rec_noise[i] = k * h, y, 0.0 if nu is None else nu
                     i += 1
                 if k < n_steps:
                     y = rk4_step(sys.deriv, y, rows, h, stages=stages)
@@ -497,9 +499,7 @@ def run(scenario: ScenarioConfig) -> Trajectory:
                             f"{sys.diverged_block(y)}); consider a smaller step size")
 
     # A quiet sample of a noisy run measures x + 0, which equals x.
-    u = sys.control_at(rec_t, rec_y, rec_noise if noise_on else None)
-    c = np.empty((N, sys.n_c))
-    c[:] = [[sys.command_spec.value(t)] for t in rec_t.tolist()]
+    u = sys.control_at(rec_y, rec_noise if noise_on else None)
     return Trajectory(
         t=rec_t,
         x=rec_y[:, sys.sl_x],
@@ -508,5 +508,5 @@ def run(scenario: ScenarioConfig) -> Trajectory:
         e_L=rec_y[:, sys.sl_eL],
         u=u,
         W_hat=rec_y[:, sys.sl_W].reshape(N, sys.s + sys.n, sys.m),
-        c=c,
+        c=rec_c,
     )

@@ -163,11 +163,11 @@ class PlainMracSimulator:
         self.projection = projection
         self.command_func = command_func
 
-    def sigma_p(self, t, x):
-        return np.asarray([f(t, x[: self.n_p]) for f in self.basis_funcs], dtype=float)
+    def sigma_p(self, x):
+        return np.asarray([f(x[: self.n_p]) for f in self.basis_funcs], dtype=float)
 
-    def sigma(self, t, x):
-        return np.concatenate([self.sigma_p(t, x), x])
+    def sigma(self, x):
+        return np.concatenate([self.sigma_p(x), x])
 
     def project(self, W_hat, Y):
         """Column by column: where phi(theta) = ((eps + 1)|theta|^2 - tmax^2) /
@@ -188,9 +188,9 @@ class PlainMracSimulator:
         x, x_r, x_ri, e_L = (z[i * n : (i + 1) * n] for i in range(4))
         W_hat = z[4 * n :].reshape(self.s + n, self.m)
         x_m = x if noise is None else x + noise
-        sig = self.sigma(t, x_m)
+        sig = self.sigma(x_m)
         u = -(self.K @ x_m) - W_hat.T @ sig
-        delta = self.W_p(t).T @ self.sigma_p(t, x)
+        delta = self.W_p(t).T @ self.sigma_p(x)
         c = np.full(self.n_c, self.command_func(t))
         e = x_m - x_r
         x_dot = self.A @ x + self.B @ (self.lam * u + delta) + self.B_r @ c

@@ -15,7 +15,7 @@ import numpy as np
 
 from flmrac import analysis, controllers
 from flmrac.matrixcore import solve_lyapunov
-from flmrac.plantmodel import BASIS_FEATURES, aggregate_true_weights
+from flmrac.plantmodel import aggregate_true_weights, resolve_feature
 from flmrac.simcli import load_config, serialize_scenario
 from flmrac.simulator import CommandSpec, run, rk4_step
 
@@ -150,10 +150,8 @@ def test_criterion_06_classical_reductions():
 
     scn = quiet_wingrock(base, kappa=0.0, eta=0.0, t_final=10.0, record_stride=1)
     traj = run(scn)
-    features = [BASIS_FEATURES["bias"],
-                lambda t, xp: float(xp[0]), lambda t, xp: float(xp[1]),
-                BASIS_FEATURES["abs_x1_x2"], BASIS_FEATURES["abs_x2_x2"],
-                BASIS_FEATURES["x1_cubed"]]
+    features = [resolve_feature(name) for name in
+                ("bias", "x1", "x2", "abs_x1_x2", "abs_x2_x2", "x1_cubed")]
     oracle = PlainMracSimulator(
         A_p=scn.plant.A_p, B_p=scn.plant.B_p, lam=scn.plant.Lambda,
         W_p=scn.plant.truth.W_p_base, basis_funcs=features,

@@ -30,23 +30,23 @@ class TestControlLaw:
     """ClosedLoopSystem.control_at: u = -K x_m - W_hat' sigma(x_m), x_m = x + noise."""
 
     def test_zero_everything(self, wingrock_system):
-        u = wingrock_system.control_at(0.0, _state(wingrock_system), None)
+        u = wingrock_system.control_at(_state(wingrock_system), None)
         assert np.array_equal(u, [0.0])
 
     def test_pure_nominal_when_estimate_zero(self, wingrock_system):
         x = np.array([1.0, -2.0, 0.5])
-        u = wingrock_system.control_at(0.0, _state(wingrock_system, x=x), None)
+        u = wingrock_system.control_at(_state(wingrock_system, x=x), None)
         assert np.allclose(u, -(wingrock_system.K @ x))
 
     def test_wingrock_point(self, wingrock_system):
-        u = wingrock_system.control_at(0.0, _state(wingrock_system, x=[0.1, 0.0, 0.0]), None)
+        u = wingrock_system.control_at(_state(wingrock_system, x=[0.1, 0.0, 0.0]), None)
         assert u[0] == pytest.approx(-0.2)
 
     def test_adaptive_term_sees_measured_state(self, wingrock_system):
         # x_m = (1, 2, 0.5): sigma = (1, 1, 2, 2, 4, 1, 1, 2, 0.5), K x_m = 6.5.
         noise = np.array([0.25, -0.5, 0.125])
         y = _state(wingrock_system, x=np.array([1.0, 2.0, 0.5]) - noise, W_hat=np.ones(9))
-        u = wingrock_system.control_at(0.0, y, noise)
+        u = wingrock_system.control_at(y, noise)
         assert u[0] == pytest.approx(-6.5 - 14.5, rel=1e-15)
 
     def test_dimension_mismatch(self, wingrock_proposed):

@@ -34,12 +34,12 @@ class TestEvalBasis:
     """The aggregated basis sigma(x) = [sigma_p(x_p); x] of ClosedLoopSystem.measured_basis."""
 
     def test_origin(self, wingrock_proposed):
-        sigma = assemble(wingrock_proposed).measured_basis(0.0, np.zeros(3))
+        sigma = assemble(wingrock_proposed).measured_basis(np.zeros(3))
         assert np.array_equal(sigma, np.array([1.0, 0, 0, 0, 0, 0, 0, 0, 0]))
 
     def test_hand_evaluated_point(self, wingrock_proposed):
         x = np.array([1.0, 2.0, 0.5])
-        sigma = assemble(wingrock_proposed).measured_basis(0.0, x)
+        sigma = assemble(wingrock_proposed).measured_basis(x)
         assert np.allclose(sigma[:6], [1.0, 1.0, 2.0, 2.0, 4.0, 1.0])
         assert np.allclose(sigma[6:], [1.0, 2.0, 0.5])
         assert np.array_equal(sigma[:6], WINGROCK_BASIS.eval_plant(0.0, x[:2]))

@@ -289,12 +289,13 @@ def _bias_error_with_delayed_control(scn, tau_steps: int, t_final=10.0):
         t = k * h
         old, new = history[max(k - tau_steps, 0)], history[max(k - tau_steps + 1, 0)]
 
-        def f(tt, yy, out):
+        def f(row, yy, out):
+            tt, inputs = row
             lagged = yy.copy()
             lagged[system.sl_W] = old + (new - old) * ((tt - t) / h)
-            return system.deriv(system.inputs_at(tt), lagged, out=out)
+            return system.deriv(inputs, lagged, out=out)
 
-        y = rk4_step(f, y, (t, t + 0.5 * h, t + h), h)
+        y = rk4_step(f, y, [(tt, system.inputs_at(tt)) for tt in (t, t + 0.5 * h, t + h)], h)
         history.append(y[system.sl_W].copy())
     return np.abs(np.array(history)[:, 0] - w)
 
@@ -398,7 +399,7 @@ def test_guarded_projection_equals_proj_matrix(case):
     system, t, y, noise = case
     W_hat = y[system.sl_W].reshape(system.s + system.n, system.m)
     x_m = y[system.sl_x] if noise is None else y[system.sl_x] + noise
-    sigma = system.measured_basis(t, x_m)
+    sigma = system.measured_basis(x_m)
     Y = np.outer(sigma, (x_m - y[system.sl_xr]) @ system.PB)
     # Below the normal range, e @ P B errs by up to n subnormal units, which gamma sigma scales.
     tol = system.gamma * (1e-12 * np.max(np.abs(Y))
@@ -449,11 +450,11 @@ def _term_sizes(oracle, t, y, noise) -> list[float]:
     W_hat = np.abs(y[4 * n:]).reshape(o.s + n, o.m)
     x_m = y[:n] if noise is None else y[:n] + noise
     e = np.abs(x_m - y[n:2 * n])
-    sigma = np.abs(o.sigma(t, x_m))
+    sigma = np.abs(o.sigma(x_m))
     c = np.abs(o.B_r) @ np.full(o.n_c, abs(o.command_func(t)))
     A_r, K = np.abs(o.A_r), np.abs(o.K)
     u = K @ (np.abs(x_m) + x_r + e) + W_hat.T @ sigma
-    delta = np.abs(o.W_p(t)).T @ np.abs(o.sigma_p(t, y[:n]))
+    delta = np.abs(o.W_p(t)).T @ np.abs(o.sigma_p(y[:n]))
     # Projection removes phi <= 1 times a column's 2-norm, and phi errs by
     # (1 + eps_theta) / eps_theta ulps of 1.
     projection = 1.0 if o.projection is None else 2.0 + 1.0 / o.projection[1]
@@ -515,7 +516,7 @@ def test_one_pass_control_equals_single_sample(steps, stride, onset, seed):
     for i, t in enumerate(traj.t.tolist()):
         y = np.concatenate([traj.x[i], traj.x_r[i], traj.x_ri[i], traj.e_L[i],
                             traj.W_hat[i].ravel()])
-        u = system.control_at(t, y, draws.get(round(t / h)))
+        u = system.control_at(y, draws.get(round(t / h)))
         assert u.shape == (system.m,)
         assert np.max(np.abs(traj.u[i] - u)) <= 1e-12 * max(1.0, float(np.max(np.abs(u))))
 
@@ -558,9 +559,8 @@ def test_input_table_rows_are_the_inputs_at_the_stage_times(case):
     assert len(table) == steps
     for k, rows, nu in zip(range(k0, k0 + steps), table, noise):
         assert len(rows) == 3
-        for t, (t_row, W, c, nu_row) in zip((k * h, k * h + 0.5 * h, k * h + h), rows):
+        for t, (W, c, nu_row) in zip((k * h, k * h + 0.5 * h, k * h + h), rows):
             want = system.truth.W_p(t)
-            assert repr(t_row) == repr(t)
             assert W.shape == want.shape and W.tobytes() == want.tobytes()
             assert repr(c) == repr(system.command_spec.value(t))
             assert nu_row is nu
@@ -569,11 +569,10 @@ def test_input_table_rows_are_the_inputs_at_the_stage_times(case):
 @settings(deadline=None, max_examples=300)
 @given(names=st.lists(st.sampled_from(sorted(FEATURE_EXPRESSIONS) + ["x1", "x2", "x3", "x4"]),
                       min_size=1, max_size=8),
-       x_p=st.lists(st.floats(-1e100, 1e100), min_size=4, max_size=4),
-       t=st.floats(0.0, 100.0))
-def test_built_basis_equals_feature_callables(names, x_p, t):
+       x_p=st.lists(st.floats(-1e100, 1e100), min_size=4, max_size=4))
+def test_built_basis_equals_feature_callables(names, x_p):
     basis = BasisSpec(tuple(names))
     for arg in (x_p, np.array(x_p)):
-        got = np.array(basis.features(t, arg), dtype=float)
-        want = np.array([resolve_feature(name)(t, arg) for name in names], dtype=float)
+        got = np.array(basis.features(arg), dtype=float)
+        want = np.array([resolve_feature(name)(arg) for name in names], dtype=float)
         assert got.tobytes() == want.tobytes()

@@ -83,15 +83,6 @@ class TestRk4Step:
                      ("start", "middle", "end"), 0.1)
         assert seen == ["start", "middle", "middle", "end"]
 
-    def test_passes_extra_arguments_to_the_field(self):
-        y = np.array([1.0, -2.0])
-        times = (0.3, 0.3 + 0.05, 0.3 + 0.1)
-        with_args = sim.rk4_step(
-            lambda t, yy, a, b, out: np.copyto(out, a * yy + b * t), y, times, 0.1, -2.0, 0.5)
-        closure = sim.rk4_step(
-            lambda t, yy, out: np.copyto(out, -2.0 * yy + 0.5 * t), y, times, 0.1)
-        assert np.array_equal(with_args, closure)
-
     @pytest.mark.parametrize("noise", [None, np.array([0.01, -0.02, 0.005])])
     def test_step_owes_nothing_to_the_stage_buffer(self, wingrock_proposed, noise):
         # The caller's buffer may hold anything, here NaN and both infinities.
@@ -214,6 +205,26 @@ class TestRun:
             noise=dataclasses.replace(scn.noise, start_time=0.0))
         assert_csv_errors_exact(sim.run(scn), tmp_path / "noisy.csv")
 
+    @pytest.mark.parametrize("n_c", [0, 1])
+    @pytest.mark.parametrize("command", [
+        sim.CommandSpec(kind="zero"),
+        sim.CommandSpec(kind="step", amplitude=0.5, offset=-0.1),
+        sim.CommandSpec(kind="square_wave", amplitude=-0.3, period=0.06, offset=0.05),
+        sim.CommandSpec(kind="custom", times=(0.0205, 0.0985, 0.21), values=(0.2, -0.4, 0.7)),
+    ], ids=lambda command: command.kind)
+    def test_records_time_and_command_on_the_step_grid(self, command, n_c):
+        # 250 steps at stride 7: the sample at t_final, step 250, is off the stride.  The
+        # square wave and the custom command switch at the sample t = 0.21; the custom one
+        # also inside the sampled step from 0.098 to 0.099, whose stages 1 and 4 differ.
+        scn = _no_uncertainty_scenario() if n_c else scalar_scenario(h=1e-3)
+        scn = dataclasses.replace(scn, command=command, t_final=0.25, record_stride=7)
+        traj = sim.run(scn)
+        steps = list(range(0, scn.steps, 7)) + [scn.steps]
+        assert scn.steps % 7 and traj.c.shape == (len(steps), n_c)
+        assert traj.t.tobytes() == np.array([k * scn.h for k in steps]).tobytes()
+        want = [[command.value(t)] * n_c for t in traj.t.tolist()]
+        assert traj.c.tobytes() == np.array(want, dtype=float).reshape(len(steps), n_c).tobytes()
+
     def test_divergence_detected(self):
         # kappa h = 5 puts the fast mode far outside the RK4 stability region
         scn = scalar_scenario(kappa=100.0, h=0.05, t_final=10.0)
@@ -222,13 +233,14 @@ class TestRun:
             sim.run(scn)
 
     def test_nonfinite_derivative_mid_run_names_block(self, monkeypatch):
-        # NaN enters W_hat' at the last stage of the step from t = 0.010 to 0.011,
-        # so only W_hat is non-finite at its end.
-        deriv = sim.ClosedLoopSystem.deriv
+        # NaN enters W_hat' at the last stage of step 10, from t = 0.010 to 0.011
+        # (call 43 at h = 1e-3, four calls a step), so only W_hat is non-finite at its end.
+        deriv, calls = sim.ClosedLoopSystem.deriv, []
 
         def nan_weights_late(self, row, y, out=None):
             out = deriv(self, row, y, out)
-            if row[0] > 0.0105:
+            calls.append(None)
+            if len(calls) > 43:
                 out[self.sl_W] = np.nan
             return out
 
