@@ -3,7 +3,8 @@
 A plant is x_p' = A_p x_p + B_p (Lambda u + delta_p(t, x_p)) with the
 uncertainty parameterized as delta_p = W_p(t)' sigma_p(x_p) over a known
 basis.  W_p and Lambda are hidden truth: the simulator integrates them, the
-analysis layer may inspect them, the controller never sees them.
+analysis layer may inspect them (W_p's rate bound is derived from its
+modulations), the controller never sees them.
 
 Augmenting with the command-tracking integrator state x_c' = E_p x_p - c
 gives the (A, B, B_r) triple the adaptive architecture operates on.
@@ -18,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .matrixcore import DimensionError, frobenius_norms
+from .matrixcore import DimensionError
 
 # Numerical rank threshold (relative to sigma_max) for the controllability test.
 CTRB_RANK_TOL = 1e-8
@@ -110,18 +111,16 @@ class Modulation:
 
 @dataclass(frozen=True)
 class UncertaintyTruth:
-    """Hidden weight matrix W_p(t) plus its declared norm bounds.
+    """Hidden weight matrix W_p(t).
 
     `W_p_base` holds the constant entries; each Modulation rescales one entry
-    over time (e.g. a sinusoidal disturbance switched on mid-run).  The bounds
-    w_p_max >= sup ||W_p(t)||_F and w_p_dot_max >= sup ||W_p'(t)||_F are data
-    supplied with the model and can be spot-checked by sampling.
+    over time (e.g. a sinusoidal disturbance switched on mid-run).  The rate
+    bound the ultimate bound needs, `w_p_dot_max`, follows from these two
+    fields and is not declared.
     """
 
     W_p_base: np.ndarray
     modulations: tuple[Modulation, ...] = ()
-    w_p_max: float = 0.0
-    w_p_dot_max: float = 0.0
 
     def __post_init__(self):
         base = np.atleast_2d(np.asarray(self.W_p_base, dtype=float))
@@ -131,8 +130,18 @@ class UncertaintyTruth:
         for mod in self.modulations:
             if not (0 <= mod.row < s and 0 <= mod.col < m):
                 raise DimensionError(f"modulation index ({mod.row},{mod.col}) outside {base.shape}")
-        if not (0.0 <= self.w_p_max < math.inf and 0.0 <= self.w_p_dot_max < math.inf):
-            raise ValueError("truth norm bounds must be finite and nonnegative")
+
+    @property
+    def w_p_dot_max(self) -> float:
+        """sup over t >= 0 of ||W_p'(t)||_F, switch-on jumps left out: the root
+        sum of squares of the base entries that sin modulations scale.
+
+        When no entry has two sin modulations, it is attained at t = 2 pi k past
+        every start, where each cos t is 1.  Otherwise it is an upper bound: a
+        product of k sines changes at most sqrt(k) times as fast as one.
+        """
+        return math.sqrt(sum(self.W_p_base[mod.row, mod.col] ** 2
+                             for mod in self.modulations if mod.kind == "sin"))
 
     @property
     def is_constant(self) -> bool:
@@ -153,33 +162,6 @@ class UncertaintyTruth:
         for mod in self.modulations:
             W[:, mod.row, mod.col] *= [mod.factor(t) for t in ts.tolist()]
         return W
-
-    def check_bounds(self, t_grid) -> None:
-        """Verify ||W_p(t)||_F <= w_p_max on a sample grid (and the rate bound
-        by forward differences).  Raises ValueError at the earliest violating
-        sample."""
-        ts = np.asarray(t_grid, dtype=float)
-        W = self.W_p_grid(ts)
-        norms = frobenius_norms(W)
-        dts = np.diff(ts)
-        # Skip difference quotients across switch instants: the declared
-        # rate bound covers the smooth motion, not the jump itself.
-        smooth = dts > 0
-        for mod in self.modulations:
-            smooth &= ~((ts[:-1] < mod.start) & (mod.start <= ts[1:]))
-        rates = np.zeros(ts.size)
-        rates[1:][smooth] = frobenius_norms(np.diff(W, axis=0)[smooth]) / dts[smooth]
-        too_big = norms > self.w_p_max + 1e-9
-        too_fast = rates > self.w_p_dot_max + 1e-6
-        bad = np.flatnonzero(too_big | too_fast)
-        if bad.size:
-            i = bad[0]
-            t = ts[i]
-            if too_big[i]:
-                raise ValueError(f"||W_p({t})||_F exceeds declared bound {self.w_p_max}")
-            raise ValueError(
-                f"||dW_p/dt|| ~ {rates[i]:.3g} near t={t} exceeds bound {self.w_p_dot_max}"
-            )
 
 
 @dataclass(frozen=True)

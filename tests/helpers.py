@@ -20,7 +20,7 @@ WINGROCK_ALPHAS = (0.25, 0.5, 1.0, -5.0, 5.0, 10.0)
 def constant_wingrock_truth() -> UncertaintyTruth:
     """Wing-rock truth with the exogenous sinusoid disabled (constant weights)."""
     w = np.array([0.0, *WINGROCK_ALPHAS[1:]]).reshape(6, 1)
-    return UncertaintyTruth(W_p_base=w, w_p_max=12.31, w_p_dot_max=0.0)
+    return UncertaintyTruth(W_p_base=w)
 
 
 def quiet_wingrock(scn: ScenarioConfig, gamma=None, kappa=None, eta=None,
@@ -48,8 +48,7 @@ def quiet_wingrock(scn: ScenarioConfig, gamma=None, kappa=None, eta=None,
 
 def scalar_plant(w_truth: float = 1.5) -> PlantModel:
     """First-order stabilization plant with a linear-in-state uncertainty."""
-    truth = UncertaintyTruth(W_p_base=np.array([[w_truth]]),
-                             w_p_max=abs(w_truth), w_p_dot_max=0.0)
+    truth = UncertaintyTruth(W_p_base=np.array([[w_truth]]))
     return PlantModel(A_p=[[-1.0]], B_p=[[1.0]], Lambda=[1.0], truth=truth,
                       basis=BasisSpec(("x1",)))
 
@@ -81,7 +80,7 @@ def scalar_loop_scenario(gamma: float, kappa: float, eta: float, alpha: float,
     so A - B K = -alpha and P = P B = alpha; zero command, no noise, no
     projection.  x = x_r = x_ri = e_L = 0 with W_hat = [w; 0] is an equilibrium.
     """
-    truth = UncertaintyTruth(W_p_base=np.array([[w]]), w_p_max=abs(w), w_p_dot_max=0.0)
+    truth = UncertaintyTruth(W_p_base=np.array([[w]]))
     plant = PlantModel(A_p=[[a]], B_p=[[1.0]], Lambda=[1.0], truth=truth,
                        basis=BasisSpec(("bias",)))
     E_p = np.zeros((0, 1))
@@ -115,7 +114,7 @@ def decay_scenario(kappa: float, eta: float = 2.0, h: float = 5e-5,
     slow closed-loop transient whose uncertainty mismatch sustains the
     O(1/kappa) high-frequency residual well after the boundary layer.
     """
-    truth = UncertaintyTruth(W_p_base=np.array([[2.0]]), w_p_max=2.0, w_p_dot_max=0.0)
+    truth = UncertaintyTruth(W_p_base=np.array([[2.0]]))
     plant = PlantModel(A_p=[[-1.0]], B_p=[[1.0]], Lambda=[1.0], truth=truth,
                        basis=BasisSpec(("x1",)))
     E_p = np.array([[1.0]])

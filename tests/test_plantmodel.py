@@ -16,8 +16,7 @@ WINGROCK_BASIS = pm.BasisSpec(("bias", "x1", "x2", "abs_x1_x2", "abs_x2_x2", "x1
 def wingrock_truth(alpha1_mod=True):
     W = np.array([0.25, 0.5, 1.0, -5.0, 5.0, 10.0]).reshape(6, 1)
     mods = (pm.Modulation(row=0, col=0, kind="sin", start=45.0),) if alpha1_mod else ()
-    return pm.UncertaintyTruth(W_p_base=W, modulations=mods,
-                               w_p_max=12.31, w_p_dot_max=0.25)
+    return pm.UncertaintyTruth(W_p_base=W, modulations=mods)
 
 
 def wingrock_plant():
@@ -87,80 +86,16 @@ class TestEvalUncertainty:
 
 
 class TestTruthBounds:
-    def test_declared_bounds_hold_on_grid(self):
-        wingrock_truth().check_bounds(np.linspace(0.0, 90.0, 2001))
-
-    @pytest.mark.parametrize("bound", ["w_p_max", "w_p_dot_max"])
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
-    def test_bounds_must_be_finite_and_nonnegative(self, bound, value):
-        # A NaN bound would pass every comparison in check_bounds.
-        with pytest.raises(ValueError, match="finite and nonnegative"):
-            pm.UncertaintyTruth(W_p_base=np.array([[1.0]]), **{bound: value})
+    def test_wingrock_rate_bound_is_the_sin_amplitude(self):
+        # The bundled truth: one sin modulation of the 0.25 bias weight, switched on at 45 s.
+        assert wingrock_truth().w_p_dot_max == 0.25
+        assert wingrock_truth(alpha1_mod=False).w_p_dot_max == 0.0
 
     @pytest.mark.parametrize("start", [float("nan"), float("inf"), float("-inf")])
     def test_modulation_start_must_be_finite(self, start):
         # A NaN start fails "t < start" at every t, which switched the entry on from t = 0.
         with pytest.raises(ValueError, match="start must be finite"):
             pm.Modulation(row=0, col=0, kind="sin", start=start)
-
-    def test_violated_norm_bound_detected(self):
-        truth = pm.UncertaintyTruth(W_p_base=np.array([[3.0]]), w_p_max=1.0)
-        with pytest.raises(ValueError):
-            truth.check_bounds([0.0, 1.0])
-
-    @pytest.mark.parametrize("truth, grid", [
-        # step switch inside the grid: the jump itself is exempt
-        (pm.UncertaintyTruth(W_p_base=np.array([[1.0], [2.0]]),
-                             modulations=(pm.Modulation(row=1, col=0, kind="step", start=0.35),),
-                             w_p_max=2.5, w_p_dot_max=0.0), np.linspace(0.0, 1.0, 11)),
-        # norm violated only after the step switches on
-        (pm.UncertaintyTruth(W_p_base=np.array([[1.0], [2.0]]),
-                             modulations=(pm.Modulation(row=1, col=0, kind="step", start=0.35),),
-                             w_p_max=1.5, w_p_dot_max=0.0), np.linspace(0.0, 1.0, 11)),
-        # sin rate above its bound, first seen one sample after the switch
-        (pm.UncertaintyTruth(W_p_base=np.array([[0.0, 4.0]]),
-                             modulations=(pm.Modulation(row=0, col=1, kind="sin", start=0.3),),
-                             w_p_max=5.0, w_p_dot_max=1.0), np.linspace(0.0, 2.0, 41)),
-        # norm and rate first violated at the same sample: the norm is reported
-        (pm.UncertaintyTruth(W_p_base=np.array([[0.0, 4.0]]),
-                             modulations=(pm.Modulation(row=0, col=1, kind="sin", start=0.0),),
-                             w_p_max=1.0, w_p_dot_max=1.0), [0.0, 1.0]),
-        # repeated and decreasing times are skipped by the rate test
-        (pm.UncertaintyTruth(W_p_base=np.array([[3.0]]),
-                             modulations=(pm.Modulation(row=0, col=0, kind="sin", start=0.0),),
-                             w_p_max=3.0, w_p_dot_max=3.0), [0.0, 0.5, 0.5, 0.2, 1.0]),
-        (wingrock_truth(), np.linspace(0.0, 90.0, 401)),
-        (wingrock_truth(), []),
-    ])
-    def test_check_bounds_matches_per_sample_loop(self, truth, grid):
-        def outcome(check):
-            try:
-                check(grid)
-            except ValueError as exc:
-                return str(exc)
-            return None
-
-        assert outcome(truth.check_bounds) == outcome(lambda g: _check_bounds_per_sample(truth, g))
-
-
-def _check_bounds_per_sample(truth, t_grid):
-    """Reference: check_bounds as one W_p(t) evaluation per sample."""
-    ts = np.asarray(t_grid, dtype=float)
-    prev = None
-    for i, t in enumerate(ts):
-        W = truth.W_p(float(t))
-        if np.linalg.norm(W) > truth.w_p_max + 1e-9:
-            raise ValueError(f"||W_p({t})||_F exceeds declared bound {truth.w_p_max}")
-        if prev is not None:
-            dt = float(t - ts[i - 1])
-            crosses = any(ts[i - 1] < mod.start <= t for mod in truth.modulations)
-            if dt > 0 and not crosses:
-                rate = np.linalg.norm(W - prev) / dt
-                if rate > truth.w_p_dot_max + 1e-6:
-                    raise ValueError(
-                        f"||dW_p/dt|| ~ {rate:.3g} near t={t} exceeds bound {truth.w_p_dot_max}"
-                    )
-        prev = W
 
 
 class TestTruthGrid:

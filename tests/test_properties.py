@@ -163,6 +163,44 @@ def test_optimal_xi_equals_the_200_step_search(family, p, s, o):
 
 
 @st.composite
+def modulated_truth(draw):
+    """A random truth of up to 4 x 2 weights with up to five step and sin
+    modulations, several of them often on one entry."""
+    s, m = draw(st.integers(1, 4)), draw(st.integers(1, 2))
+    base = np.array(draw(st.lists(finite, min_size=s * m, max_size=s * m))).reshape(s, m)
+    mods = draw(st.lists(st.builds(Modulation, row=st.integers(0, s - 1),
+                                   col=st.integers(0, m - 1),
+                                   kind=st.sampled_from(["step", "sin"]),
+                                   start=st.floats(0.0, 5.0)), max_size=5))
+    return UncertaintyTruth(W_p_base=base, modulations=mods)
+
+
+# Two sin modulations of one entry: 2 sin(t)^2 moves at rate |2 sin 2t| <= 2 < 2 sqrt(2).
+@example(truth=UncertaintyTruth(W_p_base=np.array([[2.0]]), modulations=(
+    Modulation(row=0, col=0, kind="sin"), Modulation(row=0, col=0, kind="sin", start=1.0))))
+@settings(deadline=None, max_examples=100)
+@given(modulated_truth())
+def test_truth_rate_bound_is_the_sup_of_the_rate(truth):
+    bound = truth.w_p_dot_max
+    ts = np.linspace(0.0, 8.0, 4001)
+    W, dt = truth.W_p_grid(ts), np.diff(ts)
+    # A difference quotient is the mean rate over its interval, unless a switch lies inside.
+    smooth = np.ones(dt.size, dtype=bool)
+    for mod in truth.modulations:
+        smooth &= ~((ts[:-1] < mod.start) & (mod.start <= ts[1:]))
+    rates = np.linalg.norm(np.diff(W, axis=0), axis=(1, 2))[smooth] / dt[smooth]
+    assert np.all(rates <= bound + 1e-9 * (1.0 + bound))
+    sines = [(mod.row, mod.col) for mod in truth.modulations if mod.kind == "sin"]
+    if len(set(sines)) == len(sines):
+        # Attained where every cos t is 1, at t = 2 pi k past every start.
+        t = 2.0 * math.pi * (math.floor(max([0.0] + [mod.start for mod in truth.modulations])
+                                        / (2.0 * math.pi)) + 2)
+        d = 1e-4
+        rate = np.linalg.norm(truth.W_p(t + d) - truth.W_p(t - d)) / (2.0 * d)
+        assert rate == pytest.approx(bound, rel=1e-8, abs=1e-12)
+
+
+@st.composite
 def short_run(draw):
     """Bundled wingrock_proposed cut to at most 100 steps, noisy from t = 0,
     with random gains, seed, stride and initial state; projected runs start

@@ -93,13 +93,6 @@ class TestConfigParsing:
         assert "Traceback" not in stderr
         assert not (tmp_path / "o").exists()
 
-    def test_understated_truth_bound_rejected(self):
-        _, raw = load_config("wingrock_proposed")
-        raw["plant"]["truth"]["w_p_max"] = 1.0  # actual ~12.3
-        with pytest.raises(ConfigError) as err:
-            dict_to_scenario(raw)
-        assert err.value.path == "plant.truth"
-
 
 def _matrix(rows, cols, data):
     return {"rows": rows, "cols": cols, "data": data}
@@ -132,10 +125,11 @@ MALFORMED_FIELDS = {
     "modulation_start_nan": (
         lambda r: r["plant"]["truth"]["modulations"][0].update(start=float("nan")),
         "plant.truth.modulations[0].start"),
-    "w_p_max_nan": (lambda r: r["plant"]["truth"].update(w_p_max=float("nan")),
-                    "plant.truth.w_p_max"),
-    "w_p_dot_max_infinite": (lambda r: r["plant"]["truth"].update(w_p_dot_max=float("inf")),
-                             "plant.truth.w_p_dot_max"),
+    # The truth's bounds follow from W_p and its modulations; a file cannot state them.
+    "w_p_max_declared": (lambda r: r["plant"]["truth"].update(w_p_max=12.3014),
+                         "plant.truth.w_p_max", "unknown field"),
+    "w_p_dot_max_declared": (lambda r: r["plant"]["truth"].update(w_p_dot_max=0.25),
+                             "plant.truth.w_p_dot_max", "unknown field"),
     "theta_max_negative": (lambda r: r["controller"]["projection"].update(theta_max=-1.0),
                            "controller.projection"),
     "noise_seed_negative": (lambda r: r["noise"].update(seed=-3), "noise.seed"),
@@ -219,8 +213,6 @@ DEFAULTED_SECTIONS = {ScenarioConfig: (), ControllerConfig: ("controller",),
 DEFAULT_VALID_AFTER = {
     "period": lambda r: r["command"].update(kind="step"),
     "std": lambda r: r["noise"].update(enabled=False),
-    "w_p_max": lambda r: r["plant"]["truth"]["W_p"].update(data=[0.0] * 6),
-    "w_p_dot_max": lambda r: r["plant"]["truth"].update(modulations=[]),
 }
 
 
@@ -253,6 +245,7 @@ class TestConfigBoundary:
         stderr = capsys.readouterr().err
         assert f"config error: {path}: {''.join(message)}" in stderr
         assert "Traceback" not in stderr
+        assert [p.name for p in tmp_path.iterdir()] == ["malformed.cfg"]
 
     def test_name_cannot_leave_out_dir(self, tmp_path):
         # Nothing is written, neither in --out nor next to it.
@@ -365,8 +358,7 @@ class TestBulkWriters:
     def test_truth_norms_match_per_sample_loop(self, mods):
         rng = np.random.default_rng(len(mods))
         m = 2 if any(mod.col == 1 for mod in mods) else 1
-        truth = UncertaintyTruth(W_p_base=rng.standard_normal((6, m)), modulations=mods,
-                                 w_p_max=10.0, w_p_dot_max=0.5)
+        truth = UncertaintyTruth(W_p_base=rng.standard_normal((6, m)), modulations=mods)
         lam = np.linspace(0.7, 1.3, m)
         K = rng.standard_normal((m, 3))
         ts = np.linspace(0.0, 12.5, 2001)
