@@ -91,11 +91,71 @@ class TestTruthBounds:
         assert wingrock_truth().w_p_dot_max == 0.25
         assert wingrock_truth(alpha1_mod=False).w_p_dot_max == 0.0
 
+    def test_declared_bounds_hold_on_grid(self):
+        # The bound the truth states, now derived, holds on the 2001-sample grid.
+        _check_bounds_per_sample(wingrock_truth(), np.linspace(0.0, 90.0, 2001))
+
+    @pytest.mark.parametrize("bound", ["w_p_max", "w_p_dot_max"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+    def test_bounds_must_be_finite_and_nonnegative(self, bound, value):
+        # A declared NaN bound would pass every comparison.  No bound can be
+        # declared, so none can be non-finite or negative; the derived one is neither.
+        with pytest.raises(TypeError, match=bound):
+            pm.UncertaintyTruth(W_p_base=np.array([[1.0]]), **{bound: value})
+        truth = pm.UncertaintyTruth(W_p_base=np.array([[value if math.isfinite(value) else 1.0]]),
+                                    modulations=(pm.Modulation(row=0, col=0, kind="sin"),))
+        assert truth.w_p_dot_max == 1.0
+
     @pytest.mark.parametrize("start", [float("nan"), float("inf"), float("-inf")])
     def test_modulation_start_must_be_finite(self, start):
         # A NaN start fails "t < start" at every t, which switched the entry on from t = 0.
         with pytest.raises(ValueError, match="start must be finite"):
             pm.Modulation(row=0, col=0, kind="sin", start=start)
+
+    @pytest.mark.parametrize("truth, grid", [
+        # step switch inside the grid: the jump itself is exempt
+        (pm.UncertaintyTruth(W_p_base=np.array([[1.0], [2.0]]),
+                             modulations=(pm.Modulation(row=1, col=0, kind="step", start=0.35),)),
+         np.linspace(0.0, 1.0, 11)),
+        # a step and a sin on one entry: the sin's rate, scaled by the step
+        (pm.UncertaintyTruth(W_p_base=np.array([[1.0], [2.0]]),
+                             modulations=(pm.Modulation(row=1, col=0, kind="step", start=0.35),
+                                          pm.Modulation(row=1, col=0, kind="sin"))),
+         np.linspace(0.0, 1.0, 11)),
+        # sin rate first seen one sample after the switch
+        (pm.UncertaintyTruth(W_p_base=np.array([[0.0, 4.0]]),
+                             modulations=(pm.Modulation(row=0, col=1, kind="sin", start=0.3),)),
+         np.linspace(0.0, 2.0, 41)),
+        # sin from t = 0 on a two-sample grid
+        (pm.UncertaintyTruth(W_p_base=np.array([[0.0, 4.0]]),
+                             modulations=(pm.Modulation(row=0, col=1, kind="sin", start=0.0),)),
+         [0.0, 1.0]),
+        # repeated and decreasing times are skipped by the rate test
+        (pm.UncertaintyTruth(W_p_base=np.array([[3.0]]),
+                             modulations=(pm.Modulation(row=0, col=0, kind="sin", start=0.0),)),
+         [0.0, 0.5, 0.5, 0.2, 1.0]),
+        (wingrock_truth(), np.linspace(0.0, 90.0, 401)),
+        (wingrock_truth(), []),
+    ])
+    def test_check_bounds_matches_per_sample_loop(self, truth, grid):
+        # The derived rate bound holds at every sample of the per-sample loop.
+        _check_bounds_per_sample(truth, grid)
+
+
+def _check_bounds_per_sample(truth, t_grid):
+    """Reference: the truth's rate bound, checked with one W_p(t) evaluation per
+    sample; a difference across a switch or over a non-increasing step is skipped."""
+    ts = np.asarray(t_grid, dtype=float)
+    prev = None
+    for i, t in enumerate(ts):
+        W = truth.W_p(float(t))
+        if prev is not None:
+            dt = float(t - ts[i - 1])
+            crosses = any(ts[i - 1] < mod.start <= t for mod in truth.modulations)
+            if dt > 0 and not crosses:
+                rate = np.linalg.norm(W - prev) / dt
+                assert rate <= truth.w_p_dot_max + 1e-9, f"||dW_p/dt|| ~ {rate:.3g} near t={t}"
+        prev = W
 
 
 class TestTruthGrid:

@@ -93,6 +93,14 @@ class TestConfigParsing:
         assert "Traceback" not in stderr
         assert not (tmp_path / "o").exists()
 
+    def test_understated_truth_bound_rejected(self):
+        # The true sup of ||W_p'||_F is 0.25; a sampled check once accepted 0.2495.
+        _, raw = load_config("wingrock_proposed")
+        raw["plant"]["truth"]["w_p_dot_max"] = 0.2495
+        with pytest.raises(ConfigError, match="unknown field") as err:
+            dict_to_scenario(raw)
+        assert err.value.path == "plant.truth.w_p_dot_max"
+
 
 def _matrix(rows, cols, data):
     return {"rows": rows, "cols": cols, "data": data}
@@ -126,9 +134,9 @@ MALFORMED_FIELDS = {
         lambda r: r["plant"]["truth"]["modulations"][0].update(start=float("nan")),
         "plant.truth.modulations[0].start"),
     # The truth's bounds follow from W_p and its modulations; a file cannot state them.
-    "w_p_max_declared": (lambda r: r["plant"]["truth"].update(w_p_max=12.3014),
-                         "plant.truth.w_p_max", "unknown field"),
-    "w_p_dot_max_declared": (lambda r: r["plant"]["truth"].update(w_p_dot_max=0.25),
+    "w_p_max_nan": (lambda r: r["plant"]["truth"].update(w_p_max=float("nan")),
+                    "plant.truth.w_p_max", "unknown field"),
+    "w_p_dot_max_infinite": (lambda r: r["plant"]["truth"].update(w_p_dot_max=float("inf")),
                              "plant.truth.w_p_dot_max", "unknown field"),
     "theta_max_negative": (lambda r: r["controller"]["projection"].update(theta_max=-1.0),
                            "controller.projection"),

@@ -504,6 +504,14 @@ class TestScenarioValidation:
             _no_uncertainty_scenario(**change)
         assert err.value.path == path
 
+    @pytest.mark.parametrize("bound", [dict(w_p_max=1.0), dict(w_p_dot_max=0.0)])
+    def test_understated_truth_bound_rejected(self, wingrock_proposed, bound):
+        # Built in code, a truth takes no declared bound; the scenario keeps the derived one.
+        truth = wingrock_proposed.plant.truth
+        with pytest.raises(TypeError, match=next(iter(bound))):
+            dataclasses.replace(truth, **bound)
+        assert truth.w_p_dot_max == 0.25
+
     @pytest.mark.parametrize("controller, path", [
         (dict(K=np.array([[2.0, 2.0, 1.0]])), "controller.K"),
         (dict(W_hat0=np.zeros((2, 1))), "controller.W_hat0"),
