@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .matrixcore import LyapunovPair, sym_eig_extremes
+from .plantmodel import UncertaintyTruth, aggregate_true_weights
 from .simulator import Trajectory
 
 
@@ -97,17 +98,22 @@ def bound_time_varying_ultimate(gamma: float, kappa: float, eta: float, xi: floa
     return math.sqrt(rho_v / ex["lam_min_P"]) * second
 
 
-def aggregated_truth_bounds(w_max: float, w_p_dot_max: float, Lam,
-                            theta_max: float, m: int) -> tuple[float, float]:
-    """(w_tilde_max, w_dot_max) for the ultimate bound, from the configured
-    truth and the projection radius.
+def aggregated_truth_bounds(truth: UncertaintyTruth, Lam, K,
+                            theta_max: float) -> tuple[float, float]:
+    """(w_tilde_max, w_dot_max) for the ultimate bound, derived from the truth,
+    Lambda, K and the projection radius.
 
-    The estimate norm is capped at theta_max per column, so
-    w_tilde_max = theta_max sqrt(m) + w_max; the aggregated truth rate is the
-    plant truth rate amplified by the worst channel of Lambda^-1.
+    The estimate norm is capped at theta_max per column, so w_tilde_max =
+    theta_max sqrt(m) + sup over t >= 0 of ||W(t)||_F.  Every modulation
+    factor lies in [-1, 1], and all of them are 1 together at t = pi/2 + 2 pi k
+    past the last start, so that supremum is ||W||_F of the truth without its
+    modulations.  The aggregated truth rate is the plant truth rate amplified
+    by the worst channel of Lambda^-1.
     """
     lam = np.atleast_1d(np.asarray(Lam, dtype=float))
-    return theta_max * math.sqrt(m) + w_max, float(np.max(1.0 / lam)) * w_p_dot_max
+    W = aggregate_true_weights(replace(truth, modulations=()), lam, K)
+    w_tilde_max = theta_max * math.sqrt(lam.size) + float(np.linalg.norm(W))
+    return w_tilde_max, float(np.max(1.0 / lam)) * truth.w_p_dot_max
 
 
 #: Upper end of the admissible xi in (0, 1).  The modified transient bound depends on xi

@@ -1,13 +1,12 @@
 """Dense linear algebra for small control problems.
 
 Everything here operates on plain numpy arrays at desk scale (n <= ~10):
-Hurwitz tests, the continuous Lyapunov equation A'P + P A + R = 0, symmetric
-eigenvalue extremes, and stacked Frobenius norms.
+Hurwitz tests, the continuous Lyapunov equation A'P + P A + R = 0 and
+symmetric eigenvalue extremes.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -109,14 +108,6 @@ def sym_eig_extremes(S) -> tuple[float, float]:
     _check_symmetric(S, "S")
     w = np.linalg.eigvalsh(0.5 * (S + S.T))
     return float(w[0]), float(w[-1])
-
-
-def frobenius_norms(stack) -> np.ndarray:
-    """Frobenius norm of each stack[i], equal to np.linalg.norm(stack[i]) of a
-    C-ordered slice: the same dot product of its flattened entries."""
-    a = np.asarray(stack, dtype=float)
-    flat = a.reshape(a.shape[0], math.prod(a.shape[1:]))
-    return np.array([math.sqrt(row.dot(row)) for row in flat])
 
 
 @dataclass(frozen=True)

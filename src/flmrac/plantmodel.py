@@ -3,8 +3,8 @@
 A plant is x_p' = A_p x_p + B_p (Lambda u + delta_p(t, x_p)) with the
 uncertainty parameterized as delta_p = W_p(t)' sigma_p(x_p) over a known
 basis.  W_p and Lambda are hidden truth: the simulator integrates them, the
-analysis layer may inspect them (W_p's rate bound is derived from its
-modulations), the controller never sees them.
+analysis layer may inspect them (the truth's norm and rate budgets are
+derived from W_p and its modulations), the controller never sees them.
 
 Augmenting with the command-tracking integrator state x_c' = E_p x_p - c
 gives the (A, B, B_r) triple the adaptive architecture operates on.
@@ -267,14 +267,13 @@ def augment(plant: PlantModel, E_p) -> AugmentedSystem:
     return AugmentedSystem(A=A, B=B, B_r=B_r, E_p=E_p, n_p=n_p, n_c=n_c)
 
 
-def aggregate_true_weights(truth, Lambda, K, t: float | np.ndarray = 0.0) -> np.ndarray:
-    """Aggregated truth W with W' = [Lambda^-1 W_p', (Lambda^-1 - I) K].
+def aggregate_true_weights(truth, Lambda, K, t: float = 0.0) -> np.ndarray:
+    """Aggregated truth W at time t, the (s+n, m) matrix with
+    W' = [Lambda^-1 W_p(t)', (Lambda^-1 - I) K].
 
-    `truth` is an UncertaintyTruth.  One time t gives the (s+n, m) matrix; an
-    array of N times gives the (N, s+n, m) stack, each slice equal to the
-    matrix at its time.  Analysis-only: the controller never receives this.
+    `truth` is an UncertaintyTruth.  Analysis-only: the controller never receives this.
     """
-    W_p = truth.W_p_grid(t) if np.ndim(t) else truth.W_p(t)
+    W_p = truth.W_p(t)
     lam = np.atleast_1d(np.asarray(Lambda, dtype=float))
     K = np.atleast_2d(np.asarray(K, dtype=float))
     m = K.shape[0]
@@ -282,10 +281,9 @@ def aggregate_true_weights(truth, Lambda, K, t: float | np.ndarray = 0.0) -> np.
         raise DimensionError(f"Lambda must have {m} entries, got {lam.shape}")
     if np.any(lam == 0):
         raise ValueError("Lambda is singular")
-    if W_p.shape[-1] != m:
-        raise DimensionError(f"W_p has {W_p.shape[-1]} columns, expected {m}")
+    if W_p.shape[1] != m:
+        raise DimensionError(f"W_p has {W_p.shape[1]} columns, expected {m}")
     lam_inv = 1.0 / lam
     upper = W_p * lam_inv  # Lambda^-1 W_p' transposed
     lower = ((np.diag(lam_inv) - np.eye(m)) @ K).T  # ((Lambda^-1 - I) K)'
-    lower = np.broadcast_to(lower, W_p.shape[:-2] + lower.shape)
-    return np.concatenate([upper, lower], axis=-2)
+    return np.vstack([upper, lower])

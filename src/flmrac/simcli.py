@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__, analysis
 from .analysis import BoundReport, MarginReport, NoCrossoverError
 from .controllers import ControllerConfig
-from .matrixcore import LyapunovPair, NotHurwitzError, frobenius_norms
+from .matrixcore import LyapunovPair, NotHurwitzError
 from .plantmodel import BasisSpec, PlantModel, aggregate_true_weights
 from .simulator import (ConfigError, DivergenceError, ScenarioConfig, Trajectory,
                         closed_loop, run)
@@ -312,13 +312,6 @@ def read_csv_columns(path: Path) -> dict[str, np.ndarray]:
 # Bound reports
 # ---------------------------------------------------------------------------
 
-def _truth_norm_budget(scn: ScenarioConfig) -> float:
-    """sup ||W(t)||_F of the configured truth, sampled over the horizon."""
-    ts = np.linspace(0.0, max(scn.t_final, 1.0), 2001)
-    W = aggregate_true_weights(scn.plant.truth, scn.plant.Lambda, scn.controller.K, ts)
-    return float(np.max(frobenius_norms(W)))
-
-
 def bound_report_for(scn: ScenarioConfig, traj: Trajectory) -> BoundReport:
     """Evaluate the architecture-appropriate bound against the trajectory.
 
@@ -349,9 +342,8 @@ def bound_report_for(scn: ScenarioConfig, traj: Trajectory) -> BoundReport:
 
     time_varying = not scn.plant.truth.is_constant
     if time_varying and cfg.projection is not None:
-        w_max = _truth_norm_budget(scn)
-        wt_max, wd_max = analysis.aggregated_truth_bounds(
-            w_max, scn.plant.truth.w_p_dot_max, lam, cfg.projection.theta_max, scn.plant.m)
+        wt_max, wd_max = analysis.aggregated_truth_bounds(scn.plant.truth, lam, cfg.K,
+                                                          cfg.projection.theta_max)
         inputs.update({"w_tilde_max": wt_max, "w_dot_max": wd_max})
         value = analysis.bound_time_varying_ultimate(cfg.gamma, cfg.kappa, cfg.eta, BOUND_XI,
                                                      lyap, lam, wt_max, wd_max)

@@ -26,6 +26,8 @@ from .plantmodel import AugmentedSystem, PlantModel, augment
 # Bound on every stacked-state entry: run stops at a step that passes it, and
 # no start value may lie beyond it.
 DIVERGENCE_LIMIT = 1e9
+#: A state whose sum of squares is at most this has no entry past the limit.
+_DIVERGENCE_LIMIT_SQ = DIVERGENCE_LIMIT**2
 #: Steps per chunk of run's input tables, so that their memory does not grow with the horizon.
 CHUNK_STEPS = 1024
 
@@ -488,8 +490,10 @@ def run(scenario: ScenarioConfig) -> Trajectory:
                     i += 1
                 if k < n_steps:
                     y = rk4_step(sys.deriv, y, rows, h, stages=stages)
-                    # Written as "not <=", the guard also catches NaN, which maximum propagates.
-                    if not np.maximum.reduce(np.abs(y)) <= DIVERGENCE_LIMIT:
+                    # Written as "not <=", both tests also catch NaN. A NaN or an overflow makes
+                    # the dot product NaN or inf, so it falls through to the exact test.
+                    if (not y.dot(y) <= _DIVERGENCE_LIMIT_SQ
+                            and not np.maximum.reduce(np.abs(y)) <= DIVERGENCE_LIMIT):
                         raise DivergenceError(
                             f"simulation diverged at t={(k + 1) * h:.6g} (signal: "
                             f"{sys.diverged_block(y)}); consider a smaller step size")

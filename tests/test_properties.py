@@ -4,6 +4,7 @@ short random runs, deriv's guarded projection, output buffer and one-pass
 control and run's input-table rows against their definitions, every block
 of deriv against the from-scratch oracle at a measured error far below the
 state, the built basis function against its per-feature callables, the
+truth's derived norm budget against its norm at every time of a grid, the
 closed-form loop margins and the shortened xi search against the searches
 they replaced, and the scalar loop's linearized closed loop against its loop
 transfer function and, with a delayed control, against its delay margin."""
@@ -24,7 +25,7 @@ from flmrac import analysis
 from flmrac import controllers as ctl
 from flmrac.matrixcore import LyapunovPair
 from flmrac.plantmodel import (FEATURE_EXPRESSIONS, BasisSpec, Modulation, PlantModel,
-                               UncertaintyTruth, resolve_feature)
+                               UncertaintyTruth, aggregate_true_weights, resolve_feature)
 from flmrac.simcli import dict_to_scenario, load_config, serialize_scenario
 from flmrac.simulator import (CommandSpec, NoiseSpec, ScenarioConfig, assemble, rk4_step,
                               run)
@@ -198,6 +199,39 @@ def test_truth_rate_bound_is_the_sup_of_the_rate(truth):
         d = 1e-4
         rate = np.linalg.norm(truth.W_p(t + d) - truth.W_p(t - d)) / (2.0 * d)
         assert rate == pytest.approx(bound, rel=1e-8, abs=1e-12)
+
+
+@st.composite
+def aggregated_truth_case(draw):
+    """A modulated truth with random Lambda, K (m x n, n up to 3) and theta_max."""
+    truth = draw(modulated_truth())
+    m, n = truth.W_p_base.shape[1], draw(st.integers(1, 3))
+    lam = np.array(draw(st.lists(st.floats(0.1, 10.0), min_size=m, max_size=m)))
+    K = np.array(draw(st.lists(finite, min_size=m * n, max_size=m * n))).reshape(m, n)
+    return truth, lam, K, draw(st.floats(0.0, 10.0))
+
+
+# A step and a sin modulation of one entry, and a sin modulation of another.
+@example(case=(UncertaintyTruth(W_p_base=np.arange(1.0, 7.0).reshape(3, 2), modulations=(
+    Modulation(row=0, col=1, kind="sin"), Modulation(row=0, col=1, kind="step", start=2.5),
+    Modulation(row=2, col=0, kind="sin", start=7.0))), np.array([0.7, 1.3]),
+    np.array([[1.0, -2.0, 0.5], [0.0, 3.0, -1.0]]), 2.0))
+@settings(deadline=None, max_examples=50)
+@given(aggregated_truth_case())
+def test_truth_norm_budget_is_the_sup_of_the_norm(case):
+    truth, lam, K, theta_max = case
+    w_tilde_max, _ = analysis.aggregated_truth_bounds(truth, lam, K, theta_max)
+    budget = w_tilde_max - theta_max * math.sqrt(lam.size)
+    # The subtraction above rounds by at most a few ulps of w_tilde_max.
+    tol = 4.0 * EPS * w_tilde_max
+    ts = np.linspace(0.0, 12.5, 1001)  # past every start (at most 5) by 2 pi
+    norms = [np.linalg.norm(aggregate_true_weights(truth, lam, K, t=float(t))) for t in ts]
+    assert max(norms) <= budget + tol
+    # Attained where every factor is 1, at t = pi/2 + 2 pi k past the last start.
+    last = max([0.0] + [mod.start for mod in truth.modulations])
+    t = math.pi / 2.0 + 2.0 * math.pi * (math.floor(last / (2.0 * math.pi)) + 1)
+    assert np.linalg.norm(aggregate_true_weights(truth, lam, K, t=t)) == pytest.approx(
+        budget, rel=1e-12, abs=tol)
 
 
 @st.composite

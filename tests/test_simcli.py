@@ -7,15 +7,13 @@ import pathlib
 import re
 import subprocess
 import sys
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from flmrac import simcli
 from flmrac.controllers import ControllerConfig
-from flmrac.matrixcore import frobenius_norms
-from flmrac.plantmodel import Modulation, UncertaintyTruth, aggregate_true_weights
+from flmrac.plantmodel import Modulation, UncertaintyTruth
 from flmrac.simcli import (ConfigError, bundled_scenario_path, canonical_text,
                            dict_to_scenario, list_bundled, load_config,
                            read_csv_columns, serialize_scenario,
@@ -355,30 +353,19 @@ class TestBulkWriters:
         write_trajectory_csv(traj, path)
         assert path.read_bytes() == _rowwise_csv(traj)
 
-    @pytest.mark.parametrize("mods", [
-        (),
-        (Modulation(row=1, col=0, kind="step", start=3.0),),
-        (Modulation(row=0, col=0, kind="sin", start=45.0),),
-        (Modulation(row=0, col=1, kind="sin", start=0.0),
-         Modulation(row=0, col=1, kind="step", start=2.5),
-         Modulation(row=2, col=0, kind="sin", start=7.0)),
-    ])
-    def test_truth_norms_match_per_sample_loop(self, mods):
-        rng = np.random.default_rng(len(mods))
-        m = 2 if any(mod.col == 1 for mod in mods) else 1
-        truth = UncertaintyTruth(W_p_base=rng.standard_normal((6, m)), modulations=mods)
-        lam = np.linspace(0.7, 1.3, m)
-        K = rng.standard_normal((m, 3))
-        ts = np.linspace(0.0, 12.5, 2001)
-        per_sample = [aggregate_true_weights(truth, lam, K, t=float(t)) for t in ts]
-        grid = aggregate_true_weights(truth, lam, K, ts)
-        assert np.array_equal(grid, per_sample)
-        norms = [np.linalg.norm(W) for W in per_sample]
-        assert np.array_equal(frobenius_norms(grid), norms)
-        # Only the fields the budget reads: truth, Lambda, K and the horizon.
-        scn = SimpleNamespace(t_final=12.5, plant=SimpleNamespace(truth=truth, Lambda=lam),
-                              controller=SimpleNamespace(K=K))
-        assert simcli._truth_norm_budget(scn) == max(norms)
+
+class TestBoundReport:
+    def test_ultimate_bound_does_not_depend_on_the_horizon(self, wingrock_proposed):
+        # The truth's norm budget is a supremum over all t >= 0: a run that ends
+        # before the 45 s sin modulation starts gets the same bound as one past it.
+        traj = run(dataclasses.replace(wingrock_proposed, t_final=0.01))
+        reports = [simcli.bound_report_for(dataclasses.replace(wingrock_proposed, t_final=t), traj)
+                   for t in (0.0, 1.0, 2.0, 90.0)]
+        theta_max = wingrock_proposed.controller.projection.theta_max
+        for report in reports:
+            assert report.kind == "time_varying_ultimate"
+            assert report.inputs["w_tilde_max"] == theta_max + 16.431676725154983
+            assert report.bound_value == reports[-1].bound_value
 
 
 class TestCmdRun:

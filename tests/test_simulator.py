@@ -270,6 +270,22 @@ class TestRun:
             sim.run(_no_uncertainty_scenario())
         assert str(err.value).startswith("simulation diverged at t=0.003 (signal: x); ")
 
+    def test_entries_within_limit_pass_though_their_sum_of_squares_is_above(self, monkeypatch):
+        # Every entry ends at 0.9 DIVERGENCE_LIMIT: the sum of squares of the 11
+        # entries passes DIVERGENCE_LIMIT**2 = 1e18, no single entry passes the limit.
+        scn = _no_uncertainty_scenario(t_final=0.01)
+
+        def ramp(self, row, y, out=None):
+            out.fill(0.9 * sim.DIVERGENCE_LIMIT / scn.t_final)
+            return out
+
+        monkeypatch.setattr(sim.ClosedLoopSystem, "deriv", ramp)
+        traj = sim.run(scn)
+        last = np.concatenate([traj.x[-1], traj.x_r[-1], traj.x_ri[-1], traj.e_L[-1],
+                               traj.W_hat[-1].ravel()])
+        assert last.size == 11 and last.dot(last) > 1e18
+        assert np.all(np.abs(last) <= sim.DIVERGENCE_LIMIT)
+
     def test_stiff_blowup_names_block(self):
         # The last step size the CLI retries for kappa = 5e4 still blows up.
         scn, _ = load_config("wingrock_proposed")
