@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import json
+import math
 import operator
 import os
 import pathlib
@@ -11,9 +12,9 @@ import sys
 import numpy as np
 import pytest
 
-from flmrac import simcli
+from flmrac import analysis, simcli
 from flmrac.controllers import ControllerConfig
-from flmrac.plantmodel import Modulation, UncertaintyTruth
+from flmrac.plantmodel import Modulation, UncertaintyTruth, aggregate_true_weights
 from flmrac.simcli import (ConfigError, bundled_scenario_path, canonical_text,
                            dict_to_scenario, list_bundled, load_config,
                            read_csv_columns, serialize_scenario,
@@ -352,6 +353,36 @@ class TestBulkWriters:
         path = tmp_path / "traj.csv"
         write_trajectory_csv(traj, path)
         assert path.read_bytes() == _rowwise_csv(traj)
+
+    @pytest.mark.parametrize("mods", [
+        (),
+        (Modulation(row=1, col=0, kind="step", start=3.0),),
+        (Modulation(row=0, col=0, kind="sin", start=45.0),),
+        (Modulation(row=0, col=1, kind="sin", start=0.0),
+         Modulation(row=0, col=1, kind="step", start=2.5),
+         Modulation(row=2, col=0, kind="sin", start=7.0)),
+    ])
+    def test_truth_norms_match_per_sample_loop(self, mods):
+        # The derived norm budget against the per-sample norms it replaced.
+        rng = np.random.default_rng(len(mods))
+        m = 2 if any(mod.col == 1 for mod in mods) else 1
+        truth = UncertaintyTruth(W_p_base=rng.standard_normal((6, m)), modulations=mods)
+        lam = np.linspace(0.7, 1.3, m)
+        K = rng.standard_normal((m, 3))
+        budget, _ = analysis.aggregated_truth_bounds(truth, lam, K, theta_max=0.0)
+        ts = np.linspace(0.0, 12.5, 2001)
+        norms = [np.linalg.norm(aggregate_true_weights(truth, lam, K, t=float(t))) for t in ts]
+        if not mods:
+            assert norms == [budget] * ts.size
+        assert max(norms) <= budget * (1.0 + 1e-15)
+        if mods and all(mod.start > ts[-1] for mod in mods):
+            # A grid that ends before a start misses that entry's share of the sup.
+            assert max(norms) < budget
+        # All factors are 1 at t = pi/2 + 2 pi k past the last start.
+        last = max([0.0] + [mod.start for mod in mods])
+        t = math.pi / 2.0 + 2.0 * math.pi * (math.floor(last / (2.0 * math.pi)) + 1)
+        assert np.linalg.norm(aggregate_true_weights(truth, lam, K, t=t)) == pytest.approx(
+            budget, rel=1e-14)
 
 
 class TestBoundReport:
