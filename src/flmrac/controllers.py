@@ -41,26 +41,15 @@ def phi_grad(theta, spec: ProjectionSpec) -> np.ndarray:
     return (2.0 * (spec.eps_theta + 1.0) / (spec.eps_theta * spec.theta_max**2)) * theta
 
 
-def proj(theta, y, spec: ProjectionSpec) -> np.ndarray:
-    """Project the raw update direction y at the current estimate theta.
+def proj_matrix(Theta, Y, spec: ProjectionSpec) -> np.ndarray:
+    """Project each column y of the raw update Y at its estimate column theta.
 
     Passes y through while phi(theta) < 0 or while y does not point outward
     (phi'(theta) y <= 0); otherwise removes the outward radial component
     scaled by phi(theta), which vanishes continuously at the inner boundary
-    and cancels the radial motion entirely at ||theta|| = theta_max.
-    """
-    theta = np.asarray(theta, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if theta.shape != y.shape:
-        raise DimensionError(f"theta {theta.shape} and y {y.shape} must match")
-    return proj_matrix(theta[:, np.newaxis], y[:, np.newaxis], spec)[:, 0]
-
-
-def proj_matrix(Theta, Y, spec: ProjectionSpec) -> np.ndarray:
-    """Column-wise `proj` for matrix estimates.
-
-    phi and its gradient are inlined (same arithmetic as `phi` and
-    `phi_grad`), and columns strictly inside the ball skip the rest.
+    and cancels the radial motion entirely at ||theta|| = theta_max.  phi and
+    its gradient are inlined (same arithmetic as `phi` and `phi_grad`), and
+    columns strictly inside the ball skip the rest.
     """
     Theta = np.asarray(Theta, dtype=float)
     out = np.array(Y, dtype=float)

@@ -28,8 +28,8 @@ CTRB_RANK_TOL = 1e-8
 #: Named scalar features of x_p, as Python expressions in x_p: the basis is
 #: sigma_p(x_p), and time enters delta_p through W_p(t) alone.  Scenario files
 #: reference these by name; "x<k>" is the k-th plant state component (PlantModel
-#: requires k <= n_p).  This one table builds each feature's callable
-#: (`resolve_feature`) and each basis's function (`BasisSpec.features`).
+#: requires k <= n_p).  This one table builds each basis's function
+#: (`BasisSpec.features`).
 FEATURE_EXPRESSIONS = {
     "bias": "1.0",
     "abs_x1_x2": "abs(x_p[0]) * x_p[1]",
@@ -55,18 +55,13 @@ def _function(body: str):
     return eval(f"lambda x_p: {body}", {"__builtins__": {}, "abs": abs, "float": float})
 
 
-def resolve_feature(name: str):
-    """The callable of one feature, f(x_p) -> float."""
-    return _function(_expression(name))
-
-
 @dataclass(frozen=True)
 class BasisSpec:
     """Ordered list of named scalar features of x_p."""
 
     names: tuple[str, ...]
     #: sigma_p(x_p) as a list, unvalidated (a list x_p is fastest), from one function
-    #: built from the names' expressions: each entry is its `resolve_feature` value.
+    #: built from the names' expressions: each entry is its feature's value at x_p.
     features: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -148,15 +143,12 @@ class UncertaintyTruth:
         return not self.modulations
 
     def W_p(self, t: float) -> np.ndarray:
-        """W_p(t), as a fresh array."""
-        W = self.W_p_base.copy()
-        for mod in self.modulations:
-            W[mod.row, mod.col] *= mod.factor(t)
-        return W
+        """W_p(t), as a fresh array: `W_p_grid` at the one time t."""
+        return self.W_p_grid((t,))[0]
 
     def W_p_grid(self, ts) -> np.ndarray:
-        """W_p(t) at every time in ts, shape (N, s, m): the same products in
-        the same order as W_p, so each slice equals W_p(t) exactly."""
+        """W_p(t) at every time in ts, shape (N, s, m): each entry is its base
+        value times the factor of each modulation of that entry, in order."""
         ts = np.asarray(ts, dtype=float)
         W = np.repeat(self.W_p_base[np.newaxis], ts.size, axis=0)
         for mod in self.modulations:

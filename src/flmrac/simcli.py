@@ -368,9 +368,12 @@ _MAX_POLYLINE_POINTS = 2000
 
 
 def _decimate(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every step-th point of a long polyline, and its last point."""
     if x.size <= _MAX_POLYLINE_POINTS:
         return x, y
     step = int(math.ceil(x.size / _MAX_POLYLINE_POINTS))
+    if (x.size - 1) % step:
+        return np.append(x[::step], x[-1]), np.append(y[::step], y[-1])
     return x[::step], y[::step]
 
 
@@ -742,10 +745,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_out(args) -> None:
+    """--out is the output directory of run, compare and bode, and the SVG file of
+    plot.  An --out that cannot be one (a path of the other kind, or one under a
+    file) raises ConfigError at --out, before any run or render starts."""
+    out = Path(args.out)
+    if args.command == "plot":
+        if out.is_dir():
+            raise ConfigError("--out", f"{out} is a directory, not an SVG file")
+        out = out.parent
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigError("--out", f"{existing} is a file, not a directory")
+
+
 def main(argv=None) -> int:
     """Run cmd_<subcommand>; a ConfigError exits 2 and a DivergenceError exits 3."""
     args = build_parser().parse_args(argv)
     try:
+        _check_out(args)
         return globals()[f"cmd_{args.command}"](args)
     except ConfigError as exc:
         print(f"[flmrac] config error: {exc}", file=sys.stderr)

@@ -250,7 +250,7 @@ class ClosedLoopSystem:
     with e_m = x_m - x_r the measured error, x_m = x + nu the measured state
     (nu the measurement noise, zero when off), sigma_m the basis of x_m,
     delta = W_p' sigma_p(x) the uncertainty at the true state and c the
-    scalar command.  W_p, c and nu form one input row (`inputs_at`); the basis
+    scalar command.  W_p, c and nu form one input row (`stage_inputs`); the basis
     reads no time, so the field is a function of y and the row alone.
     G = [-B Lambda K; kappa I; 0; eta I; gamma (P B)'] holds each gain once:
     the laws -B Lambda K (x_r + e_m), kappa (e_m - e_L), eta (e_m - e_L) and
@@ -342,20 +342,17 @@ class ClosedLoopSystem:
         self._sigma[...] = self.basis.features(xl) + xl
         return self._sigma
 
-    def inputs_at(self, t: float, noise: np.ndarray | None = None) -> tuple:
-        """deriv's input row at time t: (W_p(t), c(t), noise), noise None for none."""
-        return self.truth.W_p(t), self.command_spec.value(t), noise
-
     def stage_inputs(self, t: np.ndarray, h: float, noise: list) -> zip:
         """Iterate the steps of size h from the times t, step k measuring noise[k]: each
-        yields its rows at t[k], t[k] + h/2 and t[k] + h, as inputs_at gives them."""
+        yields its input rows (W_p(t), c(t), noise[k]) at t = t[k], t[k] + h/2 and
+        t[k] + h, noise[k] None for none."""
         times = np.stack([t, t + 0.5 * h, t + h], axis=1)
         W = self.truth.W_p_grid(times.ravel()).reshape(times.shape + (self.s, self.m))
         c = [self.command_spec.value(tt) for tt in times.ravel().tolist()]
         return zip(*(zip(W[:, j], c[j::3], noise) for j in range(3)))
 
     def deriv(self, row: tuple, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """y' with `row`'s inputs (see `inputs_at`), written into `out` (a new array
+        """y' with `row`'s inputs (see `stage_inputs`), written into `out` (a new array
         when None) and returned; the noise perturbs only what the controller measures."""
         if out is None:
             out = np.empty_like(y)
@@ -384,19 +381,17 @@ class ClosedLoopSystem:
             W_dot[...] = controllers.proj_matrix(W_hat, W_dot, self.projection)
         return out
 
-    def control_at(self, y: np.ndarray, noise: np.ndarray | None) -> np.ndarray:
-        """Applied control u = -K x_m - W_hat' sigma(x_m) from the measured state
-        x_m = x + noise (noise None for none): at one sample (y and noise
-        vectors), or at each of N samples (y and noise with N rows, u with N
-        rows).  The law reads no time."""
-        Y = np.atleast_2d(y)
+    def control_at(self, Y: np.ndarray, noise: np.ndarray | None) -> np.ndarray:
+        """Applied control u = -K x_m - W_hat' sigma(x_m) at each of N samples, as
+        an (N, m) array: Y holds the N stacked states as rows (N, d) and noise their
+        measurement noise (N, n), None for none; x_m = x + noise.  The law reads no
+        time."""
         x_m = Y[:, self.sl_x] if noise is None else Y[:, self.sl_x] + noise
         W_hat = Y[:, self.sl_W].reshape(len(Y), self.s + self.n, self.m)
         sigma = np.empty((len(Y), self.s + self.n))
         for i, x_i in enumerate(x_m):
             sigma[i] = self.measured_basis(x_i)
-        u = -(x_m @ self.K.T) - np.einsum("ij,ijk->ik", sigma, W_hat)
-        return u.reshape(np.shape(y)[:-1] + (self.m,))
+        return -(x_m @ self.K.T) - np.einsum("ij,ijk->ik", sigma, W_hat)
 
     def diverged_block(self, y: np.ndarray) -> str:
         """Name of the block that diverged: the first with a non-finite entry,

@@ -8,11 +8,13 @@ import numpy as np
 
 from flmrac.controllers import ControllerConfig
 from flmrac.matrixcore import LyapunovPair
-from flmrac.plantmodel import BasisSpec, PlantModel, UncertaintyTruth, augment, resolve_feature
+from flmrac.plantmodel import (FEATURE_EXPRESSIONS, BasisSpec, PlantModel, UncertaintyTruth,
+                               augment)
 from flmrac.simcli import read_csv_columns, write_trajectory_csv
-from flmrac.simulator import CommandSpec, NoiseSpec, ScenarioConfig, Trajectory
+from flmrac.simulator import (ClosedLoopSystem, CommandSpec, NoiseSpec, ScenarioConfig,
+                              Trajectory)
 
-from oracles import PlainMracSimulator
+from oracles import PlainMracSimulator, resolve_feature, truth_at
 
 WINGROCK_ALPHAS = (0.25, 0.5, 1.0, -5.0, 5.0, 10.0)
 
@@ -99,11 +101,18 @@ def oracle_for(scn: ScenarioConfig) -> PlainMracSimulator:
     plant, ctrl = scn.plant, scn.controller
     spec = ctrl.projection
     return PlainMracSimulator(
-        A_p=plant.A_p, B_p=plant.B_p, lam=plant.Lambda, W_p=plant.truth.W_p,
-        basis_funcs=[resolve_feature(name) for name in plant.basis.names],
+        A_p=plant.A_p, B_p=plant.B_p, lam=plant.Lambda,
+        W_p=lambda t: truth_at(plant.truth, t),
+        basis_funcs=[resolve_feature(name, FEATURE_EXPRESSIONS)
+                     for name in plant.basis.names],
         E_p=scn.E_p, K=ctrl.K, P=ctrl.lyap.P, gamma=ctrl.gamma,
         command_func=scn.command.value, kappa=ctrl.kappa, eta=ctrl.eta,
         projection=None if spec is None else (spec.theta_max, spec.eps_theta))
+
+
+def input_row(system: ClosedLoopSystem, t: float, noise=None) -> tuple:
+    """deriv's input row at time t, (W_p(t), c(t), noise), noise None for none."""
+    return system.truth.W_p(t), system.command_spec.value(t), noise
 
 
 def decay_scenario(kappa: float, eta: float = 2.0, h: float = 5e-5,

@@ -8,8 +8,43 @@ the two is evidence rather than tautology.
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
+
+
+def resolve_feature(name: str, expressions: dict):
+    """The callable f(x_p) -> float of one named basis feature: its Python
+    expression in x_p from `expressions` (the library's FEATURE_EXPRESSIONS),
+    or x<k> (k >= 1) for the k-th plant state, compiled here one at a time."""
+    component = re.fullmatch(r"x(\d+)", name)
+    if component and int(component.group(1)) > 0:
+        k = int(component.group(1)) - 1
+        return lambda x_p: float(x_p[k])
+    if name not in expressions:
+        raise KeyError(f"unknown basis feature {name!r}")
+    return eval(f"lambda x_p: {expressions[name]}", {"__builtins__": {}, "abs": abs})
+
+
+def truth_at(truth, t: float) -> np.ndarray:
+    """W_p(t) of an UncertaintyTruth from the Modulation definition: each entry
+    is its base value times, per modulation of that entry in order, 0 before
+    the start and sin t (kind "sin") or 1 (kind "step") from it on."""
+    W = np.array(truth.W_p_base, dtype=float)
+    for mod in truth.modulations:
+        factor = 0.0 if t < mod.start else math.sin(t) if mod.kind == "sin" else 1.0
+        W[mod.row, mod.col] *= factor
+    return W
+
+
+def project_column(theta, y, theta_max: float, eps: float) -> np.ndarray:
+    """Where phi(theta) = ((eps + 1)|theta|^2 - theta_max^2) / (eps theta_max^2)
+    is positive and y points outward (theta'y > 0), y less phi times its
+    component along theta, the gradient direction of phi; else y."""
+    phi = ((eps + 1.0) * (theta @ theta) - theta_max**2) / (eps * theta_max**2)
+    if phi > 0.0 and theta @ y > 0.0:
+        return y - phi * (theta @ y) / (theta @ theta) * theta
+    return y
 
 
 def cubic_symmetric_eigs(S: np.ndarray) -> np.ndarray:
@@ -170,17 +205,13 @@ class PlainMracSimulator:
         return np.concatenate([self.sigma_p(x), x])
 
     def project(self, W_hat, Y):
-        """Column by column: where phi(theta) = ((eps + 1)|theta|^2 - tmax^2) /
-        (eps tmax^2) is positive and y points outward (theta'y > 0), remove
-        phi times y's component along theta, the gradient direction of phi."""
-        theta_max, eps = self.projection
-        out = Y.copy()
-        for j in range(Y.shape[1]):
-            theta, y = W_hat[:, j], Y[:, j]
-            phi = ((eps + 1.0) * (theta @ theta) - theta_max**2) / (eps * theta_max**2)
-            if phi > 0.0 and theta @ y > 0.0:
-                out[:, j] = y - phi * (theta @ y) / (theta @ theta) * theta
-        return out
+        """`project_column` on each column."""
+        return np.column_stack([project_column(W_hat[:, j], Y[:, j], *self.projection)
+                                for j in range(Y.shape[1])])
+
+    def control(self, x_m, W_hat):
+        """u = -K x_m - W_hat' sigma(x_m), from the measured state x_m."""
+        return -(self.K @ x_m) - W_hat.T @ self.sigma(x_m)
 
     def rhs(self, t, z, noise=None):
         """z' at time t.  The controller sees x + noise; the plant integrates x."""
@@ -189,7 +220,7 @@ class PlainMracSimulator:
         W_hat = z[4 * n :].reshape(self.s + n, self.m)
         x_m = x if noise is None else x + noise
         sig = self.sigma(x_m)
-        u = -(self.K @ x_m) - W_hat.T @ sig
+        u = self.control(x_m, W_hat)
         delta = self.W_p(t).T @ self.sigma_p(x)
         c = np.full(self.n_c, self.command_func(t))
         e = x_m - x_r

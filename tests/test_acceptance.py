@@ -15,12 +15,12 @@ import numpy as np
 
 from flmrac import analysis, controllers
 from flmrac.matrixcore import solve_lyapunov
-from flmrac.plantmodel import aggregate_true_weights, resolve_feature
+from flmrac.plantmodel import FEATURE_EXPRESSIONS, aggregate_true_weights
 from flmrac.simcli import load_config, serialize_scenario
 from flmrac.simulator import CommandSpec, run, rk4_step
 
 from helpers import (decay_scenario, quiet_wingrock, random_hurwitz, random_spd)
-from oracles import PlainMracSimulator
+from oracles import PlainMracSimulator, resolve_feature
 
 WINGROCK_AR = np.array([[0.0, 1.0, 0.0], [-2.0, -2.0, -1.0], [1.0, 0.0, 0.0]])
 
@@ -60,7 +60,8 @@ def test_criterion_02_projection_suite():
         y = rng.standard_normal(5) * 3.0
         star = rng.standard_normal(5)
         star *= rng.uniform(0.0, r_inner) / max(np.linalg.norm(star), 1e-12)
-        worst = max(worst, (theta - star) @ (controllers.proj(theta, y, spec) - y))
+        projected = controllers.proj_matrix(theta[:, np.newaxis], y[:, np.newaxis], spec)[:, 0]
+        worst = max(worst, (theta - star) @ (projected - y))
 
     scn, _ = load_config("wingrock_proposed")
     traj = run(scn)  # full noisy run with the projection-equipped update law
@@ -150,7 +151,7 @@ def test_criterion_06_classical_reductions():
 
     scn = quiet_wingrock(base, kappa=0.0, eta=0.0, t_final=10.0, record_stride=1)
     traj = run(scn)
-    features = [resolve_feature(name) for name in
+    features = [resolve_feature(name, FEATURE_EXPRESSIONS) for name in
                 ("bias", "x1", "x2", "abs_x1_x2", "abs_x2_x2", "x1_cubed")]
     oracle = PlainMracSimulator(
         A_p=scn.plant.A_p, B_p=scn.plant.B_p, lam=scn.plant.Lambda,

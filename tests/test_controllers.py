@@ -7,7 +7,8 @@ from flmrac import controllers as ctl
 from flmrac.matrixcore import DimensionError, LyapunovPair
 from flmrac.simulator import ConfigError, assemble
 
-from helpers import scalar_scenario
+from helpers import input_row, scalar_scenario
+from oracles import project_column
 
 SPEC = ctl.ProjectionSpec(theta_max=2.0, eps_theta=0.5)
 
@@ -21,6 +22,16 @@ def _state(system, x=None, x_r=None, W_hat=None):
     return y
 
 
+def _proj(theta, y):
+    """proj_matrix on the one column theta, with the update direction y."""
+    return ctl.proj_matrix(theta[:, np.newaxis], y[:, np.newaxis], SPEC)[:, 0]
+
+
+def _control(system, y, noise=None):
+    """control_at on the one sample y, with its noise, as a length-m vector."""
+    return system.control_at(y[np.newaxis], None if noise is None else noise[np.newaxis])[0]
+
+
 @pytest.fixture(scope="module")
 def wingrock_system(wingrock_proposed):
     return assemble(wingrock_proposed)
@@ -30,23 +41,23 @@ class TestControlLaw:
     """ClosedLoopSystem.control_at: u = -K x_m - W_hat' sigma(x_m), x_m = x + noise."""
 
     def test_zero_everything(self, wingrock_system):
-        u = wingrock_system.control_at(_state(wingrock_system), None)
-        assert np.array_equal(u, [0.0])
+        u = wingrock_system.control_at(_state(wingrock_system)[np.newaxis], None)
+        assert np.array_equal(u, [[0.0]])
 
     def test_pure_nominal_when_estimate_zero(self, wingrock_system):
         x = np.array([1.0, -2.0, 0.5])
-        u = wingrock_system.control_at(_state(wingrock_system, x=x), None)
+        u = _control(wingrock_system, _state(wingrock_system, x=x))
         assert np.allclose(u, -(wingrock_system.K @ x))
 
     def test_wingrock_point(self, wingrock_system):
-        u = wingrock_system.control_at(_state(wingrock_system, x=[0.1, 0.0, 0.0]), None)
+        u = _control(wingrock_system, _state(wingrock_system, x=[0.1, 0.0, 0.0]))
         assert u[0] == pytest.approx(-0.2)
 
     def test_adaptive_term_sees_measured_state(self, wingrock_system):
         # x_m = (1, 2, 0.5): sigma = (1, 1, 2, 2, 4, 1, 1, 2, 0.5), K x_m = 6.5.
         noise = np.array([0.25, -0.5, 0.125])
         y = _state(wingrock_system, x=np.array([1.0, 2.0, 0.5]) - noise, W_hat=np.ones(9))
-        u = wingrock_system.control_at(y, noise)
+        u = _control(wingrock_system, y, noise)
         assert u[0] == pytest.approx(-6.5 - 14.5, rel=1e-15)
 
     def test_dimension_mismatch(self, wingrock_proposed):
@@ -85,30 +96,30 @@ class TestPhi:
 class TestProj:
     def test_passthrough_inside(self):
         y = np.array([5.0, -1.0])
-        assert np.array_equal(ctl.proj(np.array([0.1, 0.1]), y, SPEC), y)
+        assert np.array_equal(_proj(np.array([0.1, 0.1]), y), y)
 
     def test_passthrough_inward_motion(self):
         theta = np.array([SPEC.theta_max, 0.0])
         y = np.array([-3.0, 0.0])  # points inward
-        assert np.array_equal(ctl.proj(theta, y, SPEC), y)
+        assert np.array_equal(_proj(theta, y), y)
 
     def test_passthrough_orthogonal_on_boundary(self):
         theta = np.array([SPEC.theta_max, 0.0])
         y = np.array([0.0, 4.0])
-        assert np.allclose(ctl.proj(theta, y, SPEC), y)
+        assert np.allclose(_proj(theta, y), y)
 
     def test_full_deflection_at_outer_boundary(self):
         # phi = 1 and y = theta: the entire radial component is removed
         theta = SPEC.theta_max * np.array([1.0, 0.0])
-        out = ctl.proj(theta, theta.copy(), SPEC)
+        out = _proj(theta, theta.copy())
         assert np.allclose(out, 0.0, atol=1e-14)
 
     def test_continuity_across_inner_boundary(self):
         direction = np.array([1.0, 1.0]) / np.sqrt(2.0)
         y = 3.0 * direction
         r0 = SPEC.theta_max / np.sqrt(SPEC.eps_theta + 1.0)
-        below = ctl.proj((r0 - 1e-9) * direction, y, SPEC)
-        above = ctl.proj((r0 + 1e-9) * direction, y, SPEC)
+        below = _proj((r0 - 1e-9) * direction, y)
+        above = _proj((r0 + 1e-9) * direction, y)
         assert np.max(np.abs(below - above)) <= 1e-8
 
     def test_remark_inequality_monte_carlo(self):
@@ -122,7 +133,7 @@ class TestProj:
             y = rng.standard_normal(4) * 3.0
             star = rng.standard_normal(4)
             star *= rng.uniform(0.0, r_inner) / max(np.linalg.norm(star), 1e-12)
-            val = (theta - star) @ (ctl.proj(theta, y, SPEC) - y)
+            val = (theta - star) @ (_proj(theta, y) - y)
             worst = max(worst, val)
         assert worst <= 1e-12
 
@@ -132,12 +143,13 @@ class TestProjMatrix:
         Y = np.arange(6.0).reshape(3, 2)
         assert np.array_equal(ctl.proj_matrix(np.zeros((3, 2)), Y, SPEC), Y)
 
-    def test_single_column_matches_vector_form(self):
+    def test_single_column_matches_oracle(self):
         rng = np.random.default_rng(9)
         theta = rng.standard_normal(3) * 3.0
         y = rng.standard_normal(3)
-        out = ctl.proj_matrix(theta[:, None], y[:, None], SPEC)
-        assert np.array_equal(out[:, 0], ctl.proj(theta, y, SPEC))
+        want = project_column(theta, y, SPEC.theta_max, SPEC.eps_theta)
+        assert not np.allclose(want, y)  # the drawn column is projected
+        assert np.allclose(_proj(theta, y), want, rtol=1e-12, atol=0.0)
 
     def test_trace_inequality_monte_carlo(self):
         rng = np.random.default_rng(77)
@@ -170,7 +182,7 @@ def _scalar_system(projection=None, gamma=500.0):
 def _w_rate(system, x, x_r, W_hat=None, noise=None):
     """deriv's W_hat block at state (x, x_r, W_hat), shaped like W_hat."""
     y = _state(system, x=[x], x_r=[x_r], W_hat=W_hat)
-    dy = system.deriv(system.inputs_at(0.0, noise), y)
+    dy = system.deriv(input_row(system, 0.0, noise), y)
     return dy[system.sl_W].reshape(system.s + system.n, system.m)
 
 
@@ -218,7 +230,7 @@ class TestNormContainment:
         y = _state(system, x=[1.0], W_hat=[1.2, 0.6])  # admissible start, e = 1
         rng = np.random.default_rng(12)
         for k in range(4000):
-            dy = system.deriv(system.inputs_at(0.0, 0.2 * rng.standard_normal(1)), y)
+            dy = system.deriv(input_row(system, 0.0, 0.2 * rng.standard_normal(1)), y)
             y[system.sl_W] += h * dy[system.sl_W]
             assert np.linalg.norm(y[system.sl_W]) <= spec.theta_max * (1.0 + 1e-3)
         # The drive reached the boundary layer, where projection acts.

@@ -9,6 +9,7 @@ from flmrac.matrixcore import DimensionError
 from flmrac.simulator import ConfigError, assemble
 
 from helpers import scalar_plant
+from oracles import truth_at
 
 WINGROCK_BASIS = pm.BasisSpec(("bias", "x1", "x2", "abs_x1_x2", "abs_x2_x2", "x1_cubed"))
 
@@ -173,7 +174,8 @@ class TestTruthGrid:
         ts = np.concatenate([np.linspace(0.0, 60.0, 1201), [2.5, 3.0, 45.0, -1.0]])
         grid = truth.W_p_grid(ts)
         assert grid.shape == (ts.size, 6, 2)
-        assert np.array_equal(grid, [truth.W_p(float(t)) for t in ts])
+        # The base times each entry's factors, as the Modulation definition writes them.
+        assert np.array_equal(grid, [truth_at(truth, t) for t in ts.tolist()])
 
     def test_empty_grid(self):
         assert wingrock_truth().W_p_grid([]).shape == (0, 6, 1)

@@ -25,13 +25,14 @@ from flmrac import analysis
 from flmrac import controllers as ctl
 from flmrac.matrixcore import LyapunovPair
 from flmrac.plantmodel import (FEATURE_EXPRESSIONS, BasisSpec, Modulation, PlantModel,
-                               UncertaintyTruth, aggregate_true_weights, resolve_feature)
+                               UncertaintyTruth, aggregate_true_weights)
 from flmrac.simcli import dict_to_scenario, load_config, serialize_scenario
 from flmrac.simulator import (CommandSpec, NoiseSpec, ScenarioConfig, assemble, rk4_step,
                               run)
 
-from helpers import assert_csv_errors_exact, oracle_for, scalar_loop_scenario
-from oracles import loop_transfer_rational, margins_by_search, optimal_xi_by_search
+from helpers import assert_csv_errors_exact, input_row, oracle_for, scalar_loop_scenario
+from oracles import (loop_transfer_rational, margins_by_search, optimal_xi_by_search,
+                     resolve_feature, truth_at)
 
 finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 SUBNORMAL = float(np.finfo(float).smallest_subnormal)
@@ -308,7 +309,7 @@ def test_margins_match_crossover_search(gamma, kappa, eta, alpha):
 
 def _central_jacobian(system, y, step=1e-6):
     """Central-difference Jacobian of deriv at y."""
-    J, row = np.empty((y.size, y.size)), system.inputs_at(0.0)
+    J, row = np.empty((y.size, y.size)), input_row(system, 0.0)
     for i in range(y.size):
         d = np.zeros(y.size)
         d[i] = step
@@ -334,7 +335,7 @@ def test_scalar_loop_eigenvalues_are_loop_transfer_poles(gamma, kappa, eta, alph
     system = assemble(scalar_loop_scenario(gamma, kappa, eta, alpha, a=0.3, w=0.7))
     y = np.zeros(system.state_dim)
     y[system.sl_W] = [0.7, 0.0]
-    assert np.array_equal(system.deriv(system.inputs_at(0.0), y), np.zeros_like(y))
+    assert np.array_equal(system.deriv(input_row(system, 0.0), y), np.zeros_like(y))
     got = np.poly(np.linalg.eigvals(_central_jacobian(system, y))).real
     loop = [1.0, 2.0 * alpha + kappa + eta, alpha * (alpha + kappa + eta) + gamma * alpha,
             gamma * alpha * (alpha + eta)]
@@ -367,7 +368,7 @@ def _bias_error_with_delayed_control(scn, tau_steps: int, t_final=10.0):
             lagged[system.sl_W] = old + (new - old) * ((tt - t) / h)
             return system.deriv(inputs, lagged, out=out)
 
-        y = rk4_step(f, y, [(tt, system.inputs_at(tt)) for tt in (t, t + 0.5 * h, t + h)], h)
+        y = rk4_step(f, y, [(tt, input_row(system, tt)) for tt in (t, t + 0.5 * h, t + h)], h)
         history.append(y[system.sl_W].copy())
     return np.abs(np.array(history)[:, 0] - w)
 
@@ -477,11 +478,11 @@ def test_guarded_projection_equals_proj_matrix(case):
     tol = system.gamma * (1e-12 * np.max(np.abs(Y))
                           + system.n * np.max(np.abs(sigma)) * SUBNORMAL)
     want = system.gamma * ctl.proj_matrix(W_hat, Y, system.projection)
-    got = system.deriv(system.inputs_at(t, noise), y)[system.sl_W].reshape(W_hat.shape)
+    got = system.deriv(input_row(system, t, noise), y)[system.sl_W].reshape(W_hat.shape)
     assert np.max(np.abs(got - want)) <= tol
     # A column inside the inner ball, clear of rounding at its edge, keeps
     # the bits of the law without projection.
-    free = _UNPROJECTED[system].deriv(system.inputs_at(t, noise), y)
+    free = _UNPROJECTED[system].deriv(input_row(system, t, noise), y)
     free = free[system.sl_W].reshape(W_hat.shape)
     inside = [ctl.phi(col, system.projection) < -1e-9 for col in W_hat.T]
     assert np.array_equal(got[:, inside], free[:, inside])
@@ -548,7 +549,7 @@ def test_deriv_equals_oracle_at_small_error(case):
     # update law, the mismatch and the filter read e = x_m - x_r, however small.
     system, t, y, noise = case
     oracle = _ORACLES[system]
-    got, want = system.deriv(system.inputs_at(t, noise), y), oracle.rhs(t, y, noise)
+    got, want = system.deriv(input_row(system, t, noise), y), oracle.rhs(t, y, noise)
     bound = [16.0 * (EPS * size + SUBNORMAL) for size in _term_sizes(oracle, t, y, noise)]
     errors = [float(np.max(np.abs(got[sl] - want[sl]))) for sl in system.blocks]
     bad = [(name, err, b) for name, err, b in zip(system.block_names, errors, bound)
@@ -562,9 +563,9 @@ def test_deriv_writes_into_the_given_buffer(case):
     # The result owes nothing to earlier calls: the shared system's buffers
     # last held another state's evaluation, noisy where this one is quiet.
     system, t, y, noise = case
-    row = system.inputs_at(t, noise)
+    row = input_row(system, t, noise)
     want = assemble(system.scenario).deriv(row, y)
-    system.deriv(system.inputs_at(t + 1.0, np.full(system.n, 0.05) if noise is None else None), -y)
+    system.deriv(input_row(system, t + 1.0, np.full(system.n, 0.05) if noise is None else None), -y)
     buf = np.full(system.state_dim, np.nan)
     assert system.deriv(row, y, out=buf) is buf
     assert np.array_equal(buf, want)
@@ -575,21 +576,21 @@ def test_deriv_writes_into_the_given_buffer(case):
        seed=st.integers(0, 2**32 - 1))
 @example(steps=5, stride=2, onset=3, seed=0)
 def test_one_pass_control_equals_single_sample(steps, stride, onset, seed):
+    # run's control, one pass over the record, against the oracle's law at each sample.
     h = _PROPOSED.h
     noise = dataclasses.replace(_PROPOSED.noise, start_time=onset * h, seed=seed)
     scn = dataclasses.replace(_PROPOSED, noise=noise, t_final=steps * h, record_stride=stride)
     traj = run(scn)
-    system = assemble(scn)
+    oracle = oracle_for(scn)
     # NoiseSpec's stream: one draw per step, from the first step at or after the onset.
     rng = np.random.default_rng(seed)
-    draws = {k: rng.standard_normal(system.n) * np.asarray(noise.std)
+    draws = {k: rng.standard_normal(oracle.n) * np.asarray(noise.std)
              for k in range(steps + 1) if k * h >= noise.start_time}
     assert traj.t[-1] == steps * h
+    assert traj.u.shape == (len(traj), oracle.m)
     for i, t in enumerate(traj.t.tolist()):
-        y = np.concatenate([traj.x[i], traj.x_r[i], traj.x_ri[i], traj.e_L[i],
-                            traj.W_hat[i].ravel()])
-        u = system.control_at(y, draws.get(round(t / h)))
-        assert u.shape == (system.m,)
+        x_m = traj.x[i] + draws.get(round(t / h), 0.0)
+        u = oracle.control(x_m, traj.W_hat[i])
         assert np.max(np.abs(traj.u[i] - u)) <= 1e-12 * max(1.0, float(np.max(np.abs(u))))
 
 
@@ -632,7 +633,7 @@ def test_input_table_rows_are_the_inputs_at_the_stage_times(case):
     for k, rows, nu in zip(range(k0, k0 + steps), table, noise):
         assert len(rows) == 3
         for t, (W, c, nu_row) in zip((k * h, k * h + 0.5 * h, k * h + h), rows):
-            want = system.truth.W_p(t)
+            want = truth_at(system.truth, t)
             assert W.shape == want.shape and W.tobytes() == want.tobytes()
             assert repr(c) == repr(system.command_spec.value(t))
             assert nu_row is nu
@@ -646,5 +647,6 @@ def test_built_basis_equals_feature_callables(names, x_p):
     basis = BasisSpec(tuple(names))
     for arg in (x_p, np.array(x_p)):
         got = np.array(basis.features(arg), dtype=float)
-        want = np.array([resolve_feature(name)(arg) for name in names], dtype=float)
+        want = np.array([resolve_feature(name, FEATURE_EXPRESSIONS)(arg) for name in names],
+                        dtype=float)
         assert got.tobytes() == want.tobytes()

@@ -787,3 +787,48 @@ class TestCmdPlot:
         text = svg.read_text()
         assert text.count("<polyline") == 2
         assert "magnitude [dB]" in text and "phase [deg]" in text
+
+    def test_decimated_polyline_ends_at_the_last_sample(self, tmp_path):
+        # 2002 rows are drawn at every 2nd row, so the last row lies off the stride.
+        t = np.linspace(0.0, 2.001, 2002)
+        csv_path = tmp_path / "d.csv"
+        simcli.write_csv(csv_path, ["t", "x_1"], np.column_stack([t, np.cos(t)]))
+        svg = tmp_path / "d.svg"
+        assert simcli.main(["plot", "--csv", str(csv_path), "--out", str(svg),
+                            "--columns", "x_1"]) == 0
+        points = re.search(r'<polyline points="([^"]*)"', svg.read_text()).group(1).split()
+        assert len(points) <= 1 + t.size // 2
+        # The panel spans x = 70 to 70 + 765 over t[0] to t[-1].
+        assert points[0].startswith("70.00,") and points[-1].startswith("835.00,")
+
+
+#: The arguments before --out of each command that takes one.
+_OUT_COMMANDS = {
+    "run": ["run", "--config", "wingrock_proposed"],
+    "compare": ["compare", "wingrock_proposed", "wingrock_proposed"],
+    "bode": ["bode", "--gamma", "100", "--kappa", "50", "--eta", "10"],
+    "plot": ["plot", "--csv", "{tmp}/b.csv", "--bode"],
+}
+
+
+class TestOutFlag:
+    """--out is a directory for run, compare and bode and a file for plot."""
+
+    @pytest.mark.parametrize("command, out", [
+        ("run", "taken"), ("run", "taken/sub"),
+        ("compare", "taken"), ("compare", "taken/sub"),
+        ("bode", "taken"), ("bode", "taken/sub"),
+        ("plot", "folder"), ("plot", "taken/p.svg"),
+    ])
+    def test_unusable_out_exits_2_before_any_work(self, tmp_path, capsys, command, out):
+        # "taken" is a file and "folder" a directory.
+        (tmp_path / "taken").write_text("kept\n")
+        (tmp_path / "folder").mkdir()
+        (tmp_path / "b.csv").write_text("omega,mag_db,phase_deg\n1.0,0.0,-90.0\n2.0,-6.0,-95.0\n")
+        before = sorted(tmp_path.rglob("*"))
+        args = [a.format(tmp=tmp_path) for a in _OUT_COMMANDS[command]]
+        assert simcli.main([*args, "--out", str(tmp_path / out)]) == 2
+        stderr = capsys.readouterr().err
+        assert "config error: --out: " in stderr and "Traceback" not in stderr
+        assert sorted(tmp_path.rglob("*")) == before
+        assert (tmp_path / "taken").read_text() == "kept\n"

@@ -10,7 +10,8 @@ from flmrac.plantmodel import BasisSpec, Modulation, PlantModel, UncertaintyTrut
 from flmrac.controllers import ControllerConfig, ProjectionSpec
 from flmrac.simcli import load_config, write_trajectory_csv
 
-from helpers import assert_csv_errors_exact, oracle_for, quiet_wingrock, scalar_scenario
+from helpers import (assert_csv_errors_exact, input_row, oracle_for, quiet_wingrock,
+                     scalar_scenario)
 
 WINGROCK_AR = np.array([[0.0, 1.0, 0.0], [-2.0, -2.0, -1.0], [1.0, 0.0, 0.0]])
 
@@ -140,7 +141,7 @@ class TestAssemble:
         scn = _no_uncertainty_scenario()
         system = sim.assemble(scn)
         y0 = system.initial_state()
-        dy = system.deriv(system.inputs_at(0.0, np.zeros(system.n)), y0)
+        dy = system.deriv(input_row(system, 0.0, np.zeros(system.n)), y0)
         assert np.array_equal(dy, np.zeros_like(y0))
 
     def test_wingrock_state_dimension(self):
@@ -347,7 +348,7 @@ class TestFusedVectorField:
             t = float(rng.uniform(0.0, 90.0))
             y = _random_state(system, rng, radius)
             noise = 0.01 * rng.standard_normal(system.n) if noisy else None
-            got = system.deriv(system.inputs_at(t, noise), y)
+            got = system.deriv(input_row(system, t, noise), y)
             want = oracle.rhs(t, y, noise)
             for name, sl in zip(system.block_names, system.blocks):
                 scale = max(1.0, float(np.max(np.abs(want[sl]))))
