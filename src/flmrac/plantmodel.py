@@ -222,7 +222,6 @@ class AugmentedSystem:
     A: np.ndarray
     B: np.ndarray
     B_r: np.ndarray
-    E_p: np.ndarray
     n_p: int
     n_c: int
 
@@ -256,7 +255,7 @@ def augment(plant: PlantModel, E_p) -> AugmentedSystem:
     A[n_p:, :n_p] = E_p
     B = np.vstack([plant.B_p, np.zeros((n_c, m))])
     B_r = np.vstack([np.zeros((n_p, n_c)), -np.eye(n_c)])
-    return AugmentedSystem(A=A, B=B, B_r=B_r, E_p=E_p, n_p=n_p, n_c=n_c)
+    return AugmentedSystem(A=A, B=B, B_r=B_r, n_p=n_p, n_c=n_c)
 
 
 def aggregate_true_weights(truth, Lambda, K, t: float = 0.0) -> np.ndarray:

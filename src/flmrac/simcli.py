@@ -27,7 +27,7 @@ from . import __version__, analysis
 from .analysis import BoundReport, MarginReport, NoCrossoverError
 from .controllers import ControllerConfig
 from .matrixcore import LyapunovPair, NotHurwitzError
-from .plantmodel import BasisSpec, PlantModel, aggregate_true_weights
+from .plantmodel import aggregate_true_weights
 from .simulator import (ConfigError, DivergenceError, ScenarioConfig, Trajectory,
                         closed_loop, run)
 
@@ -378,9 +378,11 @@ def _decimate(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _axis_ticks(lo: float, hi: float, logx: bool = False) -> list[float]:
-    """Each power of ten from lo to hi on a log axis, else five evenly spaced ticks."""
+    """Each power of ten from lo to hi on a log axis (lo and hi when none lies between
+    them), else five evenly spaced ticks."""
     if logx:
-        return [10.0**d for d in range(math.ceil(math.log10(lo)), math.floor(math.log10(hi)) + 1)]
+        decades = range(math.ceil(math.log10(lo)), math.floor(math.log10(hi)) + 1)
+        return [10.0**d for d in decades] or [lo, hi]
     if hi <= lo:
         hi = lo + 1.0
     return [lo + (hi - lo) * i / 4 for i in range(5)]
@@ -671,8 +673,6 @@ def cmd_bode(args) -> int:
 
 def cmd_plot(args) -> int:
     csv_path = Path(args.csv)
-    if not csv_path.exists():
-        raise ConfigError("--csv", f"no such file: {csv_path}")
     data = read_csv_columns(csv_path)
     if args.bode:
         needed = ("omega", "mag_db", "phase_deg")

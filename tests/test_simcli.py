@@ -34,10 +34,8 @@ def short_noisy_config(tmp_path, name="short", seed=20131007, t_final=3.0):
 
 class TestConfigParsing:
     def test_bundled_scenarios_present(self):
-        names = list_bundled()
-        for expected in ("wingrock_standard", "wingrock_proposed",
-                         "wingrock_kappa_only", "wingrock_high_gain"):
-            assert expected in names
+        assert list_bundled() == ["wingrock_high_gain", "wingrock_kappa_only",
+                                  "wingrock_proposed", "wingrock_standard"]
 
     def test_all_bundled_parse_and_roundtrip(self):
         for name in list_bundled():
@@ -75,11 +73,16 @@ class TestConfigParsing:
     # Only a bare name, with no directory part and no suffix, names a bundled scenario.
     @pytest.mark.parametrize("arg", ["/nonexistent/dir/wingrock_standard.cfg",
                                      "wingrock_standard.json", "./wingrock_standard"])
-    def test_missing_path_is_not_a_bundled_name(self, tmp_path, monkeypatch, arg):
+    def test_missing_path_is_not_a_bundled_name(self, tmp_path, monkeypatch, capsys, arg):
         monkeypatch.chdir(tmp_path)
         with pytest.raises(ConfigError) as err:
             load_config(arg)
         assert str(err.value) == f"<file>: no such config file: {arg}"
+        assert simcli.main(["run", "--config", arg, "--out", "o"]) == 2
+        stderr = capsys.readouterr().err
+        assert f"config error: <file>: no such config file: {arg}" in stderr
+        assert "Traceback" not in stderr
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("make", [lambda p: p.mkdir(), lambda p: p.write_bytes(b"\xff{}")],
                              ids=["directory", "not_utf8"])
@@ -407,6 +410,12 @@ class TestCmdRun:
         assert (out / "short.csv").exists()
         bounds = json.loads((out / "short_bounds.json").read_text())
         assert {"kind", "bound_value", "observed", "satisfied"} <= set(bounds)
+        # The 3 s run ends before the 45 s sin modulation starts and still reports the
+        # truth's derived norm budget.
+        scn, _ = load_config(str(cfg))
+        assert bounds["inputs"]["w_tilde_max"] == analysis.aggregated_truth_bounds(
+            scn.plant.truth, scn.plant.Lambda, scn.controller.K,
+            scn.controller.projection.theta_max)[0]
         manifest = json.loads((out / "short_manifest.json").read_text())
         assert manifest["seed"] == 20131007
         assert len(manifest["scenario_hash"]) == 64
@@ -433,11 +442,15 @@ class TestCmdRun:
         assert manifest["overrides"] == overrides
 
     def test_byte_determinism(self, tmp_path):
-        cfg = short_noisy_config(tmp_path)
+        # 3003 steps at record_stride 10: the sample at t_final, step 3003, is off the
+        # stride, and the run spans several of the simulator's 1024-step input tables.
+        cfg = short_noisy_config(tmp_path, t_final=3.003)
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert simcli.main(["run", "--config", str(cfg), "--out", str(out1)]) == 0
         assert simcli.main(["run", "--config", str(cfg), "--out", str(out2)]) == 0
         assert (out1 / "short.csv").read_bytes() == (out2 / "short.csv").read_bytes()
+        h = load_config(str(cfg))[0].h
+        assert read_csv_columns(out1 / "short.csv")["t"][-2:].tolist() == [3000 * h, 3003 * h]
 
     def test_seed_override_changes_output(self, tmp_path):
         cfg = short_noisy_config(tmp_path)
@@ -474,8 +487,12 @@ class TestCmdRun:
         cfg = self._stiff_config(tmp_path)
         assert simcli.main(["run", "--config", str(cfg),
                             "--out", str(tmp_path / "o")]) == 3
+        stderr = capsys.readouterr().err
         # Each announced retry is made: none is announced after the last one.
-        assert capsys.readouterr().err.count("retrying") == simcli.MAX_STEP_HALVINGS
+        assert stderr.count("retrying") == simcli.MAX_STEP_HALVINGS
+        # Each divergence is reported by its block.  A numpy RuntimeWarning would fail
+        # the test through pyproject.toml's filterwarnings.
+        assert "(signal: " in stderr and "Traceback" not in stderr
 
     def test_run_after_a_divergence_writes_a_clean_process_csv(self, tmp_path):
         # The diverged runs leave NaN and infinity in memory that numpy hands
@@ -726,6 +743,13 @@ class TestCmdPlot:
         assert "Traceback" not in stderr
         assert [p.name for p in tmp_path.iterdir()] == ["b.csv"]
 
+    def test_missing_csv_rejected(self, tmp_path, capsys):
+        assert simcli.main(["plot", "--csv", str(tmp_path / "none.csv"),
+                            "--out", str(tmp_path / "newdir" / "p.svg"), "--bode"]) == 2
+        stderr = capsys.readouterr().err
+        assert "config error: --csv: " in stderr and "Traceback" not in stderr
+        assert list(tmp_path.iterdir()) == []
+
     def test_csv_that_is_a_directory_rejected(self, tmp_path, capsys):
         assert simcli.main(["plot", "--csv", str(tmp_path), "--out", str(tmp_path / "p.svg"),
                             "--bode"]) == 2
@@ -746,22 +770,36 @@ class TestCmdPlot:
             assert simcli.main(["plot", "--csv", str(csv_path), "--out", str(svg), *args]) == 0
         assert svgs[0].read_bytes() == svgs[1].read_bytes()
 
-    def test_bode_axis_has_one_tick_per_decade(self, tmp_path):
+    @staticmethod
+    def _bode_x_axes(tmp_path, *args):
+        """(tick x positions, tick labels) under each panel of the Bode plot of
+        `flmrac bode --gamma 100 --kappa 50 --eta 10 *args`."""
         out = tmp_path / "bode"
-        simcli.main(["bode", "--gamma", "100", "--kappa", "50", "--eta", "10", "--out", str(out)])
+        assert simcli.main(["bode", "--gamma", "100", "--kappa", "50", "--eta", "10", *args,
+                            "--out", str(out)]) == 0
         svg = tmp_path / "bode.svg"
         assert simcli.main(["plot", "--csv", str(out / "bode_g100_k50_e10.csv"),
                             "--out", str(svg), "--bode"]) == 0
         text = svg.read_text()
+        axes = []
         for bottom in (295, 595):  # the lower edge of each panel
             ticks = re.findall(rf'<line x1="([\d.]+)" y1="{bottom}" x2="\1" '
                                rf'y2="{bottom + 5}"', text)
             labels = re.findall(rf'<text x="[\d.]+" y="{bottom + 18}" font-size="11" '
                                 r'text-anchor="middle">([^<]*)</text>', text)
+            axes.append(([float(x) for x in ticks], labels))
+        return axes
+
+    def test_bode_axis_has_one_tick_per_decade(self, tmp_path):
+        for ticks, labels in self._bode_x_axes(tmp_path):
             assert labels == ["0.001", "0.01", "0.1", "1", "10", "100", "1000", "1e+04"]
             # Decades evenly spaced across the 765-wide panel at x = 70.
-            assert [float(x) for x in ticks] == pytest.approx(
-                [70 + 765 * k / 7 for k in range(8)], abs=0.006)
+            assert ticks == pytest.approx([70 + 765 * k / 7 for k in range(8)], abs=0.006)
+
+    def test_log_axis_inside_one_decade_ticks_its_ends(self, tmp_path):
+        axes = self._bode_x_axes(tmp_path, "--omega-min", "2", "--omega-max", "8",
+                                 "--points", "50")
+        assert axes == [([70.0, 835.0], ["2", "8"])] * 2
 
     def test_timeseries_svg_with_labels(self, tmp_path):
         cfg = short_noisy_config(tmp_path, t_final=2.0)
@@ -832,3 +870,12 @@ class TestOutFlag:
         assert "config error: --out: " in stderr and "Traceback" not in stderr
         assert sorted(tmp_path.rglob("*")) == before
         assert (tmp_path / "taken").read_text() == "kept\n"
+
+
+def test_readme_library_use_runs(capsys):
+    """README's "Library use" snippet, run as written, prints three finite numbers."""
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    code = re.search(r"## Library use\n\n```python\n(.*?)```", readme, re.S).group(1)
+    exec(compile(code, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.split()
+    assert len(printed) == 3 and all(math.isfinite(float(v)) for v in printed)
