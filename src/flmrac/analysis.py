@@ -42,14 +42,19 @@ def linf_norm(traj: Trajectory, name: str) -> float:
 # Transient and ultimate bounds
 # ---------------------------------------------------------------------------
 
-def bound_standard_mrac(gamma: float, P, W_tilde0, Lam) -> float:
-    """Classical-architecture transient bound ||e||_Linf (requires e(0) = 0):
-    ||W_tilde0 Lambda^(1/2)||_F / sqrt(gamma lambda_min(P))."""
+def bound_standard_mrac(gamma: float, P, W_tilde0, Lam, e0=None) -> float:
+    """Classical-architecture transient bound on ||e||_Linf: sqrt(eps_V / lambda_min(P))
+    with eps_V = gamma^-1 ||W_tilde0 Lambda^(1/2)||_F^2 + lambda_max(P) ||e0||_2^2, for
+    e0 = e(0) (None for zero).  At e0 = 0 it is ||W_tilde0 Lambda^(1/2)||_F /
+    sqrt(gamma lambda_min(P)), bit for bit."""
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    lam_min_P, _ = sym_eig_extremes(P)
+    lam_min_P, lam_max_P = sym_eig_extremes(P)
     num = _weighted_fro(W_tilde0, Lam)
-    return num / math.sqrt(gamma * lam_min_P)
+    e0_norm = 0.0 if e0 is None else float(np.linalg.norm(e0))
+    # hypot(a, 0) is a: the e0 term leaves the e(0) = 0 value unchanged.
+    return math.hypot(num / math.sqrt(gamma * lam_min_P),
+                      math.sqrt(lam_max_P / lam_min_P) * e0_norm)
 
 
 def bound_modified_transient(gamma: float, kappa: float, xi: float, lyap: LyapunovPair,
@@ -270,14 +275,31 @@ def decay_fit(traj: Trajectory, t_window: float) -> tuple[float, float]:
 # Loop transfer function and margins (scalar first-order design case)
 # ---------------------------------------------------------------------------
 
+def _crossover_cubic(gamma: float, kappa: float, eta: float, alpha: float) -> tuple:
+    """Coefficients of margins' crossover cubic in u = omega^2 (see there)."""
+    a2, b2, c2, g2 = (alpha + kappa + eta) ** 2, alpha**2, (alpha + eta) ** 2, gamma**2
+    return (1.0, a2 + b2, a2 * b2 - g2 * b2, -g2 * b2 * c2)
+
+
 def _check_loop(gamma: float, kappa: float, eta: float, alpha: float, omega=None) -> None:
     """Domain of the scalar loop: finite gamma > 0, alpha > 0, kappa >= 0 and
-    eta >= 0, and every given omega > 0 (the integrator pole sits at zero)."""
-    for name, value, positive in (("gamma", gamma, True), ("kappa", kappa, False),
-                                  ("eta", eta, False), ("alpha", alpha, True)):
+    eta >= 0 whose crossover cubic has finite coefficients, and every given
+    omega > 0 (the integrator pole sits at zero).  A ValueError starts with
+    the parameter's name; an overflowing cubic is the largest parameter's."""
+    params = (("gamma", gamma, True), ("kappa", kappa, False), ("eta", eta, False),
+              ("alpha", alpha, True))
+    for name, value, positive in params:
         if not (math.isfinite(value) and (value > 0.0 if positive else value >= 0.0)):
             rule = "positive" if positive else "nonnegative"
             raise ValueError(f"{name} must be finite and {rule}, got {value!r}")
+    try:
+        finite = all(map(math.isfinite, _crossover_cubic(gamma, kappa, eta, alpha)))
+    except OverflowError:
+        finite = False
+    if not finite:
+        name, value, _ = max(params, key=lambda p: p[1])
+        raise ValueError(f"{name} is too large: the loop's crossover cubic overflows, "
+                         f"got {value!r}")
     if omega is not None and not np.all(np.asarray(omega) > 0.0):
         raise ValueError("omega must be positive (integrator pole at zero)")
 
@@ -353,8 +375,7 @@ def margins(gamma: float, kappa: float, eta: float, alpha: float) -> MarginRepor
     polished by one Newton step.  Raises NoCrossoverError if it lies outside MARGIN_BAND.
     """
     _check_loop(gamma, kappa, eta, alpha)
-    a2, b2, c2, g2 = (alpha + kappa + eta) ** 2, alpha**2, (alpha + eta) ** 2, gamma**2
-    coeffs = (1.0, a2 + b2, a2 * b2 - g2 * b2, -g2 * b2 * c2)
+    coeffs = _crossover_cubic(gamma, kappa, eta, alpha)
     u = float(np.max(np.roots(coeffs).real))
     u -= np.polyval(coeffs, u) / np.polyval((3.0, 2.0 * coeffs[1], coeffs[2]), u)
     wc = math.sqrt(u)

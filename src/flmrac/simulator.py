@@ -4,7 +4,7 @@ One run integrates the stacked state [x; x_r; x_ri; e_L; vec(W_hat)] with
 fixed-step RK4: the true plant (driven by the hidden uncertainty), the
 modified and ideal reference systems, the low-pass error filter and the
 weight update law, all coupled through the measured state.  Measurement
-noise, when enabled, perturbs only what the controller sees (the basis, the
+noise, when on, perturbs only what the controller sees (the basis, the
 control and the error feeding the update law); the plant always integrates
 truth.
 """
@@ -15,6 +15,7 @@ import bisect
 import functools
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -30,6 +31,11 @@ DIVERGENCE_LIMIT = 1e9
 _DIVERGENCE_LIMIT_SQ = DIVERGENCE_LIMIT**2
 #: Steps per chunk of run's input tables, so that their memory does not grow with the horizon.
 CHUNK_STEPS = 1024
+
+
+def _is_int(value) -> bool:
+    """Whether value is an integer; a bool is not, as in a scenario file."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 class ConfigError(ValueError):
@@ -96,14 +102,14 @@ def command(spec: CommandSpec, t: float, n_c: int = 1) -> np.ndarray:
 class NoiseSpec:
     """Additive white Gaussian measurement noise on the augmented state.
 
-    std is per-component (length n).  One sample is drawn per integration
+    std is per-component (length n); `on` states when there is noise, and
+    std = () switches it off.  One sample is drawn per integration
     step, from the first step at or after start_time, as a pure function of
     (seed, step index): a shared seed gives different controllers an
     identical noise stream, but the stream depends on the step size h.
     `run` draws a chunk's samples in one call, which gives the same stream.
     """
 
-    enabled: bool = False
     std: tuple[float, ...] = ()
     start_time: float = 0.0
     seed: int = 0
@@ -112,8 +118,13 @@ class NoiseSpec:
         object.__setattr__(self, "std", tuple(float(s) for s in self.std))
         if not all(0.0 <= s < math.inf for s in self.std):
             raise ConfigError("noise.std", "entries must be finite and nonnegative")
-        if self.seed < 0:
-            raise ConfigError("noise.seed", f"must be nonnegative, got {self.seed}")
+        if not _is_int(self.seed) or self.seed < 0:
+            raise ConfigError("noise.seed", f"must be a nonnegative integer, got {self.seed!r}")
+
+    @property
+    def on(self) -> bool:
+        """Whether there is noise, from start_time on: some std entry is > 0."""
+        return any(s > 0.0 for s in self.std)
 
 
 def closed_loop(plant: PlantModel, E_p, K: np.ndarray) -> tuple[AugmentedSystem, np.ndarray]:
@@ -152,9 +163,11 @@ class ScenarioConfig:
         # The relative tolerance admits the rounding of h * steps; halving h keeps a multiple.
         if not math.isclose(self.steps * self.h, self.t_final, rel_tol=1e-12):
             raise ConfigError("t_final", f"not a whole number of steps h = {self.h!r}")
-        if self.record_stride < 1:
-            raise ConfigError("record_stride", "must be >= 1")
-        if self.name in ("", ".", "..") or "/" in self.name or "\\" in self.name:
+        if not _is_int(self.record_stride) or self.record_stride < 1:
+            raise ConfigError("record_stride", f"must be an integer >= 1, "
+                                               f"got {self.record_stride!r}")
+        if (not isinstance(self.name, str) or self.name in ("", ".", "..")
+                or "/" in self.name or "\\" in self.name):
             raise ConfigError("name", f"{self.name!r} must be a nonempty file-name component")
         cfg, cmd = self.controller, self.command
         numbers = {**{f"controller.{key}": getattr(cfg, key)
@@ -175,7 +188,7 @@ class ScenarioConfig:
                 or not cfg.lyap.residual(A_r) <= 1e-8 * max(1.0, float(np.linalg.norm(R)))):
             raise ConfigError("controller.R", "Lyapunov pair does not solve A - B K's equation")
         shapes = (("controller.W_hat0", cfg.W_hat0, (self.plant.basis.dim + n, m)),
-                  ("noise.std", self.noise.std if self.noise.enabled else None, (n,)),
+                  ("noise.std", self.noise.std or None, (n,)),
                   ("x0", self.x0, (n,)), ("x_r0", self.x_r0, (n,)))
         for path, value, shape in shapes:
             if value is not None and np.shape(value) != shape:
@@ -458,8 +471,7 @@ def run(scenario: ScenarioConfig) -> Trajectory:
 
     rng = np.random.default_rng(scenario.noise.seed)
     noise_std = np.asarray(scenario.noise.std)
-    noise_on = scenario.noise.enabled and np.any(noise_std > 0)
-    noise_from = scenario.noise.start_time if noise_on else math.inf
+    noise_from = scenario.noise.start_time if scenario.noise.on else math.inf
 
     y = sys.initial_state()
     N = scenario.samples
@@ -494,7 +506,7 @@ def run(scenario: ScenarioConfig) -> Trajectory:
                             f"{sys.diverged_block(y)}); consider a smaller step size")
 
     # A quiet sample of a noisy run measures x + 0, which equals x.
-    u = sys.control_at(rec_y, rec_noise if noise_on else None)
+    u = sys.control_at(rec_y, rec_noise if scenario.noise.on else None)
     return Trajectory(
         t=rec_t,
         x=rec_y[:, sys.sl_x],

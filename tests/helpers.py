@@ -41,7 +41,7 @@ def quiet_wingrock(scn: ScenarioConfig, gamma=None, kappa=None, eta=None,
         scn,
         plant=plant,
         controller=ctrl,
-        noise=dataclasses.replace(scn.noise, enabled=False),
+        noise=dataclasses.replace(scn.noise, std=()),
         command=scn.command if command is None else command,
         t_final=t_final,
         record_stride=scn.record_stride if record_stride is None else record_stride,

@@ -89,6 +89,19 @@ class TestBoundStandardMrac:
                                            np.array([[1.0]]), [1.0])
         assert val == pytest.approx(0.1)
 
+    def test_zero_initial_error_leaves_the_value_bit_for_bit(self):
+        rng = np.random.default_rng(7)
+        W, P, lam = rng.standard_normal((4, 2)), np.diag([0.5, 2.0]), [0.75, 1.25]
+        old = analysis._weighted_fro(W, lam) / math.sqrt(50.0 * 0.5)
+        assert analysis.bound_standard_mrac(50.0, P, W, lam) == old
+        assert analysis.bound_standard_mrac(50.0, P, W, lam, np.zeros(2)) == old
+
+    def test_initial_error_term(self):
+        # sqrt((||W||^2 / gamma + lambda_max(P) ||e0||^2) / lambda_min(P)), e0 = (3, 4).
+        P, W = np.diag([0.5, 2.0]), np.array([[1.0], [2.0]])
+        val = analysis.bound_standard_mrac(10.0, P, W, [1.0], e0=[3.0, 4.0])
+        assert val == pytest.approx(math.sqrt((5.0 / 10.0 + 2.0 * 25.0) / 0.5), rel=1e-14)
+
     def test_sqrt_gamma_scaling(self):
         rng = np.random.default_rng(6)
         W = rng.standard_normal((4, 2))
@@ -285,6 +298,20 @@ class TestLoopTransfer:
                   lambda: analysis.loop_phase(*loop, 1.0),
                   lambda: analysis.margins(*loop)):
             with pytest.raises(ValueError, match=f"^{name} must be finite"):
+                f()
+
+    @pytest.mark.parametrize("loop, name", [
+        ((1e200, 1.0, 0.0, 1.0), "gamma"),
+        ((100.0, 1e200, 0.0, 1.0), "kappa"),
+        ((100.0, 50.0, 1e200, 1.0), "eta"),
+        ((100.0, 50.0, 10.0, 1e200), "alpha"),
+        ((1e100, 0.0, 0.0, 1e100), "gamma"),  # each square fits; their products overflow
+    ])
+    def test_rejects_a_loop_whose_crossover_cubic_overflows(self, loop, name):
+        # margins squares the parameters; a finite but huge one is a ValueError, not an
+        # OverflowError or a LinAlgError from np.roots.
+        for f in (lambda: analysis.loop_transfer(*loop, 1.0), lambda: analysis.margins(*loop)):
+            with pytest.raises(ValueError, match=f"^{name} is too large"):
                 f()
 
     def test_array_matches_scalar_evaluation(self):

@@ -21,6 +21,8 @@ from flmrac.simcli import (ConfigError, bundled_scenario_path, canonical_text,
                            trajectory_header, write_trajectory_csv)
 from flmrac.simulator import CommandSpec, NoiseSpec, ScenarioConfig, Trajectory, run
 
+from helpers import scalar_scenario
+
 
 def short_noisy_config(tmp_path, name="short", seed=20131007, t_final=3.0):
     scn, _ = load_config("wingrock_proposed")
@@ -148,7 +150,11 @@ MALFORMED_FIELDS = {
     "K_shape": (lambda r: r["controller"].update(K=_matrix(1, 2, [2.0, 2.0])), "controller.K"),
     "h_infinite": (lambda r: r.update(h=float("inf")), "h"),
     "gamma_beyond_float": (lambda r: r["controller"].update(gamma=10**400), "controller.gamma"),
-    "noise_enabled_string": (lambda r: r["noise"].update(enabled="false"), "noise.enabled"),
+    # Noise is on where its std is: a file cannot switch it with a flag.
+    "noise_enabled_declared": (lambda r: r["noise"].update(enabled=False), "noise.enabled",
+                               "unknown field"),
+    "gamma_boolean": (lambda r: r["controller"].update(gamma=True), "controller.gamma",
+                      "expected a number, got True"),
     "command_sample_nan": (lambda r: r["command"].update(kind="custom", times=[0.0, 0.1],
                                                          values=[0.3, float("nan")]),
                            "command.values"),
@@ -222,7 +228,6 @@ DEFAULTED_SECTIONS = {ScenarioConfig: (), ControllerConfig: ("controller",),
 #: Edits of wingrock_proposed under which a key's default is a valid value.
 DEFAULT_VALID_AFTER = {
     "period": lambda r: r["command"].update(kind="step"),
-    "std": lambda r: r["noise"].update(enabled=False),
 }
 
 
@@ -401,6 +406,16 @@ class TestBoundReport:
             assert report.inputs["w_tilde_max"] == theta_max + 16.431676725154983
             assert report.bound_value == reports[-1].bound_value
 
+    def test_classical_bound_counts_the_initial_error(self):
+        # x0 != x_r0: e(0) = 0.5 enters eps_V through lambda_max(P) ||e0||^2.
+        scn = scalar_scenario(gamma=50.0, kappa=0.0, h=1e-3, x0=0.5, x_r0=0.0, w_truth=0.05)
+        report = simcli.bound_report_for(scn, run(scn))
+        assert report.kind == "standard_transient"
+        assert report.observed == 0.5
+        # P = 1/4: sqrt((0.25 * 0.5^2 + 0.05^2 / 50) / 0.25).
+        assert report.bound_value == pytest.approx(math.sqrt(0.25 + 2e-4), rel=1e-14)
+        assert report.satisfied
+
 
 class TestCmdRun:
     def test_writes_all_outputs(self, tmp_path):
@@ -432,7 +447,7 @@ class TestCmdRun:
         _, raw = load_config("wingrock_proposed")
         raw.update(name="stiff", t_final=0.5)
         raw["controller"]["kappa"] = kappa
-        raw["noise"]["enabled"] = False
+        raw["noise"]["std"] = []
         cfg = tmp_path / "stiff.cfg"
         cfg.write_text(json.dumps(raw))
         out = tmp_path / "out"
@@ -477,7 +492,7 @@ class TestCmdRun:
         _, raw = load_config("wingrock_proposed")
         raw["name"] = "stiff"
         raw["controller"]["kappa"] = 5e4
-        raw["noise"]["enabled"] = False
+        raw["noise"]["std"] = []
         raw["t_final"] = 5.0
         cfg = tmp_path / "stiff.cfg"
         cfg.write_text(json.dumps(raw))
@@ -633,6 +648,9 @@ class TestCmdBode:
         (["--alpha", "0"], "--alpha"),
         (["--omega-min", "nan"], "--omega-min"),
         (["--omega-max", "inf"], "--omega-max"),
+        # Finite, but the crossover cubic's squares overflow.
+        (["--gamma", "1e200"], "--gamma"),
+        (["--kappa", "1e200"], "--kappa"),
     ])
     def test_out_of_domain_argument_exits_2(self, tmp_path, capsys, args, flag):
         out = tmp_path / "bode"

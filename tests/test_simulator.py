@@ -293,7 +293,7 @@ class TestRun:
         scn = dataclasses.replace(
             scn, h=1.25e-4, t_final=5.0,
             controller=dataclasses.replace(scn.controller, kappa=5e4),
-            noise=dataclasses.replace(scn.noise, enabled=False))
+            noise=dataclasses.replace(scn.noise, std=()))
         with pytest.raises(sim.DivergenceError) as err:
             sim.run(scn)
         assert str(err.value) == ("simulation diverged at t=0.001625 (signal: W_hat); "
@@ -460,6 +460,16 @@ class TestInputTables:
             [None if nu is None else nu.tobytes() for _, nu in want]
 
 
+@pytest.mark.parametrize("std, on", [((), False), ((0.0, 0.0, 0.0), False),
+                                     ((0.0, 0.0, 1e-3), True)])
+def test_noise_is_on_where_its_std_is(wingrock_proposed, std, on):
+    scn = _mid_chunk_noisy(wingrock_proposed)
+    scn = dataclasses.replace(scn, noise=dataclasses.replace(scn.noise, std=std))
+    quiet = dataclasses.replace(scn, noise=sim.NoiseSpec())
+    assert scn.noise.on is on
+    assert np.array_equal(sim.run(scn).u, sim.run(quiet).u) is not on
+
+
 def test_runs_reusing_buffers_stay_byte_deterministic(wingrock_proposed, tmp_path):
     # A noisy run, a quiet one and the noisy one again in one process.
     noisy = dataclasses.replace(
@@ -497,7 +507,7 @@ class TestScenarioValidation:
     @pytest.mark.parametrize("change, path", [
         (dict(x0=np.zeros(3)), "x0"),
         (dict(x_r0=[0.0]), "x_r0"),
-        (dict(noise=sim.NoiseSpec(enabled=True, std=(1e-3,))), "noise.std"),
+        (dict(noise=sim.NoiseSpec(std=(1e-3,))), "noise.std"),
         (dict(E_p=np.ones((1, 2))), "E_p"),
         (dict(h=float("nan")), "h"),
         (dict(t_final=float("inf")), "t_final"),
@@ -505,7 +515,7 @@ class TestScenarioValidation:
         (dict(x0=np.array([np.nan, 0.0])), "x0"),
         (dict(x_r0=np.array([0.0, np.inf])), "x_r0"),
         (dict(plant=_nan_truth_plant()), "plant.truth.W_p"),
-        (dict(noise=sim.NoiseSpec(enabled=True, std=(1e-3, 0.0), start_time=np.nan)),
+        (dict(noise=sim.NoiseSpec(std=(1e-3, 0.0), start_time=np.nan)),
          "noise.start_time"),
         (dict(command=sim.CommandSpec(kind="step", amplitude=np.inf)), "command.amplitude"),
         (dict(command=sim.CommandSpec(kind="square_wave", amplitude=1.0, period=np.inf)),
@@ -514,11 +524,19 @@ class TestScenarioValidation:
          "command.values"),
         (dict(x0=np.array([2.0 * sim.DIVERGENCE_LIMIT, 0.0])), "x0"),
         (dict(E_p=np.array([[np.nan]])), "E_p"),
+        # The file's types: a bool is not an int.
+        (dict(record_stride=2.5), "record_stride"),
+        (dict(record_stride=True), "record_stride"),
+        (dict(name=5), "name"),
+        # A NoiseSpec checks itself, so these rows build it under the test.
+        (lambda: dict(noise=sim.NoiseSpec(seed=1.5)), "noise.seed"),
+        (lambda: dict(noise=sim.NoiseSpec(seed=True)), "noise.seed"),
+        (dict(noise=sim.NoiseSpec(std=(0.0,))), "noise.std"),  # declared, though off
     ])
     def test_library_errors_name_the_field(self, change, path):
         # Built in code, a scenario fails as a config file would.
         with pytest.raises(sim.ConfigError) as err:
-            _no_uncertainty_scenario(**change)
+            _no_uncertainty_scenario(**(change() if callable(change) else change))
         assert err.value.path == path
 
     @pytest.mark.parametrize("bound", [dict(w_p_max=1.0), dict(w_p_dot_max=0.0)])
