@@ -354,7 +354,7 @@ class MarginReport:
 LOW_FREQ_EDGE = 5.0 / (2.0 * math.pi)
 #: Reference point for the measurement-noise amplification figure (rad/s).
 HIGH_FREQ_POINT = 100.0
-#: Frequencies (rad/s) where margins accepts a gain crossover: bode's default range.
+#: The band (rad/s) that `bode` draws and `margins` searches for a gain crossover.
 MARGIN_BAND = (1e-3, 1e4)
 
 
@@ -377,9 +377,13 @@ def margins(gamma: float, kappa: float, eta: float, alpha: float) -> MarginRepor
     _check_loop(gamma, kappa, eta, alpha)
     coeffs = _crossover_cubic(gamma, kappa, eta, alpha)
     u = float(np.max(np.roots(coeffs).real))
-    u -= np.polyval(coeffs, u) / np.polyval((3.0, 2.0 * coeffs[1], coeffs[2]), u)
-    wc = math.sqrt(u)
     lo, hi = MARGIN_BAND
+    # The polish moves u by far less than a factor of 2, so a root outside this wider
+    # band lies outside MARGIN_BAND either way; it is not polished, because there the
+    # cubic can overflow or its slope vanish.
+    if lo * lo / 2.0 <= u <= 2.0 * hi * hi:
+        u -= np.polyval(coeffs, u) / np.polyval((3.0, 2.0 * coeffs[1], coeffs[2]), u)
+    wc = math.sqrt(u)
     if not lo <= wc <= hi:
         raise NoCrossoverError(f"the gain crossover {wc:g} rad/s lies outside "
                                f"[{lo:g}, {hi:g}] rad/s")

@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__, analysis
 from .analysis import BoundReport, MarginReport, NoCrossoverError
 from .controllers import ControllerConfig
-from .matrixcore import LyapunovPair, NotHurwitzError
+from .matrixcore import LyapunovPair
 from .plantmodel import aggregate_true_weights
 from .simulator import (ConfigError, DivergenceError, ScenarioConfig, Trajectory,
                         closed_loop, run)
@@ -41,6 +41,8 @@ MAX_STEP_HALVINGS = 3
 DEFAULT_HF_CUTOFF = 10.0
 #: xi at which bound_report_for evaluates the modified-architecture bounds.
 BOUND_XI = 0.5
+#: Log-spaced frequencies bode draws over analysis.MARGIN_BAND.
+BODE_POINTS = 400
 
 
 # ---------------------------------------------------------------------------
@@ -107,13 +109,11 @@ def _matrix_dict(arr: np.ndarray) -> dict:
 
 def _build(path: str, make, *args, **kwargs):
     """make(*args, **kwargs), raising its ValueError or KeyError as a ConfigError at
-    `path`; a ConfigError keeps its path, and a non-Hurwitz A - B K is the gain K's."""
+    `path`; a ConfigError keeps its path."""
     try:
         return make(*args, **kwargs)
     except ConfigError:
         raise
-    except NotHurwitzError as exc:
-        raise ConfigError("controller.K", str(exc)) from None
     except KeyError as exc:
         raise ConfigError(path, str(exc.args[0])) from None
     except ValueError as exc:
@@ -643,13 +643,9 @@ def _bode_stem(gamma: float, kappa: float, eta: float, alpha: float) -> str:
 
 
 def cmd_bode(args) -> int:
-    if args.points < 2:
-        raise ConfigError("--points", f"must be >= 2, got {args.points}")
-    if not 0.0 < args.omega_min < args.omega_max < math.inf:
-        flag = "--omega-max" if 0.0 < args.omega_min < math.inf else "--omega-min"
-        raise ConfigError(flag, "needs finite 0 < --omega-min < --omega-max")
-    grid = np.logspace(math.log10(args.omega_min), math.log10(args.omega_max), args.points)
-    grid[0], grid[-1] = args.omega_min, args.omega_max
+    lo, hi = analysis.MARGIN_BAND
+    grid = np.logspace(math.log10(lo), math.log10(hi), BODE_POINTS)
+    grid[0], grid[-1] = lo, hi
     loop = (args.gamma, args.kappa, args.eta, args.alpha)
     try:
         mag_db = 20.0 * np.log10(np.abs(analysis.loop_transfer(*loop, grid)))
@@ -657,16 +653,16 @@ def cmd_bode(args) -> int:
         # The message starts with the loop parameter, which is also the flag's name.
         raise ConfigError(f"--{str(exc).split()[0]}", str(exc)) from None
     phase_deg = np.degrees(analysis.loop_phase(*loop, grid))
+    try:
+        rep_dict = analysis.margins(*loop).as_dict()
+    except NoCrossoverError:
+        rep_dict = MarginReport(None, None, None, *analysis.band_gains_db(*loop)).as_dict()
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = _bode_stem(*loop)
     csv_path = out_dir / f"{stem}.csv"
     write_csv(csv_path, ["omega", "mag_db", "phase_deg"],
               np.column_stack([grid, mag_db, phase_deg]))
-    try:
-        rep_dict = analysis.margins(*loop).as_dict()
-    except NoCrossoverError:
-        rep_dict = MarginReport(None, None, None, *analysis.band_gains_db(*loop)).as_dict()
     rep_path = out_dir / f"{stem}_margins.json"
     rep_path.write_text(canonical_text(rep_dict))
     dm = rep_dict["delay_margin_s"]
@@ -678,17 +674,16 @@ def cmd_bode(args) -> int:
 def cmd_plot(args) -> int:
     csv_path = Path(args.csv)
     data = read_csv_columns(csv_path)
-    if args.bode:
+    columns = [c for c in args.columns.split(",") if c]
+    if not columns:
         needed = ("omega", "mag_db", "phase_deg")
         if any(c not in data for c in needed) or not np.all(data["omega"] > 0.0):
-            raise ConfigError("--csv", f"a bode plot needs the columns {needed}, omega > 0")
+            raise ConfigError("--csv", f"without --columns, plot draws a Bode plot, which "
+                                       f"needs the columns {needed} and omega > 0")
         rows = [(ylabel, [(c, data["omega"], data[c])])
                 for c, ylabel in (("mag_db", "magnitude [dB]"), ("phase_deg", "phase [deg]"))]
         xlabel = "omega [rad/s]"
     else:
-        columns = [c for c in (args.columns or "").split(",") if c]
-        if not columns:
-            raise ConfigError("--columns", "empty column selection")
         missing = [c for c in columns if c not in data]
         if missing:
             raise ConfigError("--columns",
@@ -698,7 +693,7 @@ def cmd_plot(args) -> int:
             raise ConfigError("--x", f"unknown column {xcol!r}")
         rows = [("", [(c, data[xcol], data[c]) for c in columns])]
     out = Path(args.out)
-    svg_panels(rows, out, xlabel, title=csv_path.stem, logx=args.bode)
+    svg_panels(rows, out, xlabel, title=csv_path.stem, logx=not columns)
     print(f"[flmrac] wrote {out}")
     return EXIT_OK
 
@@ -733,19 +728,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_bode.add_argument("--kappa", type=float, required=True)
     p_bode.add_argument("--eta", type=float, required=True)
     p_bode.add_argument("--alpha", type=float, default=1.0)
-    p_bode.add_argument("--omega-min", type=float, default=1e-3)
-    p_bode.add_argument("--omega-max", type=float, default=1e4)
-    p_bode.add_argument("--points", type=int, default=400)
     p_bode.add_argument("--out", required=True)
 
     p_plot = sub.add_parser("plot", help="render a CSV to a standalone SVG")
     p_plot.add_argument("--csv", required=True)
     p_plot.add_argument("--out", required=True)
     p_plot.add_argument("--columns", default="",
-                        help="comma-separated column names to draw")
+                        help="comma-separated column names to draw against --x; "
+                             "without them, the Bode layout of a bode CSV")
     p_plot.add_argument("--x", default="t", help="x-axis column (default t)")
-    p_plot.add_argument("--bode", action="store_true",
-                        help="dual-panel magnitude/phase layout")
     return parser
 
 

@@ -128,14 +128,18 @@ class NoiseSpec:
 
 
 def closed_loop(plant: PlantModel, E_p, K: np.ndarray) -> tuple[AugmentedSystem, np.ndarray]:
-    """The augmented system and A - B K, once E_p and K are checked to fit the plant."""
+    """The augmented system and A - B K, once E_p and K are checked to fit the plant
+    and A - B K to be Hurwitz."""
     try:
         aug = augment(plant, E_p)
     except DimensionError as exc:
         raise ConfigError("E_p", str(exc)) from None
     if K.shape != (aug.m, aug.n):
         raise ConfigError("controller.K", f"shape {K.shape}, expected ({aug.m}, {aug.n})")
-    return aug, aug.A - aug.B @ K
+    A_r = aug.A - aug.B @ K
+    if not is_hurwitz(A_r):
+        raise ConfigError("controller.K", "A - B K is not Hurwitz; fix the nominal gain K")
+    return aug, A_r
 
 
 @dataclass(frozen=True)
@@ -181,8 +185,6 @@ class ScenarioConfig:
                 raise ConfigError(path, "NaN and infinity are not allowed")
         aug, A_r = closed_loop(self.plant, self.E_p, cfg.K)
         n, m = aug.n, aug.m
-        if not is_hurwitz(A_r):
-            raise ConfigError("controller.K", "A - B K is not Hurwitz; fix the nominal gain K")
         R, P = cfg.lyap.R, cfg.lyap.P
         if (R.shape != (n, n) or P.shape != (n, n)
                 or not cfg.lyap.residual(A_r) <= 1e-8 * max(1.0, float(np.linalg.norm(R)))):

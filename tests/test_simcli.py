@@ -148,6 +148,8 @@ MALFORMED_FIELDS = {
     "gamma_nan": (lambda r: r["controller"].update(gamma=float("nan")), "controller.gamma"),
     "noise_std_nan": (lambda r: r["noise"].update(std=[float("nan"), 0.0, 0.0]), "noise.std"),
     "K_shape": (lambda r: r["controller"].update(K=_matrix(1, 2, [2.0, 2.0])), "controller.K"),
+    "K_not_stabilizing": (lambda r: r["controller"].update(K=_matrix(1, 3, [0.0] * 3)),
+                          "controller.K", "A - B K is not Hurwitz; fix the nominal gain K"),
     "h_infinite": (lambda r: r.update(h=float("inf")), "h"),
     "gamma_beyond_float": (lambda r: r["controller"].update(gamma=10**400), "controller.gamma"),
     # Noise is on where its std is: a file cannot switch it with a flag.
@@ -616,21 +618,38 @@ class TestCmdBode:
         out = tmp_path / "bode"
         for g, k, e in cases:
             code = simcli.main(["bode", "--gamma", str(g), "--kappa", str(k),
-                                "--eta", str(e), "--points", "50",
-                                "--out", str(out)])
+                                "--eta", str(e), "--out", str(out)])
             assert code == 0
         csvs = sorted(out.glob("bode_*.csv"))
         assert len(csvs) == 6
 
-    def test_two_point_grid_honors_endpoints(self, tmp_path):
+    def test_grid_ends_are_the_margin_band(self, tmp_path):
         out = tmp_path / "bode"
-        code = simcli.main(["bode", "--gamma", "100", "--kappa", "50",
-                            "--eta", "10", "--alpha", "1",
-                            "--omega-min", "0.5", "--omega-max", "200",
-                            "--points", "2", "--out", str(out)])
-        assert code == 0
-        cols = read_csv_columns(out / "bode_g100_k50_e10.csv")
-        assert cols["omega"].tolist() == [0.5, 200.0]
+        assert simcli.main(["bode", "--gamma", "100", "--kappa", "50", "--eta", "10",
+                            "--out", str(out)]) == 0
+        omega = read_csv_columns(out / "bode_g100_k50_e10.csv")["omega"]
+        assert omega.size == simcli.BODE_POINTS
+        assert (omega[0], omega[-1]) == analysis.MARGIN_BAND
+
+    @pytest.mark.parametrize("gamma", [1e-12, 100.0, 500.0, 1e9])
+    @pytest.mark.parametrize("kappa, eta", [(0.0, 0.0), (0.0, 50.0), (50.0, 0.0), (50.0, 50.0)])
+    def test_csv_and_margins_describe_one_band(self, tmp_path, gamma, kappa, eta):
+        """Crossovers below, inside and above the band: the margins file reports one
+        exactly when the CSV's gain changes sign, inside the cell where it does."""
+        out = tmp_path / "bode"
+        assert simcli.main(["bode", "--gamma", repr(gamma), "--kappa", repr(kappa),
+                            "--eta", repr(eta), "--out", str(out)]) == 0
+        (csv_path,) = out.glob("*.csv")
+        cols = read_csv_columns(csv_path)
+        omega, mag_db = cols["omega"], cols["mag_db"]
+        assert (omega[0], omega[-1]) == analysis.MARGIN_BAND
+        wc = json.loads(csv_path.with_name(csv_path.stem + "_margins.json").read_text())[
+            "gain_crossover_rad_s"]
+        cells = np.flatnonzero(np.sign(mag_db[:-1]) != np.sign(mag_db[1:]))
+        assert (wc is not None) == (cells.size > 0)
+        if wc is not None:
+            (i,) = cells
+            assert omega[i] <= wc <= omega[i + 1]
 
     def test_margin_report_written(self, tmp_path):
         out = tmp_path / "bode"
@@ -646,8 +665,6 @@ class TestCmdBode:
         (["--kappa", "-1"], "--kappa"),
         (["--eta", "inf"], "--eta"),
         (["--alpha", "0"], "--alpha"),
-        (["--omega-min", "nan"], "--omega-min"),
-        (["--omega-max", "inf"], "--omega-max"),
         # Finite, but the crossover cubic's squares overflow.
         (["--gamma", "1e200"], "--gamma"),
         (["--kappa", "1e200"], "--kappa"),
@@ -667,14 +684,13 @@ class TestCmdBode:
         out = tmp_path / "bode"
         for value in values:
             assert simcli.main(["bode", "--gamma", "100", "--kappa", "50", "--eta", "10",
-                                flag, value, "--points", "50", "--out", str(out)]) == 0
+                                flag, value, "--out", str(out)]) == 0
         assert len(list(out.glob("bode_*.csv"))) == 2
         assert len(list(out.glob("bode_*_margins.json"))) == 2
 
     def test_reused_parser_keeps_no_values(self, tmp_path):
         out = tmp_path / "bode"
-        args = ["bode", "--gamma", "100", "--kappa", "50", "--eta", "10", "--points", "50",
-                "--out", str(out)]
+        args = ["bode", "--gamma", "100", "--kappa", "50", "--eta", "10", "--out", str(out)]
         assert simcli.main([*args, "--alpha", "2"]) == 0
         assert [p.name for p in out.glob("*.csv")] == ["bode_g100_k50_e10_a2.csv"]
         assert simcli.main(args) == 0
@@ -682,7 +698,7 @@ class TestCmdBode:
             "bode_g100_k50_e10.csv", "bode_g100_k50_e10_a2.csv"]
 
     def test_parser_error_then_valid_call(self, tmp_path, capsys):
-        args = ["bode", "--gamma", "100", "--kappa", "50", "--eta", "10", "--points", "50"]
+        args = ["bode", "--gamma", "100", "--kappa", "50", "--eta", "10"]
         with pytest.raises(SystemExit) as err:
             simcli.main(args)
         assert err.value.code == 2
@@ -703,17 +719,33 @@ class TestCmdBode:
         rep = json.loads((out / "bode_g1e-12_k0_e0_margins.json").read_text())
         assert rep["delay_margin_s"] is None
 
+    @pytest.mark.parametrize("loop", [
+        # Crossover near 1e75 rad/s: the cubic at the unpolished root overflows.
+        ["--gamma", "1e150", "--kappa", "0", "--eta", "0"],
+        # Crossover near 1e-50 rad/s: the cubic's slope at the unpolished root is 0.
+        ["--gamma", "1", "--kappa", "0", "--eta", "1", "--alpha", "1e-100"],
+    ])
+    def test_far_out_of_band_crossover_reports_none(self, tmp_path, capsys, loop):
+        out = tmp_path / "bode"
+        assert simcli.main(["bode", *loop, "--out", str(out)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        (rep_path,) = out.glob("*_margins.json")
+        assert json.loads(rep_path.read_text())["delay_margin_s"] is None
+
 
 class TestCmdPlot:
-    def test_empty_selection_rejected(self, tmp_path, capsys):
+    @pytest.mark.parametrize("args", [[], ["--columns", ""], ["--columns", ","]])
+    def test_trajectory_without_columns_rejected(self, tmp_path, capsys, args):
+        # No column selected draws the Bode layout, which a trajectory CSV cannot fill.
         cfg = short_noisy_config(tmp_path, t_final=2.0)
         out = tmp_path / "o"
         simcli.main(["run", "--config", str(cfg), "--out", str(out)])
         capsys.readouterr()
         assert simcli.main(["plot", "--csv", str(out / "short.csv"),
-                            "--out", str(tmp_path / "p.svg"), "--columns", ""]) == 2
+                            "--out", str(tmp_path / "p.svg"), *args]) == 2
         stderr = capsys.readouterr().err
-        assert "config error: --columns: empty" in stderr and "Traceback" not in stderr
+        assert "config error: --csv: without --columns" in stderr and "Traceback" not in stderr
+        assert not (tmp_path / "p.svg").exists()
 
     def test_unknown_column_rejected(self, tmp_path, capsys):
         cfg = short_noisy_config(tmp_path, t_final=2.0)
@@ -730,7 +762,7 @@ class TestCmdPlot:
     @pytest.mark.parametrize("args, path", [
         (["--columns", "bogus"], "--columns"),
         (["--columns", "mag_db", "--x", "bogus"], "--x"),
-        (["--bode"], "--csv"),
+        ([], "--csv"),
     ])
     def test_rejected_plot_creates_nothing(self, tmp_path, capsys, args, path):
         csv_path = tmp_path / "b.csv"
@@ -753,7 +785,7 @@ class TestCmdPlot:
     def test_malformed_csv_rejected(self, tmp_path, capsys, text, message):
         csv_path = tmp_path / "b.csv"
         csv_path.write_bytes(text)
-        args = ["--bode"] if b"phase_deg" in text else ["--columns", "mag_db", "--x", "omega"]
+        args = [] if b"phase_deg" in text else ["--columns", "mag_db", "--x", "omega"]
         assert simcli.main(["plot", "--csv", str(csv_path), "--out", str(tmp_path / "p.svg"),
                             *args]) == 2
         stderr = capsys.readouterr().err
@@ -763,19 +795,19 @@ class TestCmdPlot:
 
     def test_missing_csv_rejected(self, tmp_path, capsys):
         assert simcli.main(["plot", "--csv", str(tmp_path / "none.csv"),
-                            "--out", str(tmp_path / "newdir" / "p.svg"), "--bode"]) == 2
+                            "--out", str(tmp_path / "newdir" / "p.svg")]) == 2
         stderr = capsys.readouterr().err
         assert "config error: --csv: " in stderr and "Traceback" not in stderr
         assert list(tmp_path.iterdir()) == []
 
     def test_csv_that_is_a_directory_rejected(self, tmp_path, capsys):
-        assert simcli.main(["plot", "--csv", str(tmp_path), "--out", str(tmp_path / "p.svg"),
-                            "--bode"]) == 2
+        assert simcli.main(["plot", "--csv", str(tmp_path),
+                            "--out", str(tmp_path / "p.svg")]) == 2
         stderr = capsys.readouterr().err
         assert "config error: --csv: " in stderr and "Traceback" not in stderr
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("args", [["--columns", "x_1,c_1"], ["--bode"]])
+    @pytest.mark.parametrize("args", [["--columns", "x_1,c_1"], []])
     def test_same_csv_gives_the_same_svg(self, tmp_path, args):
         # 3000 rows, so the polylines are decimated too.
         t = np.linspace(0.0, 3.0, 3000)
@@ -789,15 +821,10 @@ class TestCmdPlot:
         assert svgs[0].read_bytes() == svgs[1].read_bytes()
 
     @staticmethod
-    def _bode_x_axes(tmp_path, *args):
-        """(tick x positions, tick labels) under each panel of the Bode plot of
-        `flmrac bode --gamma 100 --kappa 50 --eta 10 *args`."""
-        out = tmp_path / "bode"
-        assert simcli.main(["bode", "--gamma", "100", "--kappa", "50", "--eta", "10", *args,
-                            "--out", str(out)]) == 0
+    def _bode_x_axes(tmp_path, csv_path):
+        """(tick x positions, tick labels) under each panel of the Bode plot of csv_path."""
         svg = tmp_path / "bode.svg"
-        assert simcli.main(["plot", "--csv", str(out / "bode_g100_k50_e10.csv"),
-                            "--out", str(svg), "--bode"]) == 0
+        assert simcli.main(["plot", "--csv", str(csv_path), "--out", str(svg)]) == 0
         text = svg.read_text()
         axes = []
         for bottom in (295, 595):  # the lower edge of each panel
@@ -809,14 +836,18 @@ class TestCmdPlot:
         return axes
 
     def test_bode_axis_has_one_tick_per_decade(self, tmp_path):
-        for ticks, labels in self._bode_x_axes(tmp_path):
+        out = tmp_path / "bode"
+        assert simcli.main(["bode", "--gamma", "100", "--kappa", "50", "--eta", "10",
+                            "--out", str(out)]) == 0
+        for ticks, labels in self._bode_x_axes(tmp_path, out / "bode_g100_k50_e10.csv"):
             assert labels == ["0.001", "0.01", "0.1", "1", "10", "100", "1000", "1e+04"]
             # Decades evenly spaced across the 765-wide panel at x = 70.
             assert ticks == pytest.approx([70 + 765 * k / 7 for k in range(8)], abs=0.006)
 
     def test_log_axis_inside_one_decade_ticks_its_ends(self, tmp_path):
-        axes = self._bode_x_axes(tmp_path, "--omega-min", "2", "--omega-max", "8",
-                                 "--points", "50")
+        csv_path = tmp_path / "b.csv"
+        csv_path.write_text("omega,mag_db,phase_deg\n2,6,-100\n4,0,-120\n8,-6,-140\n")
+        axes = self._bode_x_axes(tmp_path, csv_path)
         assert axes == [([70.0, 835.0], ["2", "8"])] * 2
 
     def test_timeseries_svg_with_labels(self, tmp_path):
@@ -835,10 +866,10 @@ class TestCmdPlot:
     def test_bode_svg_dual_panel(self, tmp_path):
         out = tmp_path / "bode"
         simcli.main(["bode", "--gamma", "100", "--kappa", "50", "--eta", "10",
-                     "--points", "50", "--out", str(out)])
+                     "--out", str(out)])
         svg = tmp_path / "bode.svg"
         code = simcli.main(["plot", "--csv", str(out / "bode_g100_k50_e10.csv"),
-                            "--out", str(svg), "--bode"])
+                            "--out", str(svg)])
         assert code == 0
         text = svg.read_text()
         assert text.count("<polyline") == 2
@@ -863,8 +894,21 @@ _OUT_COMMANDS = {
     "run": ["run", "--config", "wingrock_proposed"],
     "compare": ["compare", "wingrock_proposed", "wingrock_proposed"],
     "bode": ["bode", "--gamma", "100", "--kappa", "50", "--eta", "10"],
-    "plot": ["plot", "--csv", "{tmp}/b.csv", "--bode"],
+    "plot": ["plot", "--csv", "{tmp}/b.csv"],
 }
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("bode", "--omega-min"), ("bode", "--omega-max"), ("bode", "--points"), ("plot", "--bode")])
+def test_removed_flag_exits_2(tmp_path, capsys, command, flag):
+    """bode draws one fixed band, and plot draws the Bode layout without --columns."""
+    (tmp_path / "b.csv").write_text("omega,mag_db,phase_deg\n1.0,0.0,-90.0\n2.0,-6.0,-95.0\n")
+    args = [a.format(tmp=tmp_path) for a in _OUT_COMMANDS[command]]
+    with pytest.raises(SystemExit) as err:
+        simcli.main([*args, flag, "1", "--out", str(tmp_path / "out")])
+    assert err.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["b.csv"]
 
 
 class TestOutFlag:
