@@ -178,7 +178,12 @@ def _weighted_fro(W, Lam) -> float:
     # A bound on every squared entry of W Lambda^(1/2), in Python floats, which
     # overflow without a warning; x.size <= W.size * lam.size.
     if w_sum * w_sum * max(lam_list, default=0.0) * W.size * lam.size < 1e308:
-        x = (W * np.sqrt(lam)).ravel(order="K")
+        # With one Lambda entry (m = 1), W's entries times its square root, in memory
+        # order: the entries of the broadcast product below, in the same order.
+        if len(lam_list) == 1:
+            x = W.ravel(order="K") * math.sqrt(lam_list[0])
+        else:
+            x = (W * np.sqrt(lam)).ravel(order="K")
         return math.sqrt(x.dot(x))  # np.linalg.norm's formula, summed in the same order
     with np.errstate(over="ignore"):
         x = (W * np.sqrt(lam)[np.newaxis, :]).ravel(order="K")
@@ -358,11 +363,28 @@ HIGH_FREQ_POINT = 100.0
 MARGIN_BAND = (1e-3, 1e4)
 
 
+#: (LOW_FREQ_EDGE, HIGH_FREQ_POINT), read-only: the frequencies of band_gains_db.
+_GAIN_POINTS = np.array([LOW_FREQ_EDGE, HIGH_FREQ_POINT])
+_GAIN_POINTS.flags.writeable = False
+
+
+def loop_gain_db(gamma: float, kappa: float, eta: float, alpha: float, omega):
+    """20 log10 |G(j omega)|; omega is one frequency or an array of them.  |G| falls
+    with omega; where it underflows to 0 the loop is out of domain, and the ValueError
+    names the smaller of gamma and alpha, the two factors of the gain."""
+    mag = np.abs(loop_transfer(gamma, kappa, eta, alpha, omega))
+    if not (mag > 0.0).all():
+        name, value = min((("gamma", gamma), ("alpha", alpha)), key=lambda p: p[1])
+        first = float(np.min(np.asarray(omega)[mag == 0.0]))
+        raise ValueError(f"{name} is too small: |G| underflows to 0 from omega = "
+                         f"{first:g} rad/s, got {value!r}")
+    return 20.0 * np.log10(mag)
+
+
 def band_gains_db(gamma: float, kappa: float, eta: float, alpha: float) -> tuple[float, float]:
     """|G| in dB at LOW_FREQ_EDGE and at HIGH_FREQ_POINT."""
-    g = loop_transfer(gamma, kappa, eta, alpha, np.array([LOW_FREQ_EDGE, HIGH_FREQ_POINT]))
-    low, high = 20.0 * np.log10(np.abs(g))
-    return float(low), float(high)
+    low, high = loop_gain_db(gamma, kappa, eta, alpha, _GAIN_POINTS).tolist()
+    return low, high
 
 
 def margins(gamma: float, kappa: float, eta: float, alpha: float) -> MarginReport:
@@ -382,7 +404,9 @@ def margins(gamma: float, kappa: float, eta: float, alpha: float) -> MarginRepor
     # band lies outside MARGIN_BAND either way; it is not polished, because there the
     # cubic can overflow or its slope vanish.
     if lo * lo / 2.0 <= u <= 2.0 * hi * hi:
-        u -= np.polyval(coeffs, u) / np.polyval((3.0, 2.0 * coeffs[1], coeffs[2]), u)
+        # Horner in Python floats: np.polyval's operations (it starts from 0 u + c0 = c0).
+        c0, c1, c2, c3 = coeffs
+        u -= (((c0 * u + c1) * u + c2) * u + c3) / ((3.0 * u + 2.0 * c1) * u + c2)
     wc = math.sqrt(u)
     if not lo <= wc <= hi:
         raise NoCrossoverError(f"the gain crossover {wc:g} rad/s lies outside "

@@ -212,8 +212,19 @@ def scenario_to_dict(scn: ScenarioConfig) -> dict:
 
 
 def canonical_text(data: dict) -> str:
-    """The one JSON text format of every file flmrac writes."""
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+    """The one JSON text format of every file flmrac writes: standard JSON, so a
+    NaN or infinite number raises ValueError."""
+    return json.dumps(data, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def _overflow_as_null(value):
+    """value with each float that is not finite, such as a bound whose arithmetic
+    overflows, as None, which canonical_text writes as null."""
+    if isinstance(value, dict):
+        return {k: _overflow_as_null(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_overflow_as_null(v) for v in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
 
 
 def serialize_scenario(scn: ScenarioConfig) -> str:
@@ -554,7 +565,7 @@ def cmd_run(args) -> int:
     write_trajectory_csv(traj, csv_path)
     report = bound_report_for(scn, traj)
     bounds_path = out_dir / f"{scn.name}_bounds.json"
-    bounds_path.write_text(canonical_text(dataclasses.asdict(report)))
+    bounds_path.write_text(canonical_text(_overflow_as_null(dataclasses.asdict(report))))
     manifest = make_manifest(scn, [str(csv_path), str(bounds_path)], overrides, halvings)
     manifest_path = out_dir / f"{scn.name}_manifest.json"
     manifest_path.write_text(canonical_text(manifest))
@@ -614,7 +625,8 @@ def cmd_compare(args) -> int:
         rows.append(run_metrics(scn, traj, args.cutoff))
 
     report_path = out_dir / "compare_report.json"
-    report_path.write_text(canonical_text({"cutoff_rad_s": args.cutoff, "runs": rows}))
+    report_path.write_text(canonical_text({"cutoff_rad_s": args.cutoff,
+                                           "runs": _overflow_as_null(rows)}))
     cols = ["name", "gamma", "kappa", "eta", "tracking_linf", "tracking_linf_post",
             "hf_content_u", "max_abs_u", "bound_satisfied"]
     widths = {c: max(len(c), *(len(_cell(r[c])) for r in rows)) for c in cols}
@@ -642,13 +654,25 @@ def _bode_stem(gamma: float, kappa: float, eta: float, alpha: float) -> str:
     return "bode_g{:.17g}_k{:.17g}_e{:.17g}_a{:.17g}".format(*loop, alpha)
 
 
-def cmd_bode(args) -> int:
+@functools.cache
+def bode_band() -> tuple[np.ndarray, str]:
+    """bode's frequencies, the same for every loop, built once per process:
+    BODE_POINTS log-spaced over analysis.MARGIN_BAND with its exact ends, as a
+    read-only array, and the text of bode's CSV with each row's omega cell written
+    as write_csv writes it and its magnitude and phase left as "%.17g" fields."""
     lo, hi = analysis.MARGIN_BAND
     grid = np.logspace(math.log10(lo), math.log10(hi), BODE_POINTS)
     grid[0], grid[-1] = lo, hi
+    grid.flags.writeable = False
+    return grid, "omega,mag_db,phase_deg\n" + "".join(
+        ["%.17g,%%.17g,%%.17g\n" % w for w in grid.tolist()])
+
+
+def cmd_bode(args) -> int:
+    grid, csv_template = bode_band()
     loop = (args.gamma, args.kappa, args.eta, args.alpha)
     try:
-        mag_db = 20.0 * np.log10(np.abs(analysis.loop_transfer(*loop, grid)))
+        mag_db = analysis.loop_gain_db(*loop, grid)
     except ValueError as exc:
         # The message starts with the loop parameter, which is also the flag's name.
         raise ConfigError(f"--{str(exc).split()[0]}", str(exc)) from None
@@ -661,8 +685,8 @@ def cmd_bode(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = _bode_stem(*loop)
     csv_path = out_dir / f"{stem}.csv"
-    write_csv(csv_path, ["omega", "mag_db", "phase_deg"],
-              np.column_stack([grid, mag_db, phase_deg]))
+    values = np.column_stack([mag_db, phase_deg]).ravel().tolist()
+    csv_path.write_text(csv_template % tuple(values), newline="")
     rep_path = out_dir / f"{stem}_margins.json"
     rep_path.write_text(canonical_text(rep_dict))
     dm = rep_dict["delay_margin_s"]

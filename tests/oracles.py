@@ -154,6 +154,59 @@ def bound_ultimate_time_varying(gamma, kappa, eta, xi, lam_min_P, lam_max_P,
         1.0 + math.sqrt(kappa * lam_max_P / (2.0 * xi * lam_min_R)))
 
 
+# The two oracles below are the numpy formulations that the library's cheaper paths
+# replaced; those paths are held to them bit for bit, not just to a tolerance.
+
+def margins_polyval(gamma, kappa, eta, alpha, band=(1e-3, 1e4)) -> dict:
+    """The closed-form margins with the Newton polish done by np.polyval, as the
+    dict of MarginReport.as_dict(); the first three entries are None when the
+    crossover lies outside the band."""
+    a2, b2, c2, g2 = (alpha + kappa + eta) ** 2, alpha**2, (alpha + eta) ** 2, gamma**2
+    coeffs = (1.0, a2 + b2, a2 * b2 - g2 * b2, -g2 * b2 * c2)
+    u = float(np.max(np.roots(coeffs).real))
+    lo, hi = band
+    if lo * lo / 2.0 <= u <= 2.0 * hi * hi:
+        u -= np.polyval(coeffs, u) / np.polyval((3.0, 2.0 * coeffs[1], coeffs[2]), u)
+    wc = math.sqrt(u)
+    s = 1j * np.array([5.0 / (2.0 * math.pi), 100.0])
+    g = (gamma / s) * ((s + alpha + eta) / (s + alpha + kappa + eta)) * (alpha / (s + alpha))
+    low, high = 20.0 * np.log10(np.abs(g))
+    out = {"gain_crossover_rad_s": None, "phase_margin_deg": None, "delay_margin_s": None,
+           "low_freq_gain_db": float(low), "high_freq_gain_db": float(high)}
+    if lo <= wc <= hi:
+        pm_rad = math.pi + float(-0.5 * math.pi + np.arctan2(wc, alpha + eta)
+                                 - np.arctan2(wc, alpha + kappa + eta) - np.arctan2(wc, alpha))
+        out.update(gain_crossover_rad_s=wc, phase_margin_deg=math.degrees(pm_rad),
+                   delay_margin_s=pm_rad / wc)
+    return out
+
+
+def weighted_fro_broadcast(W, Lam) -> float:
+    """||W Lambda^(1/2)||_F with the entries formed as the broadcast product
+    W * sqrt(Lambda) for every Lambda; checks, errors and overflow fallback as in
+    the library."""
+    W = np.asarray(W, dtype=float)
+    if W.ndim < 2:
+        W = np.atleast_2d(W)
+    lam = np.asarray(Lam, dtype=float)
+    if lam.ndim < 1:
+        lam = np.atleast_1d(lam)
+    lam_list = lam.tolist()
+    if not all(0.0 <= v < math.inf for v in lam_list):
+        raise ValueError("Lambda entries must be finite and nonnegative")
+    w_list = W.ravel().tolist()
+    w_sum = sum(map(abs, w_list))
+    if not w_sum < math.inf and not all(map(math.isfinite, w_list)):
+        raise ValueError("W entries must be finite")
+    if w_sum * w_sum * max(lam_list, default=0.0) * W.size * lam.size < 1e308:
+        x = (W * np.sqrt(lam)).ravel(order="K")
+        return math.sqrt(x.dot(x))
+    with np.errstate(over="ignore"):
+        x = (W * np.sqrt(lam)[np.newaxis, :]).ravel(order="K")
+        ss = x.dot(x)
+    return math.sqrt(ss) if ss < math.inf else math.hypot(*x.tolist())
+
+
 class PlainMracSimulator:
     """The closed loop coded from scratch: classical MRAC by default, the
     modified architecture with kappa, eta > 0 and an optional projection.

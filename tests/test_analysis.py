@@ -314,6 +314,18 @@ class TestLoopTransfer:
             with pytest.raises(ValueError, match=f"^{name} is too large"):
                 f()
 
+    @pytest.mark.parametrize("loop, name", [
+        ((1e-320, 0.0, 0.0, 1.0), "gamma"),
+        ((1.0, 0.0, 0.0, 1e-320), "alpha"),
+        ((1e-300, 0.0, 0.0, 1e-30), "gamma"),  # the smaller of the two gain factors
+    ])
+    def test_rejects_a_gain_that_underflows(self, loop, name):
+        # 20 log10 |G| of 0 would be -inf with a numpy divide warning.
+        for f in (lambda: analysis.loop_gain_db(*loop, np.array([1.0, 1e4])),
+                  lambda: analysis.band_gains_db(*loop)):
+            with pytest.raises(ValueError, match=f"^{name} is too small"):
+                f()
+
     def test_array_matches_scalar_evaluation(self):
         w = np.logspace(-3.0, 4.0, 57)
         g = analysis.loop_transfer(100.0, 50.0, 10.0, 1.0, w)

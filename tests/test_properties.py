@@ -6,14 +6,17 @@ of deriv against the from-scratch oracle at a measured error far below the
 state, the built basis function against its per-feature callables, the
 truth's derived norm budget against its norm at every time of a grid, the
 closed-form loop margins and the shortened xi search against the searches
-they replaced, and the scalar loop's linearized closed loop against its loop
-transfer function and, with a delayed control, against its delay margin."""
+they replaced, the margins' float polish and the weighted norm's one-entry
+path bit for bit against the numpy forms they replaced, and the scalar
+loop's linearized closed loop against its loop transfer function and, with
+a delayed control, against its delay margin."""
 
 import cmath
 import dataclasses
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -31,8 +34,9 @@ from flmrac.simulator import (CommandSpec, NoiseSpec, ScenarioConfig, assemble, 
                               run)
 
 from helpers import assert_csv_errors_exact, input_row, oracle_for, scalar_loop_scenario
-from oracles import (loop_transfer_rational, margins_by_search, optimal_xi_by_search,
-                     resolve_feature, truth_at)
+from oracles import (loop_transfer_rational, margins_by_search, margins_polyval,
+                     optimal_xi_by_search, resolve_feature, truth_at,
+                     weighted_fro_broadcast)
 
 finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 SUBNORMAL = float(np.finfo(float).smallest_subnormal)
@@ -143,6 +147,51 @@ def test_weighted_fro_matches_numpy_norm(data, s, m, fortran):
         st.one_of(st.floats(-1e150, -1e-150), st.sampled_from([math.inf, math.nan])))
     with pytest.raises(ValueError, match="nonnegative"):
         analysis._weighted_fro(W, lam)
+
+
+def _outcome(f, *args):
+    """(value or (exception type, message), [(warning category, message)]) of f(*args)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = f(*args)
+        except Exception as exc:  # the exception is part of the outcome
+            result = (type(exc), str(exc))
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+weight_entry = st.one_of(finite, st.sampled_from([0.0, -0.0, 1e300, -1e300, 1e-300, math.inf,
+                                                  -math.inf, math.nan]))
+lambda_entry = st.one_of(st.floats(0.0, 10.0), st.sampled_from([0.0, 1e300, 1e-300, -1.0,
+                                                                 math.inf, math.nan]))
+
+
+@settings(deadline=None, max_examples=500)
+@given(data=st.data(), s=st.integers(1, 6), m=st.integers(1, 3),
+       layout=st.sampled_from(["C", "F", "strided", "reversed", "flat"]),
+       lam_size=st.sampled_from(["m", "one", "other"]))
+def test_weighted_fro_equals_the_broadcast_form(data, s, m, layout, lam_size):
+    # Every outcome, value or exception and warnings, equals the broadcast oracle's.
+    entries = data.draw(st.lists(weight_entry, min_size=2 * s * m, max_size=2 * s * m))
+    big = np.array(entries).reshape(2 * s, m)
+    W = {"C": big[:s], "F": np.asfortranarray(big[:s]), "strided": big[::2],
+         "reversed": big[::-2], "flat": big[:s].ravel()}[layout]
+    size = {"m": m, "one": 1, "other": m + 1}[lam_size]
+    lam = np.array(data.draw(st.lists(lambda_entry, min_size=size, max_size=size)))
+    assert _outcome(analysis._weighted_fro, W, lam) == _outcome(weighted_fro_broadcast, W, lam)
+
+
+@pytest.mark.parametrize("layout", ["F", "strided", "reversed"])
+def test_weighted_fro_sums_in_the_broadcast_order(layout):
+    # Hypothesis favours simple values, whose sums of squares are often exact in any
+    # order; uniform ones are not, so a norm that summed the entries in another order
+    # than the broadcast product's differs from it in some of these draws.
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        big = rng.uniform(-10.0, 10.0, (12, 3))
+        W = {"F": np.asfortranarray(big[:6]), "strided": big[::2], "reversed": big[::-2]}[layout]
+        lam = rng.uniform(0.0, 10.0, rng.choice([1, 3]))
+        assert analysis._weighted_fro(W, lam) == weighted_fro_broadcast(W, lam)
 
 
 # Bounds of xi in (0, 1) from (p, s, o) in [0, 1] x [-100, 100] x [-10, 10]: monotone,
@@ -305,6 +354,21 @@ def test_margins_match_crossover_search(gamma, kappa, eta, alpha):
     assert got == pytest.approx(reference, rel=1e-12, abs=0.0)
     assert abs(loop_transfer_rational(gamma, kappa, eta, alpha, rep.gain_crossover)) == \
         pytest.approx(1.0, rel=0.0, abs=1e-12)
+
+
+@example(gamma=500.0, kappa=100.0, eta=5.0, alpha=1.0)
+@example(gamma=1e-3, kappa=0.0, eta=0.0, alpha=1.0)  # crossover below the band
+@example(gamma=1e150, kappa=0.0, eta=0.0, alpha=1.0)  # far above it: no polish
+@settings(deadline=None, max_examples=500)
+@given(gamma=st.floats(1e-6, 1e8), kappa=st.floats(0.0, 1e6), eta=st.floats(0.0, 1e6),
+       alpha=st.floats(1e-4, 1e3))
+def test_margins_equal_the_polyval_polish(gamma, kappa, eta, alpha):
+    try:
+        got = analysis.margins(gamma, kappa, eta, alpha).as_dict()
+    except analysis.NoCrossoverError:
+        got = analysis.MarginReport(
+            None, None, None, *analysis.band_gains_db(gamma, kappa, eta, alpha)).as_dict()
+    assert got == margins_polyval(gamma, kappa, eta, alpha)
 
 
 def _central_jacobian(system, y, step=1e-6):

@@ -44,6 +44,12 @@ class TestConfigParsing:
             scn, raw = load_config(name)
             assert serialize_scenario(scn) == canonical_text(raw)
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_canonical_text_refuses_what_json_cannot_spell(self, value):
+        # Standard JSON has no NaN or Infinity; json.dumps would write them by default.
+        with pytest.raises(ValueError, match="JSON compliant"):
+            canonical_text({"x": [1.0, value]})
+
     def test_bundled_resolution_by_name(self):
         assert bundled_scenario_path("wingrock_proposed") is not None
         assert bundled_scenario_path("missing_thing") is None
@@ -668,6 +674,10 @@ class TestCmdBode:
         # Finite, but the crossover cubic's squares overflow.
         (["--gamma", "1e200"], "--gamma"),
         (["--kappa", "1e200"], "--kappa"),
+        # Positive, but |G| underflows to 0 on the band: its dB would be -inf.
+        (["--gamma", "1e-320", "--kappa", "0", "--eta", "0"], "--gamma"),
+        (["--alpha", "1e-320"], "--alpha"),
+        (["--gamma", "1e-170", "--kappa", "1e150"], "--gamma"),
     ])
     def test_out_of_domain_argument_exits_2(self, tmp_path, capsys, args, flag):
         out = tmp_path / "bode"
@@ -677,6 +687,24 @@ class TestCmdBode:
         stderr = capsys.readouterr().err
         assert flag in stderr and "Traceback" not in stderr
         assert not out.exists()
+
+    def test_loops_share_one_read_only_band(self, tmp_path):
+        out = tmp_path / "bode"
+        for gamma in ("100", "2000"):
+            assert simcli.main(["bode", "--gamma", gamma, "--kappa", "50", "--eta", "10",
+                                "--out", str(out)]) == 0
+        lo, hi = analysis.MARGIN_BAND
+        fresh = np.logspace(math.log10(lo), math.log10(hi), simcli.BODE_POINTS)
+        fresh[0], fresh[-1] = lo, hi
+        csvs = sorted(out.glob("*.csv"))
+        assert len(csvs) == 2
+        for path in csvs:
+            lines = path.read_text().splitlines()[1:]
+            assert [line.split(",")[0] for line in lines] == ["%.17g" % w for w in fresh]
+        grid, _ = simcli.bode_band()
+        assert simcli.bode_band()[0] is grid and np.array_equal(grid, fresh)
+        with pytest.raises(ValueError, match="read-only"):
+            grid[0] = 1.0
 
     @pytest.mark.parametrize("flag, values", [("--alpha", ["1", "2"]),
                                               ("--gamma", ["100", "100.00012"])])
@@ -887,6 +915,27 @@ class TestCmdPlot:
         assert len(points) <= 1 + t.size // 2
         # The panel spans x = 70 to 70 + 765 over t[0] to t[-1].
         assert points[0].startswith("70.00,") and points[-1].startswith("835.00,")
+
+
+@pytest.mark.parametrize("command, report", [
+    (["run", "--config"], "tiny_gamma_bounds.json"),
+    (["compare"], "compare_report.json"),
+])
+def test_bound_that_overflows_is_written_as_null(tmp_path, command, report):
+    # gamma^-1 ||W_tilde0 Lambda^(1/2)||_F^2 overflows: the bound is inf, which
+    # standard JSON cannot spell.  630 steps at record_stride 10 suit compare.
+    _, raw = load_config("wingrock_kappa_only")
+    raw.update(name="tiny_gamma", t_final=0.63)
+    raw["controller"]["gamma"] = 1e-320
+    cfg = tmp_path / "tiny_gamma.cfg"
+    cfg.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert simcli.main([*command, str(cfg), "--out", str(out)]) == 0
+    text = (out / report).read_text()
+    data = json.loads(text, parse_constant=lambda name: pytest.fail(f"{name} in {text}"))
+    row = data["runs"][0] if command == ["compare"] else data
+    assert row["bound_value"] is None
+    assert row["bound_satisfied" if command == ["compare"] else "satisfied"] is True
 
 
 #: The arguments before --out of each command that takes one.
