@@ -409,8 +409,9 @@ def margins(gamma: float, kappa: float, eta: float, alpha: float) -> MarginRepor
         u -= (((c0 * u + c1) * u + c2) * u + c3) / ((3.0 * u + 2.0 * c1) * u + c2)
     wc = math.sqrt(u)
     if not lo <= wc <= hi:
-        raise NoCrossoverError(f"the gain crossover {wc:g} rad/s lies outside "
-                               f"[{lo:g}, {hi:g}] rad/s")
+        # No frequency is named: wc can underflow to 0 or round to a band edge in print.
+        raise NoCrossoverError(f"the gain crossover lies outside [{lo:g}, {hi:g}] rad/s, "
+                               f"{'below' if wc < lo else 'above'} it")
     pm_rad = math.pi + float(loop_phase(gamma, kappa, eta, alpha, wc))
     low_gain, high_gain = band_gains_db(gamma, kappa, eta, alpha)
     return MarginReport(

@@ -37,7 +37,7 @@ EXIT_DIVERGENCE = 3
 
 #: Retries with halved step size after a detected divergence.
 MAX_STEP_HALVINGS = 3
-#: Default cutoff (rad/s) for the control-signal high-frequency metric.
+#: Cutoff (rad/s) of compare's control-signal high-frequency metric.
 DEFAULT_HF_CUTOFF = 10.0
 #: xi at which bound_report_for evaluates the modified-architecture bounds.
 BOUND_XI = 0.5
@@ -493,8 +493,7 @@ def svg_panels(rows, path: Path, xlabel: str, title: str = "", logx: bool = Fals
 # Manifest
 # ---------------------------------------------------------------------------
 
-def make_manifest(scn: ScenarioConfig, outputs: list[str], overrides: dict,
-                  halvings: int) -> dict:
+def make_manifest(scn: ScenarioConfig, outputs: list[str], halvings: int) -> dict:
     canon = serialize_scenario(scn)
     return {
         "scenario": scn.name,
@@ -502,7 +501,6 @@ def make_manifest(scn: ScenarioConfig, outputs: list[str], overrides: dict,
         "seed": scn.noise.seed,
         "h": scn.h,
         "step_halvings": halvings,
-        "overrides": overrides,
         "versions": {
             "flmrac": __version__,
             "numpy": np.__version__,
@@ -516,18 +514,6 @@ def make_manifest(scn: ScenarioConfig, outputs: list[str], overrides: dict,
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
-
-def _apply_overrides(scn: ScenarioConfig, args) -> tuple[ScenarioConfig, dict]:
-    overrides = {}
-    if getattr(args, "seed_override", None) is not None:
-        overrides["seed"] = args.seed_override
-        scn = dataclasses.replace(
-            scn, noise=dataclasses.replace(scn.noise, seed=args.seed_override))
-    if getattr(args, "step_size", None) is not None:
-        overrides["h"] = args.step_size
-        scn = dataclasses.replace(scn, h=args.step_size)
-    return scn, overrides
-
 
 def _warn_gain_window(scn: ScenarioConfig) -> None:
     # The filter should pass strictly less bandwidth than the mismatch gain
@@ -556,7 +542,6 @@ def _run_with_retries(scn: ScenarioConfig) -> tuple[Trajectory, ScenarioConfig, 
 
 def cmd_run(args) -> int:
     scn, _ = load_config(args.config)
-    scn, overrides = _apply_overrides(scn, args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     traj, scn, halvings = _run_with_retries(scn)
@@ -566,7 +551,7 @@ def cmd_run(args) -> int:
     report = bound_report_for(scn, traj)
     bounds_path = out_dir / f"{scn.name}_bounds.json"
     bounds_path.write_text(canonical_text(_overflow_as_null(dataclasses.asdict(report))))
-    manifest = make_manifest(scn, [str(csv_path), str(bounds_path)], overrides, halvings)
+    manifest = make_manifest(scn, [str(csv_path), str(bounds_path)], halvings)
     manifest_path = out_dir / f"{scn.name}_manifest.json"
     manifest_path.write_text(canonical_text(manifest))
 
@@ -606,8 +591,6 @@ def run_metrics(scn: ScenarioConfig, traj: Trajectory, cutoff: float) -> dict:
 
 
 def cmd_compare(args) -> int:
-    if not 0.0 <= args.cutoff < math.inf:
-        raise ConfigError("--cutoff", f"must be finite and nonnegative, got {args.cutoff}")
     scenarios = [load_config(c)[0] for c in args.configs]
     if len({_compare_key(scn) for scn in scenarios}) != 1:
         raise ConfigError("configs", "compare requires identical plant, command and noise seed")
@@ -622,10 +605,10 @@ def cmd_compare(args) -> int:
     rows = []
     for scn in scenarios:
         traj, scn, _ = _run_with_retries(scn)
-        rows.append(run_metrics(scn, traj, args.cutoff))
+        rows.append(run_metrics(scn, traj, DEFAULT_HF_CUTOFF))
 
     report_path = out_dir / "compare_report.json"
-    report_path.write_text(canonical_text({"cutoff_rad_s": args.cutoff,
+    report_path.write_text(canonical_text({"cutoff_rad_s": DEFAULT_HF_CUTOFF,
                                            "runs": _overflow_as_null(rows)}))
     cols = ["name", "gamma", "kappa", "eta", "tracking_linf", "tracking_linf_post",
             "hf_content_u", "max_abs_u", "bound_satisfied"]
@@ -737,15 +720,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", required=True,
                        help="scenario file path or bundled scenario name")
     p_run.add_argument("--out", required=True, help="output directory")
-    p_run.add_argument("--seed-override", type=int, default=None)
-    p_run.add_argument("--step-size", type=float, default=None)
 
     p_cmp = sub.add_parser("compare", help="run several scenarios under one seed")
     p_cmp.add_argument("configs", nargs="+",
                        help="scenario files sharing plant, command and seed")
     p_cmp.add_argument("--out", required=True)
-    p_cmp.add_argument("--cutoff", type=float, default=DEFAULT_HF_CUTOFF,
-                       help="high-frequency cutoff for the control spectrum metric (rad/s)")
 
     p_bode = sub.add_parser("bode", help="loop-gain frequency response and margins")
     p_bode.add_argument("--gamma", type=float, required=True)

@@ -360,10 +360,15 @@ class TestMargins:
             g2 = abs(analysis.loop_transfer(200.0, 50.0, 10.0, 1.0, w))
             assert 20.0 * math.log10(g2 / g1) == pytest.approx(6.0206, abs=1e-3)
 
-    @pytest.mark.parametrize("gamma", [1e-12, 1e9])  # crossover below, then above, MARGIN_BAND
+    # With kappa = eta = 0 and alpha = 1 the crossover lies below MARGIN_BAND for gamma < 1
+    # and above it for the rest: for gamma <= 1e-160 omega^2 underflows to 0, and 1e-3 and
+    # 1.0000001e8 put it just beyond a band edge.
+    @pytest.mark.parametrize("gamma", [1e-320, 1e-160, 1e-12, 1e-3, 1.0000001e8, 1e9])
     def test_no_crossover_raises(self, gamma):
-        with pytest.raises(analysis.NoCrossoverError, match="outside"):
+        side = "below" if gamma < 1.0 else "above"
+        with pytest.raises(analysis.NoCrossoverError) as err:
             analysis.margins(gamma, 0.0, 0.0, 1.0)
+        assert str(err.value) == f"the gain crossover lies outside [0.001, 10000] rad/s, {side} it"
 
 
 class TestHfContent:

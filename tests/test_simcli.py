@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import functools
 import json
@@ -157,6 +158,8 @@ MALFORMED_FIELDS = {
     "K_not_stabilizing": (lambda r: r["controller"].update(K=_matrix(1, 3, [0.0] * 3)),
                           "controller.K", "A - B K is not Hurwitz; fix the nominal gain K"),
     "h_infinite": (lambda r: r.update(h=float("inf")), "h"),
+    "h_negative": (lambda r: r.update(h=-0.01), "h"),
+    "h_beyond_horizon": (lambda r: r.update(h=200.0), "t_final"),
     "gamma_beyond_float": (lambda r: r["controller"].update(gamma=10**400), "controller.gamma"),
     # Noise is on where its std is: a file cannot switch it with a flag.
     "noise_enabled_declared": (lambda r: r["noise"].update(enabled=False), "noise.enabled",
@@ -205,14 +208,6 @@ MALFORMED_FIELDS = {
         "controller.W_hat0", BEYOND_GUARD),
     "noise_std_beyond_guard": (lambda r: r["noise"].update(std=[1e120, 0.0, 0.0]), "noise.std",
                                BEYOND_GUARD),
-}
-
-# (command-line override, field path the error names)
-MALFORMED_OVERRIDES = {
-    "seed_override_negative": (["--seed-override", "-1"], "noise.seed"),
-    "step_size_negative": (["--step-size", "-0.01"], "h"),
-    "step_size_beyond_horizon": (["--step-size", "200"], "t_final"),
-    "step_size_not_dividing_horizon": (["--step-size", "0.0007"], "t_final"),
 }
 
 
@@ -278,15 +273,6 @@ class TestConfigBoundary:
         good = short_noisy_config(tmp_path, t_final=0.2)
         assert simcli.main(["compare", str(good), str(bad), "--out", str(out)]) == 2
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["malformed.cfg", "short.cfg"]
-
-    @pytest.mark.parametrize("case", MALFORMED_OVERRIDES)
-    def test_malformed_override(self, tmp_path, capsys, case):
-        args, path = MALFORMED_OVERRIDES[case]
-        _, cfg = _malformed_config(tmp_path)
-        assert simcli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o"),
-                            *args]) == 2
-        stderr = capsys.readouterr().err
-        assert f"config error: {path}: " in stderr and "Traceback" not in stderr
 
     def test_compare_with_one_malformed_member(self, tmp_path, capsys):
         good = short_noisy_config(tmp_path, t_final=0.2)
@@ -444,25 +430,26 @@ class TestCmdRun:
         assert len(manifest["scenario_hash"]) == 64
         assert manifest["versions"]["flmrac"]
 
-    @pytest.mark.parametrize("kappa, argv, h, halvings, overrides", [
-        (100.0, [], 1e-3, 0, {}),
+    # The manifest's h is the file's, halved once per retry.
+    @pytest.mark.parametrize("kappa, file_h, halvings", [
+        (100.0, 1e-3, 0),
         # kappa h = 10 and 5 lie outside RK4's stability region; 2.5 lies inside.
-        (1e4, [], 2.5e-4, 2, {}),
-        (1e4, ["--step-size", "5e-4"], 2.5e-4, 1, {"h": 5e-4}),
+        (1e4, 1e-3, 2),
+        (1e4, 5e-4, 1),
     ])
-    def test_manifest_records_effective_h_and_halvings(self, tmp_path, kappa, argv, h,
-                                                       halvings, overrides):
+    def test_manifest_records_effective_h_and_halvings(self, tmp_path, kappa, file_h, halvings):
         _, raw = load_config("wingrock_proposed")
-        raw.update(name="stiff", t_final=0.5)
+        raw.update(name="stiff", t_final=0.5, h=file_h)
         raw["controller"]["kappa"] = kappa
         raw["noise"]["std"] = []
         cfg = tmp_path / "stiff.cfg"
         cfg.write_text(json.dumps(raw))
         out = tmp_path / "out"
-        assert simcli.main(["run", "--config", str(cfg), "--out", str(out), *argv]) == 0
+        assert simcli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
         manifest = json.loads((out / "stiff_manifest.json").read_text())
-        assert (manifest["h"], manifest["step_halvings"]) == (h, halvings)
-        assert manifest["overrides"] == overrides
+        assert (manifest["h"], manifest["step_halvings"]) == (file_h / 2**halvings, halvings)
+        assert set(manifest) == {"scenario", "scenario_hash", "seed", "h", "step_halvings",
+                                 "versions", "timestamp", "outputs"}
 
     def test_byte_determinism(self, tmp_path):
         # 3003 steps at record_stride 10: the sample at t_final, step 3003, is off the
@@ -476,14 +463,17 @@ class TestCmdRun:
         assert read_csv_columns(out1 / "short.csv")["t"][-2:].tolist() == [3000 * h, 3003 * h]
 
     def test_seed_override_changes_output(self, tmp_path):
-        cfg = short_noisy_config(tmp_path)
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        simcli.main(["run", "--config", str(cfg), "--out", str(out1)])
-        simcli.main(["run", "--config", str(cfg), "--out", str(out2),
-                     "--seed-override", "7"])
+        # Two files that differ only in noise.seed.
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        cfg1 = short_noisy_config(tmp_path / "a")
+        cfg2 = short_noisy_config(tmp_path / "b", seed=7)
+        out1, out2 = tmp_path / "a" / "out", tmp_path / "b" / "out"
+        assert simcli.main(["run", "--config", str(cfg1), "--out", str(out1)]) == 0
+        assert simcli.main(["run", "--config", str(cfg2), "--out", str(out2)]) == 0
         assert (out1 / "short.csv").read_bytes() != (out2 / "short.csv").read_bytes()
         manifest = json.loads((out2 / "short_manifest.json").read_text())
-        assert manifest["overrides"] == {"seed": 7}
+        assert manifest["seed"] == 7
 
     def test_validation_exit_code(self, tmp_path):
         _, raw = load_config("wingrock_proposed")
@@ -575,16 +565,6 @@ class TestCmdCompare:
         out = tmp_path / "cmp"
         assert simcli.main(["compare", *map(str, paths), "--out", str(out)]) == 0
         assert len(json.loads((out / "compare_report.json").read_text())["runs"]) == 2
-
-    @pytest.mark.parametrize("cutoff", ["nan", "inf", "-1"])
-    def test_cutoff_outside_the_domain_exits_2(self, tmp_path, capsys, cutoff):
-        cfg = short_noisy_config(tmp_path, t_final=1.0)
-        out = tmp_path / "cmp"
-        assert simcli.main(["compare", str(cfg), str(cfg), "--out", str(out),
-                            "--cutoff", cutoff]) == 2
-        stderr = capsys.readouterr().err
-        assert "config error: --cutoff: must be finite and nonnegative" in stderr
-        assert "Traceback" not in stderr and not out.exists()
 
     def test_mismatched_plants_rejected(self, tmp_path):
         cfg1 = short_noisy_config(tmp_path, name="one")
@@ -948,15 +928,18 @@ _OUT_COMMANDS = {
 
 
 @pytest.mark.parametrize("command, flag", [
+    ("run", "--seed-override"), ("run", "--step-size"), ("compare", "--cutoff"),
     ("bode", "--omega-min"), ("bode", "--omega-max"), ("bode", "--points"), ("plot", "--bode")])
 def test_removed_flag_exits_2(tmp_path, capsys, command, flag):
-    """bode draws one fixed band, and plot draws the Bode layout without --columns."""
+    """A run is its scenario file, bode draws one fixed band, and plot draws the Bode
+    layout without --columns."""
     (tmp_path / "b.csv").write_text("omega,mag_db,phase_deg\n1.0,0.0,-90.0\n2.0,-6.0,-95.0\n")
     args = [a.format(tmp=tmp_path) for a in _OUT_COMMANDS[command]]
     with pytest.raises(SystemExit) as err:
         simcli.main([*args, flag, "1", "--out", str(tmp_path / "out")])
     assert err.value.code == 2
-    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    stderr = capsys.readouterr().err
+    assert f"unrecognized arguments: {flag}" in stderr and "Traceback" not in stderr
     assert [p.name for p in tmp_path.iterdir()] == ["b.csv"]
 
 
@@ -990,3 +973,18 @@ def test_readme_library_use_runs(capsys):
     exec(compile(code, "README.md", "exec"), {})
     printed = capsys.readouterr().out.split()
     assert len(printed) == 3 and all(math.isfinite(float(v)) for v in printed)
+
+
+def test_readme_cli_block_lists_every_option():
+    """The --flags of each command in README's CLI block are exactly its parser's options."""
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    block = re.search(r"## CLI\n\n```sh\n(.*?)```", readme, re.S).group(1)
+    documented = {}
+    for line in block.replace("\\\n", " ").splitlines():
+        _, command, *rest = line.split()
+        documented.setdefault(command, set()).update(re.findall(r"--[a-z][a-z-]*", " ".join(rest)))
+    subparsers = next(a for a in simcli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    options = {command: {o for a in sub._actions for o in a.option_strings} - {"-h", "--help"}
+               for command, sub in subparsers.choices.items()}
+    assert documented == options
