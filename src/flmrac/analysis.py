@@ -280,17 +280,12 @@ def decay_fit(traj: Trajectory, t_window: float) -> tuple[float, float]:
 # Loop transfer function and margins (scalar first-order design case)
 # ---------------------------------------------------------------------------
 
-def _crossover_cubic(gamma: float, kappa: float, eta: float, alpha: float) -> tuple:
-    """Coefficients of margins' crossover cubic in u = omega^2 (see there)."""
-    a2, b2, c2, g2 = (alpha + kappa + eta) ** 2, alpha**2, (alpha + eta) ** 2, gamma**2
-    return (1.0, a2 + b2, a2 * b2 - g2 * b2, -g2 * b2 * c2)
-
-
-def _check_loop(gamma: float, kappa: float, eta: float, alpha: float, omega=None) -> None:
+def _check_loop(gamma: float, kappa: float, eta: float, alpha: float, omega=None) -> tuple:
     """Domain of the scalar loop: finite gamma > 0, alpha > 0, kappa >= 0 and
     eta >= 0 whose crossover cubic has finite coefficients, and every given
     omega > 0 (the integrator pole sits at zero).  A ValueError starts with
-    the parameter's name; an overflowing cubic is the largest parameter's."""
+    the parameter's name; an overflowing cubic is the largest parameter's.
+    Returns the coefficients of margins' crossover cubic in u = omega^2 (see there)."""
     params = (("gamma", gamma, True), ("kappa", kappa, False), ("eta", eta, False),
               ("alpha", alpha, True))
     for name, value, positive in params:
@@ -298,7 +293,9 @@ def _check_loop(gamma: float, kappa: float, eta: float, alpha: float, omega=None
             rule = "positive" if positive else "nonnegative"
             raise ValueError(f"{name} must be finite and {rule}, got {value!r}")
     try:
-        finite = all(map(math.isfinite, _crossover_cubic(gamma, kappa, eta, alpha)))
+        a2, b2, c2, g2 = (alpha + kappa + eta) ** 2, alpha**2, (alpha + eta) ** 2, gamma**2
+        coeffs = (1.0, a2 + b2, a2 * b2 - g2 * b2, -g2 * b2 * c2)
+        finite = all(map(math.isfinite, coeffs))
     except OverflowError:
         finite = False
     if not finite:
@@ -307,6 +304,7 @@ def _check_loop(gamma: float, kappa: float, eta: float, alpha: float, omega=None
                          f"got {value!r}")
     if omega is not None and not np.all(np.asarray(omega) > 0.0):
         raise ValueError("omega must be positive (integrator pole at zero)")
+    return coeffs
 
 
 def loop_transfer(gamma: float, kappa: float, eta: float, alpha: float, omega):
@@ -396,8 +394,7 @@ def margins(gamma: float, kappa: float, eta: float, alpha: float) -> MarginRepor
     exactly one gain crossover: the cubic's only root with a positive real part,
     polished by one Newton step.  Raises NoCrossoverError if it lies outside MARGIN_BAND.
     """
-    _check_loop(gamma, kappa, eta, alpha)
-    coeffs = _crossover_cubic(gamma, kappa, eta, alpha)
+    coeffs = _check_loop(gamma, kappa, eta, alpha)
     u = float(np.max(np.roots(coeffs).real))
     lo, hi = MARGIN_BAND
     # The polish moves u by far less than a factor of 2, so a root outside this wider

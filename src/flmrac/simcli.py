@@ -35,8 +35,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_DIVERGENCE = 3
 
-#: Retries with halved step size after a detected divergence.
-MAX_STEP_HALVINGS = 3
 #: Cutoff (rad/s) of compare's control-signal high-frequency metric.
 DEFAULT_HF_CUTOFF = 10.0
 #: xi at which bound_report_for evaluates the modified-architecture bounds.
@@ -493,14 +491,13 @@ def svg_panels(rows, path: Path, xlabel: str, title: str = "", logx: bool = Fals
 # Manifest
 # ---------------------------------------------------------------------------
 
-def make_manifest(scn: ScenarioConfig, outputs: list[str], halvings: int) -> dict:
+def make_manifest(scn: ScenarioConfig, outputs: list[str]) -> dict:
     canon = serialize_scenario(scn)
     return {
         "scenario": scn.name,
         "scenario_hash": hashlib.sha256(canon.encode()).hexdigest(),
         "seed": scn.noise.seed,
         "h": scn.h,
-        "step_halvings": halvings,
         "versions": {
             "flmrac": __version__,
             "numpy": np.__version__,
@@ -525,33 +522,19 @@ def _warn_gain_window(scn: ScenarioConfig) -> None:
               "eta well below kappa", file=sys.stderr)
 
 
-def _run_with_retries(scn: ScenarioConfig) -> tuple[Trajectory, ScenarioConfig, int]:
-    """Run the scenario, halving h after each divergence up to the cap; count the halvings."""
-    _warn_gain_window(scn)
-    for attempt in range(MAX_STEP_HALVINGS + 1):
-        try:
-            return run(scn), scn, attempt
-        except DivergenceError as exc:
-            if attempt == MAX_STEP_HALVINGS:
-                raise
-            new_h = scn.h / 2.0
-            print(f"[flmrac] divergence ({exc}); retrying with h={new_h:g}",
-                  file=sys.stderr)
-            scn = dataclasses.replace(scn, h=new_h)
-
-
 def cmd_run(args) -> int:
     scn, _ = load_config(args.config)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    traj, scn, halvings = _run_with_retries(scn)
+    _warn_gain_window(scn)
+    traj = run(scn)
 
     csv_path = out_dir / f"{scn.name}.csv"
     write_trajectory_csv(traj, csv_path)
     report = bound_report_for(scn, traj)
     bounds_path = out_dir / f"{scn.name}_bounds.json"
     bounds_path.write_text(canonical_text(_overflow_as_null(dataclasses.asdict(report))))
-    manifest = make_manifest(scn, [str(csv_path), str(bounds_path)], halvings)
+    manifest = make_manifest(scn, [str(csv_path), str(bounds_path)])
     manifest_path = out_dir / f"{scn.name}_manifest.json"
     manifest_path.write_text(canonical_text(manifest))
 
@@ -604,8 +587,8 @@ def cmd_compare(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     for scn in scenarios:
-        traj, scn, _ = _run_with_retries(scn)
-        rows.append(run_metrics(scn, traj, DEFAULT_HF_CUTOFF))
+        _warn_gain_window(scn)
+        rows.append(run_metrics(scn, run(scn), DEFAULT_HF_CUTOFF))
 
     report_path = out_dir / "compare_report.json"
     report_path.write_text(canonical_text({"cutoff_rad_s": DEFAULT_HF_CUTOFF,

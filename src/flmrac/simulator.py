@@ -49,7 +49,7 @@ class ConfigError(ValueError):
 
 class DivergenceError(RuntimeError):
     """A run's state became non-finite or left +-DIVERGENCE_LIMIT; `run`
-    raises it with the step's time and the block that diverged."""
+    raises it with the step's time, the block that diverged and the scenario's name."""
 
 
 @dataclass(frozen=True)
@@ -164,7 +164,7 @@ class ScenarioConfig:
             raise ConfigError("h", "step size must be positive and finite")
         if not (self.t_final == 0.0 or self.h <= self.t_final < 2.0**53 * self.h):
             raise ConfigError("t_final", "must be 0, or finite and 1 to 2**53 steps h")
-        # The relative tolerance admits the rounding of h * steps; halving h keeps a multiple.
+        # The relative tolerance admits the rounding of h * steps.
         if not math.isclose(self.steps * self.h, self.t_final, rel_tol=1e-12):
             raise ConfigError("t_final", f"not a whole number of steps h = {self.h!r}")
         if not _is_int(self.record_stride) or self.record_stride < 1:
@@ -505,7 +505,8 @@ def run(scenario: ScenarioConfig) -> Trajectory:
                             and not np.maximum.reduce(np.abs(y)) <= DIVERGENCE_LIMIT):
                         raise DivergenceError(
                             f"simulation diverged at t={(k + 1) * h:.6g} (signal: "
-                            f"{sys.diverged_block(y)}); consider a smaller step size")
+                            f"{sys.diverged_block(y)}); consider a smaller step size h "
+                            f"in scenario {scenario.name!r}")
 
     # A quiet sample of a noisy run measures x + 0, which equals x.
     u = sys.control_at(rec_y, rec_noise if scenario.noise.on else None)

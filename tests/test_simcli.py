@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import functools
+import hashlib
 import json
 import math
 import operator
@@ -198,7 +199,7 @@ MALFORMED_FIELDS = {
                              "plant.truth.modulations", "expected a list"),
     "unknown_root_key": (lambda r: r.update(horizon=1.0), "horizon", "unknown field"),
     # Start values beyond the divergence guard: 1e120 would overflow x1_cubed in the first
-    # step, and 1e10 would only diverge through every step halving.
+    # step, and 1e10 would pass that step and exit 3 at the guard's check after it.
     "x0_beyond_overflow": (lambda r: r.update(x0=[1e120, 0.0, 0.0]), "x0", BEYOND_GUARD),
     "x0_beyond_guard": (lambda r: r.update(x0=[1e10, 0.0, 0.0]), "x0", BEYOND_GUARD),
     "x_r0_beyond_guard": (lambda r: r.update(x_r0=[1e120, 0.0, 0.0]), "x_r0", BEYOND_GUARD),
@@ -430,14 +431,14 @@ class TestCmdRun:
         assert len(manifest["scenario_hash"]) == 64
         assert manifest["versions"]["flmrac"]
 
-    # The manifest's h is the file's, halved once per retry.
-    @pytest.mark.parametrize("kappa, file_h, halvings", [
+    # A run integrates the file's h: one that diverges at it writes nothing.
+    @pytest.mark.parametrize("kappa, file_h, code", [
         (100.0, 1e-3, 0),
-        # kappa h = 10 and 5 lie outside RK4's stability region; 2.5 lies inside.
-        (1e4, 1e-3, 2),
-        (1e4, 5e-4, 1),
+        # kappa h = 10 and 5 lie outside RK4's stability region.
+        (1e4, 1e-3, 3),
+        (1e4, 5e-4, 3),
     ])
-    def test_manifest_records_effective_h_and_halvings(self, tmp_path, kappa, file_h, halvings):
+    def test_manifest_describes_the_file(self, tmp_path, kappa, file_h, code):
         _, raw = load_config("wingrock_proposed")
         raw.update(name="stiff", t_final=0.5, h=file_h)
         raw["controller"]["kappa"] = kappa
@@ -445,10 +446,17 @@ class TestCmdRun:
         cfg = tmp_path / "stiff.cfg"
         cfg.write_text(json.dumps(raw))
         out = tmp_path / "out"
-        assert simcli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        assert simcli.main(["run", "--config", str(cfg), "--out", str(out)]) == code
+        if code:
+            assert list(out.iterdir()) == []
+            return
+        scn, _ = load_config(str(cfg))
         manifest = json.loads((out / "stiff_manifest.json").read_text())
-        assert (manifest["h"], manifest["step_halvings"]) == (file_h / 2**halvings, halvings)
-        assert set(manifest) == {"scenario", "scenario_hash", "seed", "h", "step_halvings",
+        assert manifest["h"] == file_h
+        assert manifest["scenario_hash"] == hashlib.sha256(
+            serialize_scenario(scn).encode()).hexdigest()
+        assert len(read_csv_columns(out / "stiff.csv")["t"]) == scn.samples
+        assert set(manifest) == {"scenario", "scenario_hash", "seed", "h",
                                  "versions", "timestamp", "outputs"}
 
     def test_byte_determinism(self, tmp_path):
@@ -485,8 +493,7 @@ class TestCmdRun:
 
     @staticmethod
     def _stiff_config(tmp_path):
-        """kappa h stays far outside the RK4 stability region even after all
-        three step halvings, so the retries exhaust and the run exits 3."""
+        """kappa h = 50 lies far outside the RK4 stability region, so the run exits 3."""
         _, raw = load_config("wingrock_proposed")
         raw["name"] = "stiff"
         raw["controller"]["kappa"] = 5e4
@@ -501,14 +508,14 @@ class TestCmdRun:
         assert simcli.main(["run", "--config", str(cfg),
                             "--out", str(tmp_path / "o")]) == 3
         stderr = capsys.readouterr().err
-        # Each announced retry is made: none is announced after the last one.
-        assert stderr.count("retrying") == simcli.MAX_STEP_HALVINGS
-        # Each divergence is reported by its block.  A numpy RuntimeWarning would fail
+        # The file's h is run once, not retried.
+        assert stderr.count("simulation diverged at") == 1 and "retrying" not in stderr
+        # The divergence is reported by its block.  A numpy RuntimeWarning would fail
         # the test through pyproject.toml's filterwarnings.
         assert "(signal: " in stderr and "Traceback" not in stderr
 
     def test_run_after_a_divergence_writes_a_clean_process_csv(self, tmp_path):
-        # The diverged runs leave NaN and infinity in memory that numpy hands
+        # The diverged run leaves NaN and infinity in memory that numpy hands
         # out again; the next run in the process must not read any of it.
         assert simcli.main(["run", "--config", str(self._stiff_config(tmp_path)),
                             "--out", str(tmp_path / "o")]) == 3
@@ -576,6 +583,17 @@ class TestCmdCompare:
         cfg2.write_text(json.dumps(raw))
         assert simcli.main(["compare", str(cfg1), str(cfg2),
                             "--out", str(tmp_path / "cmp")]) == 2
+
+    def test_diverging_member_exits_3_and_is_named(self, tmp_path, capsys):
+        # The first member runs to its end; the second diverges, so no report is written.
+        good = short_noisy_config(tmp_path, t_final=1.0)
+        stiff = TestCmdRun._stiff_config(tmp_path)
+        out = tmp_path / "cmp"
+        assert simcli.main(["compare", str(good), str(stiff), "--out", str(out)]) == 3
+        stderr = capsys.readouterr().err
+        assert stderr.count("simulation diverged at") == 1
+        assert "in scenario 'stiff'" in stderr and "Traceback" not in stderr
+        assert not (out / "compare_report.json").exists()
 
 
 class TestGainWindowWarning:

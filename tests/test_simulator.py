@@ -257,7 +257,7 @@ class TestRun:
         with pytest.raises(sim.DivergenceError) as err:
             sim.run(_no_uncertainty_scenario())
         assert str(err.value) == ("simulation diverged at t=0.011 (signal: W_hat); "
-                                  "consider a smaller step size")
+                                  "consider a smaller step size h in scenario 'clean'")
 
     def test_finite_state_first_above_limit_raises(self, monkeypatch):
         # x grows by 0.4 DIVERGENCE_LIMIT per step: 1.2 times the limit after the third.
@@ -288,16 +288,16 @@ class TestRun:
         assert np.all(np.abs(last) <= sim.DIVERGENCE_LIMIT)
 
     def test_stiff_blowup_names_block(self):
-        # The last step size the CLI retries for kappa = 5e4 still blows up.
+        # kappa h = 6.25 lies outside RK4's stability region.
         scn, _ = load_config("wingrock_proposed")
         scn = dataclasses.replace(
-            scn, h=1.25e-4, t_final=5.0,
+            scn, name="stiff", h=1.25e-4, t_final=5.0,
             controller=dataclasses.replace(scn.controller, kappa=5e4),
             noise=dataclasses.replace(scn.noise, std=()))
         with pytest.raises(sim.DivergenceError) as err:
             sim.run(scn)
         assert str(err.value) == ("simulation diverged at t=0.001625 (signal: W_hat); "
-                                  "consider a smaller step size")
+                                  "consider a smaller step size h in scenario 'stiff'")
 
 
 class TestDivergedBlock:
