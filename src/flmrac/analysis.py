@@ -3,9 +3,10 @@
 This is the verification layer: transient bounds for the classical and
 modified architectures, the ultimate bound under time-varying uncertainty,
 the boundary-layer decay fit, the scalar loop transfer function with its
-stability margins, and the spectral high-frequency content metric.  Several
-routines take the hidden truth as input; they are harness-side checks, never
-part of the controller.
+stability margins, and the spectral high-frequency content metric; and a run's
+figures: the bound report `flmrac run` writes (`bound_report_for`) and the row
+`flmrac compare` writes (`run_metrics`).  Several routines take the hidden
+truth as input; they are harness-side checks, never part of the controller.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from .matrixcore import LyapunovPair, sym_eig_extremes
 from .plantmodel import UncertaintyTruth, aggregate_true_weights
-from .simulator import Trajectory
+from .simulator import ScenarioConfig, Trajectory
 
 
 class UnknownSignalError(KeyError):
@@ -211,6 +212,93 @@ class BoundReport:
     def make(cls, kind: str, bound_value: float, observed: float, inputs: dict) -> "BoundReport":
         return cls(kind=kind, bound_value=bound_value, observed=observed,
                    inputs=inputs, satisfied=bool(observed <= bound_value))
+
+
+# ---------------------------------------------------------------------------
+# A run's figures: its bound report and its compare row
+# ---------------------------------------------------------------------------
+
+#: xi at which bound_report_for evaluates the modified-architecture bounds.
+BOUND_XI = 0.5
+#: Cutoff (rad/s) of the control signal's high-frequency content in run_metrics.
+DEFAULT_HF_CUTOFF = 10.0
+
+
+def bound_report_for(scn: ScenarioConfig, traj: Trajectory) -> BoundReport:
+    """Evaluate the architecture-appropriate bound against the trajectory: the
+    report `flmrac run` writes as `<name>_bounds.json`, and the bound fields of
+    run_metrics' row.
+
+    kappa = 0 gets the classical transient bound on ||e||, with e(0) in it.
+    kappa > 0 gets a bound on ||x - x_ri|| at xi = BOUND_XI: the time-varying
+    ultimate bound for a time-varying truth under projection, else the
+    modified-architecture transient bound.  Both transient bounds are proved
+    for a constant truth only, so for a time-varying truth without projection
+    the report checks a bound outside its hypothesis, not a guarantee: that is
+    the case for the bundled wingrock_standard, wingrock_kappa_only and
+    wingrock_high_gain, whose sin-modulated truth starts at 45 s.  Of the
+    bundled scenarios only wingrock_proposed gets the ultimate bound.
+    """
+    cfg = scn.controller
+    lam = scn.plant.Lambda
+    lyap = cfg.lyap
+    # The first sample is the run's initial state.
+    W_tilde0 = traj.W_hat[0] - aggregate_true_weights(scn.plant.truth, lam, cfg.K, t=0.0)
+    e0 = traj.e[0]
+
+    inputs = {
+        "gamma": cfg.gamma, "kappa": cfg.kappa, "eta": cfg.eta, "xi": BOUND_XI,
+        **lyap.extremes(),
+        "W_tilde0_weighted_fro": _weighted_fro(W_tilde0, lam),
+        "e0_norm": float(np.linalg.norm(e0)),
+        "Lambda_fro": float(np.linalg.norm(lam)),
+    }
+
+    if cfg.kappa == 0.0:
+        value = bound_standard_mrac(cfg.gamma, lyap.P, W_tilde0, lam, e0)
+        return BoundReport.make("standard_transient", value, linf_norm(traj, "e"), inputs)
+
+    time_varying = not scn.plant.truth.is_constant
+    if time_varying and cfg.projection is not None:
+        wt_max, wd_max = aggregated_truth_bounds(scn.plant.truth, lam, cfg.K,
+                                                 cfg.projection.theta_max)
+        inputs.update({"w_tilde_max": wt_max, "w_dot_max": wd_max})
+        value = bound_time_varying_ultimate(cfg.gamma, cfg.kappa, cfg.eta, BOUND_XI,
+                                            lyap, lam, wt_max, wd_max)
+        kind = "time_varying_ultimate"
+    else:
+        value = bound_modified_transient(cfg.gamma, cfg.kappa, BOUND_XI, lyap,
+                                         W_tilde0, lam, e0)
+        kind = "modified_transient"
+        tightest = bound_modified_transient(cfg.gamma, cfg.kappa, XI_MAX,
+                                            lyap, W_tilde0, lam, e0)
+        inputs.update({"xi_star": XI_MAX, "bound_at_xi_star": tightest})
+    return BoundReport.make(kind, value, linf_norm(traj, "x_err_ideal"), inputs)
+
+
+def run_metrics(scn: ScenarioConfig, traj: Trajectory) -> dict:
+    """The run's row in `flmrac compare`'s report: its design, the sup of
+    ||x - x_ri|| over the run and from noise.start_time on (None if no sample lies
+    there), the control's high-frequency content above DEFAULT_HF_CUTOFF, its sup
+    and bound_report_for's bound."""
+    err = signal(traj, "x_err_ideal")
+    post_mask = traj.t >= scn.noise.start_time
+    report = bound_report_for(scn, traj)
+    return {
+        "name": scn.name,
+        "gamma": scn.controller.gamma,
+        "kappa": scn.controller.kappa,
+        "eta": scn.controller.eta,
+        "tracking_linf": float(np.max(np.abs(err))),
+        "tracking_linf_post": (float(np.max(np.abs(err[post_mask])))
+                               if np.any(post_mask) else None),
+        "hf_content_u": hf_content(traj, DEFAULT_HF_CUTOFF),
+        "max_abs_u": linf_norm(traj, "u"),
+        "bound_kind": report.kind,
+        "bound_value": report.bound_value,
+        "bound_observed": report.observed,
+        "bound_satisfied": report.satisfied,
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,7 @@
-"""Command-line front end: scenario files, experiment orchestration, reports.
+"""Command-line front end: the scenario file format, CSV and SVG writers, manifests
+and the `flmrac` commands, which write a run's figures as `analysis` computes them:
+`analysis.bound_report_for` for `run`, an `analysis.run_metrics` row per `compare`
+member.
 
 Scenario files are JSON (key/value with nested sections, matrices row-major
 with explicit dimensions; see README for the schema).  Runs are seed-complete:
@@ -24,10 +27,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, analysis
-from .analysis import BoundReport, MarginReport, NoCrossoverError
+from .analysis import (DEFAULT_HF_CUTOFF, MarginReport, NoCrossoverError, bound_report_for,
+                       run_metrics)
 from .controllers import ControllerConfig
 from .matrixcore import LyapunovPair
-from .plantmodel import aggregate_true_weights
 from .simulator import (ConfigError, DivergenceError, ScenarioConfig, Trajectory,
                         closed_loop, run)
 
@@ -35,10 +38,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_DIVERGENCE = 3
 
-#: Cutoff (rad/s) of compare's control-signal high-frequency metric.
-DEFAULT_HF_CUTOFF = 10.0
-#: xi at which bound_report_for evaluates the modified-architecture bounds.
-BOUND_XI = 0.5
 #: Log-spaced frequencies bode draws over analysis.MARGIN_BAND.
 BODE_POINTS = 400
 
@@ -231,9 +230,11 @@ def serialize_scenario(scn: ScenarioConfig) -> str:
 
 def load_config(path: str) -> tuple[ScenarioConfig, dict]:
     """Parse a config file, or a bundled scenario named without directory or
-    suffix, into a scenario; a file that cannot be read raises ConfigError."""
+    suffix where no file has that name (a directory, such as an earlier run's
+    --out, does not hide it), into a scenario; a file that cannot be read raises
+    ConfigError."""
     p = Path(path)
-    if p.name == path and not p.suffix and not p.exists():
+    if p.name == path and not p.suffix and not p.is_file():
         p = bundled_scenario_path(path) or p
     try:
         raw = json.loads(p.read_text(encoding="utf-8"))
@@ -314,61 +315,6 @@ def read_csv_columns(path: Path) -> dict[str, np.ndarray]:
     if repeated:
         raise ConfigError("--csv", f"{path} repeats the header {repeated[0]!r}")
     return {name: data[:, j] for j, name in enumerate(header)}
-
-
-# ---------------------------------------------------------------------------
-# Bound reports
-# ---------------------------------------------------------------------------
-
-def bound_report_for(scn: ScenarioConfig, traj: Trajectory) -> BoundReport:
-    """Evaluate the architecture-appropriate bound against the trajectory.
-
-    kappa = 0 gets the classical transient bound on ||e||, with e(0) in it.
-    kappa > 0 gets a bound on ||x - x_ri|| at xi = BOUND_XI: the time-varying
-    ultimate bound for a time-varying truth under projection, else the
-    modified-architecture transient bound.  Both transient bounds are proved
-    for a constant truth only, so for a time-varying truth without projection
-    the report checks a bound outside its hypothesis, not a guarantee: that is
-    the case for the bundled wingrock_standard, wingrock_kappa_only and
-    wingrock_high_gain, whose sin-modulated truth starts at 45 s.  Of the
-    bundled scenarios only wingrock_proposed gets the ultimate bound.
-    """
-    cfg = scn.controller
-    lam = scn.plant.Lambda
-    lyap = cfg.lyap
-    # The first sample is the run's initial state.
-    W_tilde0 = traj.W_hat[0] - aggregate_true_weights(scn.plant.truth, lam, cfg.K, t=0.0)
-    e0 = traj.e[0]
-
-    inputs = {
-        "gamma": cfg.gamma, "kappa": cfg.kappa, "eta": cfg.eta, "xi": BOUND_XI,
-        **lyap.extremes(),
-        "W_tilde0_weighted_fro": analysis._weighted_fro(W_tilde0, lam),
-        "e0_norm": float(np.linalg.norm(e0)),
-        "Lambda_fro": float(np.linalg.norm(lam)),
-    }
-
-    if cfg.kappa == 0.0:
-        value = analysis.bound_standard_mrac(cfg.gamma, lyap.P, W_tilde0, lam, e0)
-        observed = analysis.linf_norm(traj, "e")
-        return BoundReport.make("standard_transient", value, observed, inputs)
-
-    time_varying = not scn.plant.truth.is_constant
-    if time_varying and cfg.projection is not None:
-        wt_max, wd_max = analysis.aggregated_truth_bounds(scn.plant.truth, lam, cfg.K,
-                                                          cfg.projection.theta_max)
-        inputs.update({"w_tilde_max": wt_max, "w_dot_max": wd_max})
-        value = analysis.bound_time_varying_ultimate(cfg.gamma, cfg.kappa, cfg.eta, BOUND_XI,
-                                                     lyap, lam, wt_max, wd_max)
-        kind = "time_varying_ultimate"
-    else:
-        value = analysis.bound_modified_transient(cfg.gamma, cfg.kappa, BOUND_XI, lyap,
-                                                  W_tilde0, lam, e0)
-        kind = "modified_transient"
-        tightest = analysis.bound_modified_transient(cfg.gamma, cfg.kappa, analysis.XI_MAX,
-                                                     lyap, W_tilde0, lam, e0)
-        inputs.update({"xi_star": analysis.XI_MAX, "bound_at_xi_star": tightest})
-    return BoundReport.make(kind, value, analysis.linf_norm(traj, "x_err_ideal"), inputs)
 
 
 # ---------------------------------------------------------------------------
@@ -552,27 +498,6 @@ def _compare_key(scn: ScenarioConfig) -> str:
                            "seed": scn.noise.seed})
 
 
-def run_metrics(scn: ScenarioConfig, traj: Trajectory, cutoff: float) -> dict:
-    err = analysis.signal(traj, "x_err_ideal")
-    post_mask = traj.t >= scn.noise.start_time
-    report = bound_report_for(scn, traj)
-    return {
-        "name": scn.name,
-        "gamma": scn.controller.gamma,
-        "kappa": scn.controller.kappa,
-        "eta": scn.controller.eta,
-        "tracking_linf": float(np.max(np.abs(err))),
-        "tracking_linf_post": (float(np.max(np.abs(err[post_mask])))
-                               if np.any(post_mask) else None),
-        "hf_content_u": analysis.hf_content(traj, cutoff),
-        "max_abs_u": analysis.linf_norm(traj, "u"),
-        "bound_kind": report.kind,
-        "bound_value": report.bound_value,
-        "bound_observed": report.observed,
-        "bound_satisfied": report.satisfied,
-    }
-
-
 def cmd_compare(args) -> int:
     scenarios = [load_config(c)[0] for c in args.configs]
     if len({_compare_key(scn) for scn in scenarios}) != 1:
@@ -588,7 +513,7 @@ def cmd_compare(args) -> int:
     rows = []
     for scn in scenarios:
         _warn_gain_window(scn)
-        rows.append(run_metrics(scn, run(scn), DEFAULT_HF_CUTOFF))
+        rows.append(run_metrics(scn, run(scn)))
 
     report_path = out_dir / "compare_report.json"
     report_path.write_text(canonical_text({"cutoff_rad_s": DEFAULT_HF_CUTOFF,

@@ -6,9 +6,11 @@ import pytest
 
 from flmrac import analysis
 from flmrac.matrixcore import LyapunovPair
+from flmrac.plantmodel import aggregate_true_weights
 from flmrac.simcli import load_config
-from flmrac.simulator import Trajectory, run
+from flmrac.simulator import NoiseSpec, Trajectory, run
 
+from helpers import scalar_scenario
 from oracles import (bound_transient_modified, bound_ultimate_time_varying,
                      loop_transfer_rational)
 
@@ -236,6 +238,81 @@ class TestOptimalXi:
             calls = []
             analysis.optimal_xi(lambda x: calls.append(x) or f(x))
             assert len(calls) <= 100
+
+
+class TestBoundReport:
+    def test_ultimate_bound_does_not_depend_on_the_horizon(self, wingrock_proposed):
+        # The truth's norm budget is a supremum over all t >= 0: a run that ends
+        # before the 45 s sin modulation starts gets the same bound as one past it.
+        traj = run(dataclasses.replace(wingrock_proposed, t_final=0.01))
+        reports = [analysis.bound_report_for(dataclasses.replace(wingrock_proposed, t_final=t), traj)
+                   for t in (0.0, 1.0, 2.0, 90.0)]
+        theta_max = wingrock_proposed.controller.projection.theta_max
+        for report in reports:
+            assert report.kind == "time_varying_ultimate"
+            assert report.inputs["w_tilde_max"] == theta_max + 16.431676725154983
+            assert report.bound_value == reports[-1].bound_value
+
+    def test_classical_bound_counts_the_initial_error(self):
+        # x0 != x_r0: e(0) = 0.5 enters eps_V through lambda_max(P) ||e0||^2.
+        scn = scalar_scenario(gamma=50.0, kappa=0.0, h=1e-3, x0=0.5, x_r0=0.0, w_truth=0.05)
+        report = analysis.bound_report_for(scn, run(scn))
+        assert report.kind == "standard_transient"
+        assert report.observed == 0.5
+        # P = 1/4: sqrt((0.25 * 0.5^2 + 0.05^2 / 50) / 0.25).
+        assert report.bound_value == pytest.approx(math.sqrt(0.25 + 2e-4), rel=1e-14)
+        assert report.satisfied
+
+    def test_modified_transient_reports_its_tightest_xi(self):
+        # kappa > 0 without projection: the modified transient bound at BOUND_XI,
+        # and at XI_MAX, where it is tightest.
+        scn, _ = load_config("wingrock_kappa_only")
+        scn = dataclasses.replace(scn, t_final=0.5)
+        traj = run(scn)
+        report = analysis.bound_report_for(scn, traj)
+        cfg, lam = scn.controller, scn.plant.Lambda
+        W_tilde0 = traj.W_hat[0] - aggregate_true_weights(scn.plant.truth, lam, cfg.K, t=0.0)
+
+        def bound_at(xi):
+            return analysis.bound_modified_transient(cfg.gamma, cfg.kappa, xi, cfg.lyap,
+                                                     W_tilde0, lam, traj.e[0])
+
+        assert report.kind == "modified_transient"
+        assert report.inputs["xi"] == analysis.BOUND_XI
+        assert report.inputs["xi_star"] == analysis.XI_MAX
+        assert report.bound_value == bound_at(analysis.BOUND_XI)
+        assert report.inputs["bound_at_xi_star"] == bound_at(analysis.XI_MAX)
+        assert report.inputs["bound_at_xi_star"] < report.bound_value
+        assert report.observed == analysis.linf_norm(traj, "x_err_ideal")
+
+
+class TestRunMetrics:
+    @staticmethod
+    def noisy_run(start_time):
+        # A 2 s scalar run whose ||x - x_ri|| peaks at 0.88 s.
+        scn = dataclasses.replace(scalar_scenario(h=1e-3),
+                                  noise=NoiseSpec(std=(0.01,), start_time=start_time, seed=3))
+        return scn, run(scn)
+
+    def test_row_holds_the_run_figures(self):
+        scn, traj = self.noisy_run(start_time=1.0)
+        row = analysis.run_metrics(scn, traj)
+        report = analysis.bound_report_for(scn, traj)
+        err = np.max(np.abs(analysis.signal(traj, "x_err_ideal")), axis=1)
+        assert row == {
+            "name": "scalar", "gamma": 50.0, "kappa": 100.0, "eta": 0.0,
+            "tracking_linf": analysis.linf_norm(traj, "x_err_ideal"),
+            "tracking_linf_post": float(np.max(err[traj.t >= 1.0])),
+            "hf_content_u": analysis.hf_content(traj, analysis.DEFAULT_HF_CUTOFF),
+            "max_abs_u": analysis.linf_norm(traj, "u"),
+            "bound_kind": report.kind, "bound_value": report.bound_value,
+            "bound_observed": report.observed, "bound_satisfied": report.satisfied,
+        }
+        assert row["tracking_linf_post"] < row["tracking_linf"]
+
+    def test_no_sample_after_the_noise_start(self):
+        scn, traj = self.noisy_run(start_time=2.5)
+        assert analysis.run_metrics(scn, traj)["tracking_linf_post"] is None
 
 
 class TestDecayFit:

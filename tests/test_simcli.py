@@ -23,8 +23,6 @@ from flmrac.simcli import (ConfigError, bundled_scenario_path, canonical_text,
                            trajectory_header, write_trajectory_csv)
 from flmrac.simulator import CommandSpec, NoiseSpec, ScenarioConfig, Trajectory, run
 
-from helpers import scalar_scenario
-
 
 def short_noisy_config(tmp_path, name="short", seed=20131007, t_final=3.0):
     scn, _ = load_config("wingrock_proposed")
@@ -93,6 +91,23 @@ class TestConfigParsing:
         assert f"config error: <file>: no such config file: {arg}" in stderr
         assert "Traceback" not in stderr
         assert list(tmp_path.iterdir()) == []
+
+    def test_directory_does_not_hide_a_bundled_name(self, tmp_path, monkeypatch):
+        # `run --config wingrock_standard --out wingrock_standard` leaves a directory
+        # of the bundled name in the working directory; a second run still reads
+        # the bundled scenario.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "wingrock_standard").mkdir()
+        scn, raw = load_config("wingrock_standard")
+        assert raw == json.loads(bundled_scenario_path("wingrock_standard").read_text())
+        assert scn.name == "wingrock_standard"
+
+    def test_file_of_a_bundled_name_is_read(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        _, raw = load_config("wingrock_standard")
+        raw["name"] = "local"
+        (tmp_path / "wingrock_standard").write_text(json.dumps(raw))
+        assert load_config("wingrock_standard")[0].name == "local"
 
     @pytest.mark.parametrize("make", [lambda p: p.mkdir(), lambda p: p.write_bytes(b"\xff{}")],
                              ids=["directory", "not_utf8"])
@@ -388,30 +403,6 @@ class TestBulkWriters:
             budget, rel=1e-14)
 
 
-class TestBoundReport:
-    def test_ultimate_bound_does_not_depend_on_the_horizon(self, wingrock_proposed):
-        # The truth's norm budget is a supremum over all t >= 0: a run that ends
-        # before the 45 s sin modulation starts gets the same bound as one past it.
-        traj = run(dataclasses.replace(wingrock_proposed, t_final=0.01))
-        reports = [simcli.bound_report_for(dataclasses.replace(wingrock_proposed, t_final=t), traj)
-                   for t in (0.0, 1.0, 2.0, 90.0)]
-        theta_max = wingrock_proposed.controller.projection.theta_max
-        for report in reports:
-            assert report.kind == "time_varying_ultimate"
-            assert report.inputs["w_tilde_max"] == theta_max + 16.431676725154983
-            assert report.bound_value == reports[-1].bound_value
-
-    def test_classical_bound_counts_the_initial_error(self):
-        # x0 != x_r0: e(0) = 0.5 enters eps_V through lambda_max(P) ||e0||^2.
-        scn = scalar_scenario(gamma=50.0, kappa=0.0, h=1e-3, x0=0.5, x_r0=0.0, w_truth=0.05)
-        report = simcli.bound_report_for(scn, run(scn))
-        assert report.kind == "standard_transient"
-        assert report.observed == 0.5
-        # P = 1/4: sqrt((0.25 * 0.5^2 + 0.05^2 / 50) / 0.25).
-        assert report.bound_value == pytest.approx(math.sqrt(0.25 + 2e-4), rel=1e-14)
-        assert report.satisfied
-
-
 class TestCmdRun:
     def test_writes_all_outputs(self, tmp_path):
         cfg = short_noisy_config(tmp_path)
@@ -583,6 +574,15 @@ class TestCmdCompare:
         cfg2.write_text(json.dumps(raw))
         assert simcli.main(["compare", str(cfg1), str(cfg2),
                             "--out", str(tmp_path / "cmp")]) == 2
+
+    def test_report_rows_are_run_metrics(self, tmp_path):
+        cfg = short_noisy_config(tmp_path, t_final=1.0)
+        out = tmp_path / "cmp"
+        assert simcli.main(["compare", str(cfg), "--out", str(out)]) == 0
+        report = json.loads((out / "compare_report.json").read_text())
+        assert report["cutoff_rad_s"] == analysis.DEFAULT_HF_CUTOFF
+        scn, _ = load_config(str(cfg))
+        assert report["runs"] == [analysis.run_metrics(scn, run(scn))]
 
     def test_diverging_member_exits_3_and_is_named(self, tmp_path, capsys):
         # The first member runs to its end; the second diverges, so no report is written.
